@@ -235,12 +235,12 @@ impl EffectBuf {
     }
 }
 
-/// Result of one group issue: the group's effect class (from the first
-/// lane that executed, `None` when every participating lane faulted) and
-/// how many lanes participated.
+/// Result of one group issue: the group's effect class and how many lanes
+/// participated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupStep {
-    /// Effect class of the first successfully executed lane.
+    /// Effect class of the issued instruction; `None` when no lane
+    /// participated or the pc was past the end of the program.
     pub effect: Option<EffectClass>,
     /// Number of lanes that participated (including faulted lanes, which
     /// are marked done — they still occupied the issue slot).
@@ -1177,22 +1177,15 @@ pub fn step(
 /// Executes one SIMT group issue: every non-done lane whose pc equals
 /// `min_pc` executes the instruction at `min_pc`.
 ///
-/// The instruction is fetched and matched **once** per group; each opcode
-/// then runs a tight per-lane loop (the engine's issue loop previously
-/// called [`step`] once per lane, re-matching the 37-variant instruction
-/// enum every time and allocating a fresh `Vec` for every vector memory
-/// effect). Memory operations are appended to `buf` in lane order —
-/// identical to concatenating the per-lane [`Effect`] payloads, which
-/// matters because atomics linearize in issue order — and the returned
-/// [`GroupStep`] carries the first executed lane's effect class.
-///
-/// Semantics are bit-for-bit those of calling [`step`] on each
-/// participating lane in slot order: `step` stays in-tree as the
-/// reference implementation, cold opcodes delegate to it directly, and
-/// `tests/asm_roundtrip.rs` drives both paths in lockstep over generated
-/// programs and the kernel corpus. A fetch past the end of the program
-/// marks every participating lane done, exactly as the engine treated
-/// per-lane [`ExecError::PcOutOfRange`].
+/// This is the only definition of instruction semantics: the instruction
+/// is fetched and matched **once** per group, and each opcode's arm runs a
+/// tight per-lane loop ([`step`] is this function over a one-lane group).
+/// Memory operations are appended to `buf` in lane order, which matters
+/// because atomics linearize in issue order. The returned [`GroupStep`]
+/// carries the instruction's class from [`crate::program::classify`]; the
+/// one dynamic case is a `jalr` whose first participating lane jumps to
+/// byte address 0, which reports [`EffectClass::Halted`]. A fetch past the
+/// end of the program marks every participating lane done.
 #[allow(clippy::too_many_lines)]
 pub fn step_group(
     ctxs: &mut [ThreadCtx],
@@ -1203,7 +1196,6 @@ pub fn step_group(
 ) -> GroupStep {
     buf.clear();
     let mut lanes = 0u32;
-    let mut first: Option<EffectClass> = None;
 
     // Per-lane loop over the participating (non-done, pc-matching) lanes.
     macro_rules! lanes_do {
@@ -1218,7 +1210,7 @@ pub fn step_group(
         };
     }
 
-    let Some(instr) = prog.fetch(min_pc) else {
+    let (Some(instr), Some(class)) = (prog.fetch(min_pc), prog.class_at(min_pc)) else {
         lanes_do!(ctx => {
             ctx.done = true;
         });
@@ -1227,18 +1219,15 @@ pub fn step_group(
             lanes,
         };
     };
+    let mut effect = class.effect;
 
-    // `Some(class)` = uniform class for every lane of this opcode, recorded
-    // after the loop; `None` = the arm assigned `first` itself (divergent
-    // classes or delegation to the reference `step`).
-    let static_class: Option<EffectClass> = match instr {
+    match instr {
         Instr::Li { rd, imm } => {
             let (rd, imm) = (*rd, *imm);
             lanes_do!(ctx => {
                 ctx.write_x(rd, imm as u64);
                 ctx.pc += 1;
             });
-            Some(EffectClass::Alu)
         }
         Instr::Lui { rd, imm } => {
             let (rd, imm) = (*rd, *imm);
@@ -1246,7 +1235,6 @@ pub fn step_group(
                 ctx.write_x(rd, (imm as u64).wrapping_shl(12));
                 ctx.pc += 1;
             });
-            Some(EffectClass::Alu)
         }
         Instr::Op { op, rd, rs1, rs2 } => {
             let (op, rd, rs1, rs2) = (*op, *rd, *rs1 as usize, *rs2 as usize);
@@ -1256,15 +1244,6 @@ pub fn step_group(
                 ctx.write_x(rd, int_op(op, a, b));
                 ctx.pc += 1;
             });
-            Some(if op.is_muldiv() {
-                if matches!(op, IntOp::Mul | IntOp::Mulh) {
-                    EffectClass::Mul
-                } else {
-                    EffectClass::Div
-                }
-            } else {
-                EffectClass::Alu
-            })
         }
         Instr::OpImm { op, rd, rs1, imm } => {
             let (op, rd, rs1, imm) = (*op, *rd, *rs1 as usize, *imm);
@@ -1273,7 +1252,6 @@ pub fn step_group(
                 ctx.write_x(rd, int_op(op, a, imm as u64));
                 ctx.pc += 1;
             });
-            Some(EffectClass::Alu)
         }
         Instr::Load {
             width,
@@ -1308,7 +1286,6 @@ pub fn step_group(
                 });
                 ctx.pc += 1;
             });
-            Some(EffectClass::Mem)
         }
         Instr::Store {
             width,
@@ -1330,7 +1307,6 @@ pub fn step_group(
                 });
                 ctx.pc += 1;
             });
-            Some(EffectClass::Mem)
         }
         Instr::Branch {
             cond,
@@ -1352,7 +1328,6 @@ pub fn step_group(
                 };
                 ctx.pc = if taken { target } else { ctx.pc + 1 };
             });
-            Some(EffectClass::Branch)
         }
         Instr::Jal { rd, target } => {
             let (rd, target) = (*rd, *target);
@@ -1360,27 +1335,23 @@ pub fn step_group(
                 ctx.write_x(rd, (ctx.pc as u64 + 1) * 4);
                 ctx.pc = target;
             });
-            Some(EffectClass::Branch)
         }
         Instr::Jalr { rd, rs1, offset } => {
             let (rd, rs1, offset) = (*rd, *rs1 as usize, *offset);
-            // Divergent classes: a lane whose target is byte address 0
-            // terminates (top-level `ret`), the others branch.
             lanes_do!(ctx => {
                 let target_bytes = ctx.x[rs1].wrapping_add(offset as u64);
                 ctx.write_x(rd, (ctx.pc as u64 + 1) * 4);
-                let lane_class = if target_bytes == 0 {
+                if target_bytes == 0 {
+                    // Top-level `ret` (ra still 0 from spawn): terminate.
+                    // The group reports its first lane's outcome.
                     ctx.done = true;
-                    EffectClass::Halted
+                    if lanes == 1 {
+                        effect = EffectClass::Halted;
+                    }
                 } else {
                     ctx.pc = (target_bytes / 4) as usize;
-                    EffectClass::Branch
-                };
-                if first.is_none() {
-                    first = Some(lane_class);
                 }
             });
-            None
         }
         Instr::Amo {
             op,
@@ -1402,20 +1373,19 @@ pub fn step_group(
                 });
                 ctx.pc += 1;
             });
-            Some(EffectClass::Mem)
         }
         Instr::Fence => {
             lanes_do!(ctx => {
                 ctx.pc += 1;
             });
-            Some(EffectClass::Alu)
         }
         Instr::Halt => {
             lanes_do!(ctx => {
                 ctx.done = true;
             });
-            Some(EffectClass::Halted)
         }
+
+        // ----- scalar float -----
         Instr::FLoad {
             precision,
             rd,
@@ -1437,7 +1407,6 @@ pub fn step_group(
                 });
                 ctx.pc += 1;
             });
-            Some(EffectClass::Mem)
         }
         Instr::FStore {
             precision,
@@ -1459,8 +1428,144 @@ pub fn step_group(
                 });
                 ctx.pc += 1;
             });
-            Some(EffectClass::Mem)
         }
+        Instr::FOp {
+            op,
+            precision,
+            rd,
+            rs1,
+            rs2,
+        } => {
+            let (op, p, rd, rs1, rs2) =
+                (*op, *precision, *rd as usize, *rs1 as usize, *rs2 as usize);
+            lanes_do!(ctx => {
+                let a = f_scalar(ctx.f[rs1], p);
+                let b = f_scalar(ctx.f[rs2], p);
+                let result = match op {
+                    FpOp::Add => a + b,
+                    FpOp::Sub => a - b,
+                    FpOp::Mul => a * b,
+                    FpOp::Div => a / b,
+                    FpOp::Min => a.min(b),
+                    FpOp::Max => a.max(b),
+                    FpOp::Sqrt => a.sqrt(),
+                    FpOp::Exp => a.exp(),
+                    FpOp::Sgnj => a.abs().copysign(b),
+                    FpOp::Sgnjn => a.abs().copysign(-b),
+                    FpOp::Sgnjx => {
+                        let negative = a.is_sign_negative() ^ b.is_sign_negative();
+                        a.abs().copysign(if negative { -1.0 } else { 1.0 })
+                    }
+                };
+                ctx.f[rd] = f_bits(result, p);
+                ctx.pc += 1;
+            });
+        }
+        Instr::FMadd {
+            precision,
+            rd,
+            rs1,
+            rs2,
+            rs3,
+        } => {
+            let (p, rd, rs1, rs2, rs3) = (
+                *precision,
+                *rd as usize,
+                *rs1 as usize,
+                *rs2 as usize,
+                *rs3 as usize,
+            );
+            lanes_do!(ctx => {
+                let a = f_scalar(ctx.f[rs1], p);
+                let b = f_scalar(ctx.f[rs2], p);
+                let c = f_scalar(ctx.f[rs3], p);
+                ctx.f[rd] = f_bits(a * b + c, p);
+                ctx.pc += 1;
+            });
+        }
+        Instr::FCmp {
+            op,
+            precision,
+            rd,
+            rs1,
+            rs2,
+        } => {
+            let (op, p, rd, rs1, rs2) = (*op, *precision, *rd, *rs1 as usize, *rs2 as usize);
+            lanes_do!(ctx => {
+                let a = f_scalar(ctx.f[rs1], p);
+                let b = f_scalar(ctx.f[rs2], p);
+                let r = match op {
+                    FCmpOp::Eq => a == b,
+                    FCmpOp::Lt => a < b,
+                    FCmpOp::Le => a <= b,
+                };
+                ctx.write_x(rd, r as u64);
+                ctx.pc += 1;
+            });
+        }
+        Instr::FCvtFromInt {
+            precision,
+            rd,
+            rs1,
+            signed,
+        } => {
+            let (p, rd, rs1, signed) = (*precision, *rd as usize, *rs1 as usize, *signed);
+            lanes_do!(ctx => {
+                let x = ctx.x[rs1];
+                let val = if signed { x as i64 as f64 } else { x as f64 };
+                ctx.f[rd] = f_bits(val, p);
+                ctx.pc += 1;
+            });
+        }
+        Instr::FCvtToInt {
+            precision,
+            rd,
+            rs1,
+            signed,
+        } => {
+            let (p, rd, rs1, signed) = (*precision, *rd, *rs1 as usize, *signed);
+            lanes_do!(ctx => {
+                let val = f_scalar(ctx.f[rs1], p).trunc();
+                ctx.write_x(rd, if signed { val as i64 as u64 } else { val as u64 });
+                ctx.pc += 1;
+            });
+        }
+        Instr::FMvToInt { precision, rd, rs1 } => {
+            let (p, rd, rs1) = (*precision, *rd, *rs1 as usize);
+            lanes_do!(ctx => {
+                let bits = ctx.f[rs1];
+                let v = match p {
+                    Precision::S => bits as u32 as i32 as i64 as u64,
+                    Precision::D => bits,
+                };
+                ctx.write_x(rd, v);
+                ctx.pc += 1;
+            });
+        }
+        Instr::FMvFromInt { precision, rd, rs1 } => {
+            let (p, rd, rs1) = (*precision, *rd as usize, *rs1 as usize);
+            lanes_do!(ctx => {
+                let bits = ctx.x[rs1];
+                ctx.f[rd] = match p {
+                    Precision::S => bits & 0xFFFF_FFFF,
+                    Precision::D => bits,
+                };
+                ctx.pc += 1;
+            });
+        }
+        Instr::FCvtPrec { to, rd, rs1 } => {
+            let (to, rd, rs1) = (*to, *rd as usize, *rs1 as usize);
+            let from = match to {
+                Precision::D => Precision::S,
+                Precision::S => Precision::D,
+            };
+            lanes_do!(ctx => {
+                ctx.f[rd] = f_bits(f_scalar(ctx.f[rs1], from), to);
+                ctx.pc += 1;
+            });
+        }
+
+        // ----- vector -----
         Instr::Vsetvli { rd, rs1, sew } => {
             let (rd, rs1, sew) = (*rd, *rs1, *sew);
             let max = (VLEN_BYTES as u32 * 8) / (sew.bytes() * 8);
@@ -1475,7 +1580,6 @@ pub fn step_group(
                 ctx.write_x(rd, requested as u64);
                 ctx.pc += 1;
             });
-            Some(EffectClass::VCtl)
         }
         Instr::VLoad {
             eew,
@@ -1490,81 +1594,36 @@ pub fn step_group(
                 let base = ctx.x[rs1];
                 let vl = effective_vl(ctx, eew);
                 let mut out = ctx.v[vd];
-                match mode {
-                    VAddrMode::Unit => {
-                        if !masked {
-                            // Whole-group contiguous access; a VLEN-sized
-                            // stack buffer replaces `step`'s per-call heap
-                            // `Vec` (vsetvli clamps vl so `total` fits).
-                            let total = (vl * eb) as usize;
-                            let mut lbuf = [0u8; VLEN_BYTES];
-                            mem.load(base, &mut lbuf[..total]);
-                            out[..total].copy_from_slice(&lbuf[..total]);
-                            buf.push(MemOp {
-                                addr: base,
-                                bytes: vl * eb,
-                                write: false,
-                                amo: false,
-                            });
-                        } else {
-                            for i in 0..vl as usize {
-                                if !mask_bit(&ctx.v[0], i) {
-                                    continue;
-                                }
-                                let addr = base.wrapping_add(i as u64 * eb as u64);
-                                let mut lbuf = [0u8; 8];
-                                mem.load(addr, &mut lbuf[..eb as usize]);
-                                set_elem(&mut out, i, eew, u64::from_le_bytes(lbuf));
-                                buf.push(MemOp {
-                                    addr,
-                                    bytes: eb,
-                                    write: false,
-                                    amo: false,
-                                });
-                            }
+                if matches!(mode, VAddrMode::Unit) && !masked {
+                    // Whole-group contiguous access (vsetvli clamps vl so
+                    // the group fits the register).
+                    mem.load(base, &mut out[..(vl * eb) as usize]);
+                    buf.push(MemOp {
+                        addr: base,
+                        bytes: vl * eb,
+                        write: false,
+                        amo: false,
+                    });
+                } else {
+                    for i in 0..vl as usize {
+                        if masked && !mask_bit(&ctx.v[0], i) {
+                            continue;
                         }
-                    }
-                    VAddrMode::Strided(rs2) => {
-                        let stride = ctx.x[rs2 as usize];
-                        for i in 0..vl as usize {
-                            if masked && !mask_bit(&ctx.v[0], i) {
-                                continue;
-                            }
-                            let addr = base.wrapping_add(stride.wrapping_mul(i as u64));
-                            let mut lbuf = [0u8; 8];
-                            mem.load(addr, &mut lbuf[..eb as usize]);
-                            set_elem(&mut out, i, eew, u64::from_le_bytes(lbuf));
-                            buf.push(MemOp {
-                                addr,
-                                bytes: eb,
-                                write: false,
-                                amo: false,
-                            });
-                        }
-                    }
-                    VAddrMode::Indexed(vs2) => {
-                        let idx = ctx.v[vs2 as usize];
-                        for i in 0..vl as usize {
-                            if masked && !mask_bit(&ctx.v[0], i) {
-                                continue;
-                            }
-                            let addr = base.wrapping_add(get_elem(&idx, i, eew));
-                            let mut lbuf = [0u8; 8];
-                            mem.load(addr, &mut lbuf[..eb as usize]);
-                            set_elem(&mut out, i, eew, u64::from_le_bytes(lbuf));
-                            buf.push(MemOp {
-                                addr,
-                                bytes: eb,
-                                write: false,
-                                amo: false,
-                            });
-                        }
+                        let addr = elem_addr(ctx, mode, base, i, eew);
+                        let mut lbuf = [0u8; 8];
+                        mem.load(addr, &mut lbuf[..eb as usize]);
+                        set_elem(&mut out, i, eew, u64::from_le_bytes(lbuf));
+                        buf.push(MemOp {
+                            addr,
+                            bytes: eb,
+                            write: false,
+                            amo: false,
+                        });
                     }
                 }
                 ctx.v[vd] = out;
                 ctx.pc += 1;
             });
-            Some(EffectClass::VMem)
         }
         Instr::VStore {
             eew,
@@ -1580,71 +1639,32 @@ pub fn step_group(
                 let base = ctx.x[rs1];
                 let vl = effective_vl(ctx, eew);
                 let src = ctx.v[vs3];
-                match mode {
-                    VAddrMode::Unit if !masked => {
-                        let total = vl * eb;
-                        mem.store(base, &src[..total as usize]);
+                if matches!(mode, VAddrMode::Unit) && !masked {
+                    mem.store(base, &src[..(vl * eb) as usize]);
+                    buf.push(MemOp {
+                        addr: base,
+                        bytes: vl * eb,
+                        write: true,
+                        amo: false,
+                    });
+                } else {
+                    for i in 0..vl as usize {
+                        if masked && !mask_bit(&ctx.v[0], i) {
+                            continue;
+                        }
+                        let addr = elem_addr(ctx, mode, base, i, eew);
+                        let val = get_elem(&src, i, eew).to_le_bytes();
+                        mem.store(addr, &val[..eb as usize]);
                         buf.push(MemOp {
-                            addr: base,
-                            bytes: total,
+                            addr,
+                            bytes: eb,
                             write: true,
                             amo: false,
                         });
                     }
-                    VAddrMode::Unit => {
-                        for i in 0..vl as usize {
-                            if !mask_bit(&ctx.v[0], i) {
-                                continue;
-                            }
-                            let addr = base.wrapping_add(i as u64 * eb as u64);
-                            let val = get_elem(&src, i, eew).to_le_bytes();
-                            mem.store(addr, &val[..eb as usize]);
-                            buf.push(MemOp {
-                                addr,
-                                bytes: eb,
-                                write: true,
-                                amo: false,
-                            });
-                        }
-                    }
-                    VAddrMode::Strided(rs2) => {
-                        let stride = ctx.x[rs2 as usize];
-                        for i in 0..vl as usize {
-                            if masked && !mask_bit(&ctx.v[0], i) {
-                                continue;
-                            }
-                            let addr = base.wrapping_add(stride.wrapping_mul(i as u64));
-                            let val = get_elem(&src, i, eew).to_le_bytes();
-                            mem.store(addr, &val[..eb as usize]);
-                            buf.push(MemOp {
-                                addr,
-                                bytes: eb,
-                                write: true,
-                                amo: false,
-                            });
-                        }
-                    }
-                    VAddrMode::Indexed(vs2) => {
-                        let idx = ctx.v[vs2 as usize];
-                        for i in 0..vl as usize {
-                            if masked && !mask_bit(&ctx.v[0], i) {
-                                continue;
-                            }
-                            let addr = base.wrapping_add(get_elem(&idx, i, eew));
-                            let val = get_elem(&src, i, eew).to_le_bytes();
-                            mem.store(addr, &val[..eb as usize]);
-                            buf.push(MemOp {
-                                addr,
-                                bytes: eb,
-                                write: true,
-                                amo: false,
-                            });
-                        }
-                    }
                 }
                 ctx.pc += 1;
             });
-            Some(EffectClass::VMem)
         }
         Instr::VIntOp {
             op,
@@ -1687,7 +1707,6 @@ pub fn step_group(
                 ctx.v[vd] = out;
                 ctx.pc += 1;
             });
-            Some(EffectClass::VAlu)
         }
         Instr::VFpOp {
             op,
@@ -1724,10 +1743,184 @@ pub fn step_group(
                 ctx.v[vd] = out;
                 ctx.pc += 1;
             });
-            Some(match op {
-                VFpOp::Div | VFpOp::Exp => EffectClass::VSfu,
-                _ => EffectClass::VFpu,
-            })
+        }
+        Instr::VRed { op, vd, vs2, vs1 } => {
+            let (op, vd, vs2, vs1) = (*op, *vd as usize, *vs2 as usize, *vs1 as usize);
+            lanes_do!(ctx => {
+                let vl = ctx.vl as usize;
+                let sew = ctx.sew;
+                let src = ctx.v[vs2];
+                let mut out = ctx.v[vd];
+                match op {
+                    VRedOp::Sum | VRedOp::Max | VRedOp::Min => {
+                        let mut acc = get_elem_signed(&ctx.v[vs1], 0, sew);
+                        for i in 0..vl {
+                            let e = get_elem_signed(&src, i, sew);
+                            acc = match op {
+                                VRedOp::Sum => acc.wrapping_add(e),
+                                VRedOp::Max => acc.max(e),
+                                _ => acc.min(e),
+                            };
+                        }
+                        set_elem(&mut out, 0, sew, acc as u64);
+                    }
+                    VRedOp::FSum | VRedOp::FMax | VRedOp::FMin => {
+                        let mut acc = get_felem(&ctx.v[vs1], 0, sew);
+                        for i in 0..vl {
+                            let e = get_felem(&src, i, sew);
+                            acc = match op {
+                                VRedOp::FSum => acc + e,
+                                VRedOp::FMax => acc.max(e),
+                                _ => acc.min(e),
+                            };
+                        }
+                        set_felem(&mut out, 0, sew, acc);
+                    }
+                }
+                ctx.v[vd] = out;
+                ctx.pc += 1;
+            });
+        }
+        Instr::VCmp {
+            op,
+            vd,
+            vs2,
+            operand,
+        } => {
+            let (op, vd, vs2, operand) = (*op, *vd as usize, *vs2 as usize, *operand);
+            lanes_do!(ctx => {
+                let sew = ctx.sew;
+                let b = ctx.v[vs2];
+                let mut out = [0u8; VLEN_BYTES];
+                for i in 0..ctx.vl as usize {
+                    let taken = match op {
+                        VCmpOp::FLt | VCmpOp::FLe | VCmpOp::FEq | VCmpOp::FGe => {
+                            let rhs = v_operand_float(ctx, &operand, i, sew);
+                            let lhs = get_felem(&b, i, sew);
+                            match op {
+                                VCmpOp::FLt => lhs < rhs,
+                                VCmpOp::FLe => lhs <= rhs,
+                                VCmpOp::FEq => lhs == rhs,
+                                _ => lhs >= rhs,
+                            }
+                        }
+                        _ => {
+                            let rhs = sign_at(v_operand_int(ctx, &operand, i, sew), sew);
+                            let lhs = get_elem_signed(&b, i, sew);
+                            match op {
+                                VCmpOp::Eq => lhs == rhs,
+                                VCmpOp::Ne => lhs != rhs,
+                                VCmpOp::Lt => lhs < rhs,
+                                VCmpOp::Le => lhs <= rhs,
+                                VCmpOp::Gt => lhs > rhs,
+                                _ => lhs >= rhs,
+                            }
+                        }
+                    };
+                    set_mask_bit(&mut out, i, taken);
+                }
+                ctx.v[vd] = out;
+                ctx.pc += 1;
+            });
+        }
+        Instr::VMv { vd, operand } => {
+            let (vd, operand) = (*vd as usize, *operand);
+            lanes_do!(ctx => {
+                let sew = ctx.sew;
+                let mut out = ctx.v[vd];
+                match operand {
+                    // vmv.v.v copies the whole register.
+                    VOperand::Vector(vs) => out = ctx.v[vs as usize],
+                    VOperand::Float(_) => {
+                        for i in 0..ctx.vl as usize {
+                            set_felem(&mut out, i, sew, v_operand_float(ctx, &operand, i, sew));
+                        }
+                    }
+                    VOperand::Scalar(_) | VOperand::Imm(_) => {
+                        for i in 0..ctx.vl as usize {
+                            set_elem(&mut out, i, sew, v_operand_int(ctx, &operand, i, sew));
+                        }
+                    }
+                }
+                ctx.v[vd] = out;
+                ctx.pc += 1;
+            });
+        }
+        Instr::VMvToScalar { rd, vs2 } => {
+            let (rd, vs2) = (*rd, *vs2 as usize);
+            lanes_do!(ctx => {
+                ctx.write_x(rd, get_elem(&ctx.v[vs2], 0, ctx.sew));
+                ctx.pc += 1;
+            });
+        }
+        Instr::VMvFromScalar { vd, rs1 } => {
+            let (vd, rs1) = (*vd as usize, *rs1 as usize);
+            lanes_do!(ctx => {
+                let sew = ctx.sew;
+                set_elem(&mut ctx.v[vd], 0, sew, ctx.x[rs1]);
+                ctx.pc += 1;
+            });
+        }
+        Instr::VFMvToScalar { rd, vs2 } => {
+            let (rd, vs2) = (*rd as usize, *vs2 as usize);
+            lanes_do!(ctx => {
+                let sew = if ctx.sew == Sew::E32 { Sew::E32 } else { Sew::E64 };
+                ctx.f[rd] = get_elem(&ctx.v[vs2], 0, sew);
+                ctx.pc += 1;
+            });
+        }
+        Instr::Vid { vd, masked } => {
+            let (vd, masked) = (*vd as usize, *masked);
+            lanes_do!(ctx => {
+                let sew = ctx.sew;
+                let mut out = ctx.v[vd];
+                for i in 0..ctx.vl as usize {
+                    if masked && !mask_bit(&ctx.v[0], i) {
+                        continue;
+                    }
+                    set_elem(&mut out, i, sew, i as u64);
+                }
+                ctx.v[vd] = out;
+                ctx.pc += 1;
+            });
+        }
+        Instr::VMerge { vd, vs2, operand } => {
+            let (vd, vs2, operand) = (*vd as usize, *vs2 as usize, *operand);
+            lanes_do!(ctx => {
+                let sew = ctx.sew;
+                let mut out = ctx.v[vd];
+                for i in 0..ctx.vl as usize {
+                    let val = if mask_bit(&ctx.v[0], i) {
+                        v_operand_int(ctx, &operand, i, sew)
+                    } else {
+                        get_elem(&ctx.v[vs2], i, sew)
+                    };
+                    set_elem(&mut out, i, sew, val);
+                }
+                ctx.v[vd] = out;
+                ctx.pc += 1;
+            });
+        }
+        Instr::VSlidedown { vd, vs2, operand } => {
+            let (vd, vs2, operand) = (*vd as usize, *vs2 as usize, *operand);
+            lanes_do!(ctx => {
+                let vl = ctx.vl as usize;
+                let sew = ctx.sew;
+                let off = v_operand_int(ctx, &operand, 0, sew) as usize;
+                let mut out = ctx.v[vd];
+                for i in 0..vl {
+                    // `off` comes from an untrusted register value; a checked
+                    // add keeps huge slide amounts well-defined (they read
+                    // zeros).
+                    let val = match i.checked_add(off) {
+                        Some(j) if j < vl => get_elem(&ctx.v[vs2], j, sew),
+                        _ => 0,
+                    };
+                    set_elem(&mut out, i, sew, val);
+                }
+                ctx.v[vd] = out;
+                ctx.pc += 1;
+            });
         }
         Instr::VAmo {
             op,
@@ -1770,42 +1963,24 @@ pub fn step_group(
                 ctx.v[vd] = out;
                 ctx.pc += 1;
             });
-            Some(EffectClass::VMem)
         }
-        // Cold compute-only opcodes (scalar FP, reductions, moves, ...):
-        // delegate to the reference `step`. None of these carry memory
-        // payloads, so the delegation stays allocation-free too.
-        _ => {
-            lanes_do!(ctx => {
-                match step(ctx, prog, mem) {
-                    Ok(effect) => {
-                        match &effect {
-                            Effect::Mem(op) => buf.push(*op),
-                            Effect::VMem(ops) => {
-                                for op in ops {
-                                    buf.push(*op);
-                                }
-                            }
-                            _ => {}
-                        }
-                        if first.is_none() {
-                            first = Some(effect.class());
-                        }
-                    }
-                    Err(_) => ctx.done = true,
-                }
-            });
-            None
-        }
-    };
-
-    if lanes > 0 && first.is_none() {
-        first = static_class;
     }
+
     GroupStep {
-        effect: first,
+        effect: (lanes > 0).then_some(effect),
         lanes,
     }
+}
+
+/// Address of element `i` of a vector access that is not a whole-group
+/// unit-stride transfer (unit stride steps by the element width).
+fn elem_addr(ctx: &ThreadCtx, mode: VAddrMode, base: u64, i: usize, eew: Sew) -> u64 {
+    let off = match mode {
+        VAddrMode::Unit => i as u64 * eew.bytes() as u64,
+        VAddrMode::Strided(rs2) => ctx.x[rs2 as usize].wrapping_mul(i as u64),
+        VAddrMode::Indexed(vs2) => get_elem(&ctx.v[vs2 as usize], i, eew),
+    };
+    base.wrapping_add(off)
 }
 
 /// vl for an explicit element width: scale the configured vl so the same
