@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use m2ndp::cache::{Access, CacheConfig, SectoredCache};
 use m2ndp::mem::{DramConfig, DramDevice, MainMemory, MemReq, ReqId, ReqSource};
 use m2ndp::riscv::assemble;
-use m2ndp::riscv::exec::{step, MainMemoryIface, ThreadCtx};
+use m2ndp::riscv::exec::{step, EffectBuf, MainMemoryIface, ThreadCtx};
 use m2ndp::sim::Frequency;
 
 fn bench_dram(c: &mut Criterion) {
@@ -80,9 +80,10 @@ fn bench_executor(c: &mut Criterion) {
         b.iter(|| {
             let mut mem = MainMemory::new();
             let mut iface = MainMemoryIface::new(&mut mem);
+            let mut buf = EffectBuf::new();
             let mut ctx = ThreadCtx::new();
             while !ctx.done {
-                step(&mut ctx, &prog, &mut iface).expect("runs");
+                step(&mut ctx, &prog, &mut iface, &mut buf).expect("runs");
             }
             ctx.x[4]
         })

@@ -605,11 +605,9 @@ impl Engine {
         if self.live_instances() >= self.cfg.max_concurrent_kernels as usize {
             return false;
         }
-        let span = self.cfg.context_span_bytes() as u64;
         let pool_bytes = launch.pool_bound.saturating_sub(launch.pool_base);
         let granules = pool_bytes.div_ceil(self.cfg.granule_bytes as u64).max(1);
         let contexts = granules.div_ceil(self.cfg.threads_per_context as u64);
-        let _ = span;
         let ctx_reg_bytes =
             self.cfg
                 .context_reg_bytes(spec.int_regs, spec.float_regs, spec.vector_regs);

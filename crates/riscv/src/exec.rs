@@ -1,14 +1,15 @@
 //! Functional execution of NDP kernel instructions.
 //!
-//! [`step`] executes one instruction of a [`Program`] against a µthread's
-//! [`ThreadCtx`] and a [`MemIface`], returning an [`Effect`] that tells the
-//! timing layer which functional unit the instruction occupies and which
-//! memory operations it performed. Execution is *functional at issue*: data
-//! values are read/written immediately, while the timing model separately
-//! delays the µthread until the modeled memory responses return (§III-E —
-//! µthreads execute their instructions serially, so no intra-thread
-//! reordering can observe the difference; inter-thread atomics linearize in
-//! issue order).
+//! [`step_group`] executes one instruction of a [`Program`] across the SIMT
+//! group's [`ThreadCtx`]s against a [`MemIface`], reporting the
+//! [`EffectClass`] that tells the timing layer which functional unit the
+//! instruction occupies and, through an [`EffectBuf`], which memory
+//! operations it performed; [`step`] is the same for one µthread.
+//! Execution is *functional at issue*: data values are read/written
+//! immediately, while the timing model separately delays the µthread until
+//! the modeled memory responses return (§III-E — µthreads execute their
+//! instructions serially, so no intra-thread reordering can observe the
+//! difference; inter-thread atomics linearize in issue order).
 //!
 //! Jump/branch targets are instruction indices; "byte" code addresses used
 //! by `jal`/`jalr` link values are `index * 4`. A `jalr` whose computed
@@ -114,64 +115,10 @@ pub struct MemOp {
     pub amo: bool,
 }
 
-/// Which functional unit an instruction occupies, plus its memory behaviour.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Effect {
-    /// Scalar integer ALU (1-cycle class).
-    Alu,
-    /// Scalar multiplier.
-    Mul,
-    /// Scalar divider (long latency).
-    Div,
-    /// Scalar FP add/mul/fma class.
-    FpAlu,
-    /// Scalar special-function (sqrt, exp, fdiv).
-    Sfu,
-    /// Branch/jump (scalar ALU class, may redirect fetch).
-    Branch,
-    /// Scalar memory operation (via the scalar LSU).
-    Mem(MemOp),
-    /// Vector integer ALU.
-    VAlu,
-    /// Vector FP ALU (includes fma).
-    VFpu,
-    /// Vector special-function (vfdiv, vfexp).
-    VSfu,
-    /// Vector memory operation (via the vector LSU); one entry per element
-    /// group actually accessed.
-    VMem(Vec<MemOp>),
-    /// vsetvli and register moves: scalar ALU class.
-    VCtl,
-    /// The µthread terminated.
-    Halted,
-}
-
-impl Effect {
-    /// This effect's payload-free classification — what the timing layer
-    /// keys latency and functional-unit accounting on.
-    pub fn class(&self) -> EffectClass {
-        match self {
-            Effect::Alu => EffectClass::Alu,
-            Effect::Mul => EffectClass::Mul,
-            Effect::Div => EffectClass::Div,
-            Effect::FpAlu => EffectClass::FpAlu,
-            Effect::Sfu => EffectClass::Sfu,
-            Effect::Branch => EffectClass::Branch,
-            Effect::Mem(_) => EffectClass::Mem,
-            Effect::VAlu => EffectClass::VAlu,
-            Effect::VFpu => EffectClass::VFpu,
-            Effect::VSfu => EffectClass::VSfu,
-            Effect::VMem(_) => EffectClass::VMem,
-            Effect::VCtl => EffectClass::VCtl,
-            Effect::Halted => EffectClass::Halted,
-        }
-    }
-}
-
-/// The [`Effect`] discriminant without payloads: a `Copy` classification of
-/// which functional unit an instruction occupies. Memory operands travel
-/// separately through an [`EffectBuf`], so reporting a group's effect never
-/// allocates.
+/// A `Copy` classification of which functional unit an instruction
+/// occupies ([`crate::program::classify`] assigns it). Memory operands
+/// travel separately through an [`EffectBuf`], so reporting a group's
+/// effect never allocates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EffectClass {
     /// Scalar integer ALU (1-cycle class).
@@ -422,756 +369,28 @@ fn f_bits(val: f64, p: Precision) -> u64 {
 
 // ---------- the executor ----------
 
-/// Executes the instruction at `ctx.pc`, advancing the context.
+/// Executes the instruction at `ctx.pc` for one µthread: [`step_group`]
+/// over a one-lane group. Memory operations are written to `buf`.
 ///
 /// # Errors
 /// Returns [`ExecError::PcOutOfRange`] if the pc walks off the program and
-/// [`ExecError::AlreadyDone`] if called on a finished µthread.
-#[allow(clippy::too_many_lines)]
+/// [`ExecError::AlreadyDone`] if called on a finished µthread; the context
+/// is left untouched in both cases.
 pub fn step(
     ctx: &mut ThreadCtx,
     prog: &Program,
     mem: &mut dyn MemIface,
-) -> Result<Effect, ExecError> {
+    buf: &mut EffectBuf,
+) -> Result<EffectClass, ExecError> {
     if ctx.done {
         return Err(ExecError::AlreadyDone);
     }
-    let Some(instr) = prog.fetch(ctx.pc) else {
-        return Err(ExecError::PcOutOfRange { pc: ctx.pc });
-    };
-    let mut next_pc = ctx.pc + 1;
-
-    let effect = match instr {
-        Instr::Li { rd, imm } => {
-            ctx.write_x(*rd, *imm as u64);
-            Effect::Alu
-        }
-        Instr::Lui { rd, imm } => {
-            ctx.write_x(*rd, (*imm as u64).wrapping_shl(12));
-            Effect::Alu
-        }
-        Instr::Op { op, rd, rs1, rs2 } => {
-            let a = ctx.x[*rs1 as usize];
-            let b = ctx.x[*rs2 as usize];
-            ctx.write_x(*rd, int_op(*op, a, b));
-            if op.is_muldiv() {
-                if matches!(op, IntOp::Mul | IntOp::Mulh) {
-                    Effect::Mul
-                } else {
-                    Effect::Div
-                }
-            } else {
-                Effect::Alu
-            }
-        }
-        Instr::OpImm { op, rd, rs1, imm } => {
-            let a = ctx.x[*rs1 as usize];
-            ctx.write_x(*rd, int_op(*op, a, *imm as u64));
-            Effect::Alu
-        }
-        Instr::Load {
-            width,
-            signed,
-            rd,
-            rs1,
-            offset,
-        } => {
-            let addr = ctx.x[*rs1 as usize].wrapping_add(*offset as u64);
-            let bytes = width.bytes();
-            let mut buf = [0u8; 8];
-            mem.load(addr, &mut buf[..bytes as usize]);
-            let raw = u64::from_le_bytes(buf);
-            let val = if *signed {
-                match width {
-                    Width::B => raw as u8 as i8 as i64 as u64,
-                    Width::H => raw as u16 as i16 as i64 as u64,
-                    Width::W => raw as u32 as i32 as i64 as u64,
-                    Width::D => raw,
-                }
-            } else {
-                raw
-            };
-            ctx.write_x(*rd, val);
-            Effect::Mem(MemOp {
-                addr,
-                bytes,
-                write: false,
-                amo: false,
-            })
-        }
-        Instr::Store {
-            width,
-            rs2,
-            rs1,
-            offset,
-        } => {
-            let addr = ctx.x[*rs1 as usize].wrapping_add(*offset as u64);
-            let bytes = width.bytes();
-            let data = ctx.x[*rs2 as usize].to_le_bytes();
-            mem.store(addr, &data[..bytes as usize]);
-            Effect::Mem(MemOp {
-                addr,
-                bytes,
-                write: true,
-                amo: false,
-            })
-        }
-        Instr::Branch {
-            cond,
-            rs1,
-            rs2,
-            target,
-        } => {
-            let a = ctx.x[*rs1 as usize];
-            let b = ctx.x[*rs2 as usize];
-            let taken = match cond {
-                BranchCond::Eq => a == b,
-                BranchCond::Ne => a != b,
-                BranchCond::Lt => (a as i64) < (b as i64),
-                BranchCond::Ge => (a as i64) >= (b as i64),
-                BranchCond::Ltu => a < b,
-                BranchCond::Geu => a >= b,
-            };
-            if taken {
-                next_pc = *target;
-            }
-            Effect::Branch
-        }
-        Instr::Jal { rd, target } => {
-            ctx.write_x(*rd, (ctx.pc as u64 + 1) * 4);
-            next_pc = *target;
-            Effect::Branch
-        }
-        Instr::Jalr { rd, rs1, offset } => {
-            let target_bytes = ctx.x[*rs1 as usize].wrapping_add(*offset as u64);
-            ctx.write_x(*rd, (ctx.pc as u64 + 1) * 4);
-            if target_bytes == 0 {
-                // Top-level `ret` (ra still 0 from spawn): terminate.
-                ctx.done = true;
-                return Ok(Effect::Halted);
-            }
-            next_pc = (target_bytes / 4) as usize;
-            Effect::Branch
-        }
-        Instr::Amo {
-            op,
-            width,
-            rd,
-            rs2,
-            rs1,
-        } => {
-            let addr = ctx.x[*rs1 as usize];
-            let old = mem.amo(*op, *width, addr, ctx.x[*rs2 as usize]);
-            ctx.write_x(*rd, old);
-            Effect::Mem(MemOp {
-                addr,
-                bytes: width.bytes(),
-                write: true,
-                amo: true,
-            })
-        }
-        Instr::Fence => Effect::Alu,
-        Instr::Halt => {
-            ctx.done = true;
-            return Ok(Effect::Halted);
-        }
-
-        // ----- scalar float -----
-        Instr::FLoad {
-            precision,
-            rd,
-            rs1,
-            offset,
-        } => {
-            let addr = ctx.x[*rs1 as usize].wrapping_add(*offset as u64);
-            let bytes = precision.bytes();
-            let mut buf = [0u8; 8];
-            mem.load(addr, &mut buf[..bytes as usize]);
-            ctx.f[*rd as usize] = u64::from_le_bytes(buf);
-            Effect::Mem(MemOp {
-                addr,
-                bytes,
-                write: false,
-                amo: false,
-            })
-        }
-        Instr::FStore {
-            precision,
-            rs2,
-            rs1,
-            offset,
-        } => {
-            let addr = ctx.x[*rs1 as usize].wrapping_add(*offset as u64);
-            let bytes = precision.bytes();
-            let data = ctx.f[*rs2 as usize].to_le_bytes();
-            mem.store(addr, &data[..bytes as usize]);
-            Effect::Mem(MemOp {
-                addr,
-                bytes,
-                write: true,
-                amo: false,
-            })
-        }
-        Instr::FOp {
-            op,
-            precision,
-            rd,
-            rs1,
-            rs2,
-        } => {
-            let a = f_scalar(ctx.f[*rs1 as usize], *precision);
-            let b = f_scalar(ctx.f[*rs2 as usize], *precision);
-            let (result, effect) = match op {
-                FpOp::Add => (a + b, Effect::FpAlu),
-                FpOp::Sub => (a - b, Effect::FpAlu),
-                FpOp::Mul => (a * b, Effect::FpAlu),
-                FpOp::Div => (a / b, Effect::Sfu),
-                FpOp::Min => (a.min(b), Effect::FpAlu),
-                FpOp::Max => (a.max(b), Effect::FpAlu),
-                FpOp::Sqrt => (a.sqrt(), Effect::Sfu),
-                FpOp::Exp => (a.exp(), Effect::Sfu),
-                FpOp::Sgnj => (a.abs().copysign(b), Effect::FpAlu),
-                FpOp::Sgnjn => (a.abs().copysign(-b), Effect::FpAlu),
-                FpOp::Sgnjx => {
-                    let sign = if (a.is_sign_negative()) ^ (b.is_sign_negative()) {
-                        -1.0
-                    } else {
-                        1.0
-                    };
-                    (a.abs().copysign(sign), Effect::FpAlu)
-                }
-            };
-            ctx.f[*rd as usize] = f_bits(result, *precision);
-            effect
-        }
-        Instr::FMadd {
-            precision,
-            rd,
-            rs1,
-            rs2,
-            rs3,
-        } => {
-            let a = f_scalar(ctx.f[*rs1 as usize], *precision);
-            let b = f_scalar(ctx.f[*rs2 as usize], *precision);
-            let c = f_scalar(ctx.f[*rs3 as usize], *precision);
-            ctx.f[*rd as usize] = f_bits(a * b + c, *precision);
-            Effect::FpAlu
-        }
-        Instr::FCmp {
-            op,
-            precision,
-            rd,
-            rs1,
-            rs2,
-        } => {
-            let a = f_scalar(ctx.f[*rs1 as usize], *precision);
-            let b = f_scalar(ctx.f[*rs2 as usize], *precision);
-            let r = match op {
-                FCmpOp::Eq => a == b,
-                FCmpOp::Lt => a < b,
-                FCmpOp::Le => a <= b,
-            };
-            ctx.write_x(*rd, r as u64);
-            Effect::FpAlu
-        }
-        Instr::FCvtFromInt {
-            precision,
-            rd,
-            rs1,
-            signed,
-        } => {
-            let x = ctx.x[*rs1 as usize];
-            let val = if *signed { x as i64 as f64 } else { x as f64 };
-            ctx.f[*rd as usize] = f_bits(val, *precision);
-            Effect::FpAlu
-        }
-        Instr::FCvtToInt {
-            precision,
-            rd,
-            rs1,
-            signed,
-        } => {
-            let val = f_scalar(ctx.f[*rs1 as usize], *precision);
-            let out = if *signed {
-                val.trunc() as i64 as u64
-            } else {
-                val.trunc() as u64
-            };
-            ctx.write_x(*rd, out);
-            Effect::FpAlu
-        }
-        Instr::FMvToInt { precision, rd, rs1 } => {
-            let bits = ctx.f[*rs1 as usize];
-            let v = match precision {
-                Precision::S => bits as u32 as i32 as i64 as u64,
-                Precision::D => bits,
-            };
-            ctx.write_x(*rd, v);
-            Effect::Alu
-        }
-        Instr::FMvFromInt { precision, rd, rs1 } => {
-            let bits = ctx.x[*rs1 as usize];
-            ctx.f[*rd as usize] = match precision {
-                Precision::S => bits & 0xFFFF_FFFF,
-                Precision::D => bits,
-            };
-            Effect::Alu
-        }
-        Instr::FCvtPrec { to, rd, rs1 } => {
-            let from = match to {
-                Precision::D => Precision::S,
-                Precision::S => Precision::D,
-            };
-            let val = f_scalar(ctx.f[*rs1 as usize], from);
-            ctx.f[*rd as usize] = f_bits(val, *to);
-            Effect::FpAlu
-        }
-
-        // ----- vector -----
-        Instr::Vsetvli { rd, rs1, sew } => {
-            let max = (VLEN_BYTES as u32 * 8) / (sew.bytes() * 8);
-            let requested = if *rs1 == 0 {
-                max
-            } else {
-                (ctx.x[*rs1 as usize] as u32).min(max)
-            };
-            ctx.vl = requested;
-            ctx.sew = *sew;
-            ctx.write_x(*rd, requested as u64);
-            Effect::VCtl
-        }
-        Instr::VLoad {
-            eew,
-            vd,
-            rs1,
-            mode,
-            masked,
-        } => {
-            let base = ctx.x[*rs1 as usize];
-            let eb = eew.bytes();
-            let vl = effective_vl(ctx, *eew);
-            let mut memops = Vec::new();
-            let mut out = ctx.v[*vd as usize];
-            match mode {
-                VAddrMode::Unit => {
-                    if !*masked {
-                        // Whole-group contiguous access.
-                        let total = vl * eb;
-                        let mut buf = vec![0u8; total as usize];
-                        mem.load(base, &mut buf);
-                        out[..total as usize].copy_from_slice(&buf);
-                        memops.push(MemOp {
-                            addr: base,
-                            bytes: total,
-                            write: false,
-                            amo: false,
-                        });
-                    } else {
-                        for i in 0..vl as usize {
-                            if !mask_bit(&ctx.v[0], i) {
-                                continue;
-                            }
-                            let addr = base.wrapping_add(i as u64 * eb as u64);
-                            let mut buf = [0u8; 8];
-                            mem.load(addr, &mut buf[..eb as usize]);
-                            set_elem(&mut out, i, *eew, u64::from_le_bytes(buf));
-                            memops.push(MemOp {
-                                addr,
-                                bytes: eb,
-                                write: false,
-                                amo: false,
-                            });
-                        }
-                    }
-                }
-                VAddrMode::Strided(rs2) => {
-                    let stride = ctx.x[*rs2 as usize];
-                    for i in 0..vl as usize {
-                        if *masked && !mask_bit(&ctx.v[0], i) {
-                            continue;
-                        }
-                        let addr = base.wrapping_add(stride.wrapping_mul(i as u64));
-                        let mut buf = [0u8; 8];
-                        mem.load(addr, &mut buf[..eb as usize]);
-                        set_elem(&mut out, i, *eew, u64::from_le_bytes(buf));
-                        memops.push(MemOp {
-                            addr,
-                            bytes: eb,
-                            write: false,
-                            amo: false,
-                        });
-                    }
-                }
-                VAddrMode::Indexed(vs2) => {
-                    let idx = ctx.v[*vs2 as usize];
-                    for i in 0..vl as usize {
-                        if *masked && !mask_bit(&ctx.v[0], i) {
-                            continue;
-                        }
-                        let addr = base.wrapping_add(get_elem(&idx, i, *eew));
-                        let mut buf = [0u8; 8];
-                        mem.load(addr, &mut buf[..eb as usize]);
-                        set_elem(&mut out, i, *eew, u64::from_le_bytes(buf));
-                        memops.push(MemOp {
-                            addr,
-                            bytes: eb,
-                            write: false,
-                            amo: false,
-                        });
-                    }
-                }
-            }
-            ctx.v[*vd as usize] = out;
-            Effect::VMem(memops)
-        }
-        Instr::VStore {
-            eew,
-            vs3,
-            rs1,
-            mode,
-            masked,
-        } => {
-            let base = ctx.x[*rs1 as usize];
-            let eb = eew.bytes();
-            let vl = effective_vl(ctx, *eew);
-            let src = ctx.v[*vs3 as usize];
-            let mut memops = Vec::new();
-            match mode {
-                VAddrMode::Unit if !*masked => {
-                    let total = vl * eb;
-                    mem.store(base, &src[..total as usize]);
-                    memops.push(MemOp {
-                        addr: base,
-                        bytes: total,
-                        write: true,
-                        amo: false,
-                    });
-                }
-                VAddrMode::Unit => {
-                    for i in 0..vl as usize {
-                        if !mask_bit(&ctx.v[0], i) {
-                            continue;
-                        }
-                        let addr = base.wrapping_add(i as u64 * eb as u64);
-                        let val = get_elem(&src, i, *eew).to_le_bytes();
-                        mem.store(addr, &val[..eb as usize]);
-                        memops.push(MemOp {
-                            addr,
-                            bytes: eb,
-                            write: true,
-                            amo: false,
-                        });
-                    }
-                }
-                VAddrMode::Strided(rs2) => {
-                    let stride = ctx.x[*rs2 as usize];
-                    for i in 0..vl as usize {
-                        if *masked && !mask_bit(&ctx.v[0], i) {
-                            continue;
-                        }
-                        let addr = base.wrapping_add(stride.wrapping_mul(i as u64));
-                        let val = get_elem(&src, i, *eew).to_le_bytes();
-                        mem.store(addr, &val[..eb as usize]);
-                        memops.push(MemOp {
-                            addr,
-                            bytes: eb,
-                            write: true,
-                            amo: false,
-                        });
-                    }
-                }
-                VAddrMode::Indexed(vs2) => {
-                    let idx = ctx.v[*vs2 as usize];
-                    for i in 0..vl as usize {
-                        if *masked && !mask_bit(&ctx.v[0], i) {
-                            continue;
-                        }
-                        let addr = base.wrapping_add(get_elem(&idx, i, *eew));
-                        let val = get_elem(&src, i, *eew).to_le_bytes();
-                        mem.store(addr, &val[..eb as usize]);
-                        memops.push(MemOp {
-                            addr,
-                            bytes: eb,
-                            write: true,
-                            amo: false,
-                        });
-                    }
-                }
-            }
-            Effect::VMem(memops)
-        }
-        Instr::VIntOp {
-            op,
-            vd,
-            vs2,
-            operand,
-            masked,
-        } => {
-            let vl = ctx.vl as usize;
-            let sew = ctx.sew;
-            let b = ctx.v[*vs2 as usize];
-            let mut out = ctx.v[*vd as usize];
-            for i in 0..vl {
-                if *masked && !mask_bit(&ctx.v[0], i) {
-                    continue;
-                }
-                let rhs = v_operand_int(ctx, operand, i, sew);
-                let lhs = get_elem(&b, i, sew);
-                let val = match op {
-                    VIntOp::Add => lhs.wrapping_add(rhs),
-                    VIntOp::Sub => lhs.wrapping_sub(rhs),
-                    VIntOp::Mul => lhs.wrapping_mul(rhs),
-                    VIntOp::And => lhs & rhs,
-                    VIntOp::Or => lhs | rhs,
-                    VIntOp::Xor => lhs ^ rhs,
-                    VIntOp::Sll => lhs << (rhs & 63),
-                    VIntOp::Srl => lhs >> (rhs & 63),
-                    VIntOp::Min => (get_elem_signed(&b, i, sew)).min(sign_at(rhs, sew)) as u64,
-                    VIntOp::Max => (get_elem_signed(&b, i, sew)).max(sign_at(rhs, sew)) as u64,
-                };
-                set_elem(&mut out, i, sew, val);
-            }
-            ctx.v[*vd as usize] = out;
-            Effect::VAlu
-        }
-        Instr::VFpOp {
-            op,
-            vd,
-            vs2,
-            operand,
-            masked,
-        } => {
-            let vl = ctx.vl as usize;
-            let sew = ctx.sew;
-            let b = ctx.v[*vs2 as usize];
-            let mut out = ctx.v[*vd as usize];
-            for i in 0..vl {
-                if *masked && !mask_bit(&ctx.v[0], i) {
-                    continue;
-                }
-                let rhs = v_operand_float(ctx, operand, i, sew);
-                let lhs = get_felem(&b, i, sew);
-                let val = match op {
-                    VFpOp::Add => lhs + rhs,
-                    VFpOp::Sub => lhs - rhs,
-                    VFpOp::Mul => lhs * rhs,
-                    VFpOp::Div => lhs / rhs,
-                    VFpOp::Macc => get_felem(&out, i, sew) + lhs * rhs,
-                    VFpOp::Min => lhs.min(rhs),
-                    VFpOp::Max => lhs.max(rhs),
-                    VFpOp::Exp => lhs.exp(),
-                };
-                set_felem(&mut out, i, sew, val);
-            }
-            ctx.v[*vd as usize] = out;
-            match op {
-                VFpOp::Div | VFpOp::Exp => Effect::VSfu,
-                _ => Effect::VFpu,
-            }
-        }
-        Instr::VRed { op, vd, vs2, vs1 } => {
-            let vl = ctx.vl as usize;
-            let sew = ctx.sew;
-            let src = ctx.v[*vs2 as usize];
-            let seed = ctx.v[*vs1 as usize];
-            let mut out = ctx.v[*vd as usize];
-            match op {
-                VRedOp::Sum | VRedOp::Max | VRedOp::Min => {
-                    let mut acc = get_elem_signed(&seed, 0, sew);
-                    for i in 0..vl {
-                        let e = get_elem_signed(&src, i, sew);
-                        acc = match op {
-                            VRedOp::Sum => acc.wrapping_add(e),
-                            VRedOp::Max => acc.max(e),
-                            _ => acc.min(e),
-                        };
-                    }
-                    set_elem(&mut out, 0, sew, acc as u64);
-                }
-                VRedOp::FSum | VRedOp::FMax | VRedOp::FMin => {
-                    let mut acc = get_felem(&seed, 0, sew);
-                    for i in 0..vl {
-                        let e = get_felem(&src, i, sew);
-                        acc = match op {
-                            VRedOp::FSum => acc + e,
-                            VRedOp::FMax => acc.max(e),
-                            _ => acc.min(e),
-                        };
-                    }
-                    set_felem(&mut out, 0, sew, acc);
-                }
-            }
-            ctx.v[*vd as usize] = out;
-            Effect::VFpu
-        }
-        Instr::VCmp {
-            op,
-            vd,
-            vs2,
-            operand,
-        } => {
-            let vl = ctx.vl as usize;
-            let sew = ctx.sew;
-            let b = ctx.v[*vs2 as usize];
-            let mut out = [0u8; VLEN_BYTES];
-            for i in 0..vl {
-                let taken = match op {
-                    VCmpOp::Eq | VCmpOp::Ne | VCmpOp::Lt | VCmpOp::Le | VCmpOp::Gt | VCmpOp::Ge => {
-                        let rhs = sign_at(v_operand_int(ctx, operand, i, sew), sew);
-                        let lhs = get_elem_signed(&b, i, sew);
-                        match op {
-                            VCmpOp::Eq => lhs == rhs,
-                            VCmpOp::Ne => lhs != rhs,
-                            VCmpOp::Lt => lhs < rhs,
-                            VCmpOp::Le => lhs <= rhs,
-                            VCmpOp::Gt => lhs > rhs,
-                            _ => lhs >= rhs,
-                        }
-                    }
-                    VCmpOp::FLt | VCmpOp::FLe | VCmpOp::FEq | VCmpOp::FGe => {
-                        let rhs = v_operand_float(ctx, operand, i, sew);
-                        let lhs = get_felem(&b, i, sew);
-                        match op {
-                            VCmpOp::FLt => lhs < rhs,
-                            VCmpOp::FLe => lhs <= rhs,
-                            VCmpOp::FEq => lhs == rhs,
-                            _ => lhs >= rhs,
-                        }
-                    }
-                };
-                set_mask_bit(&mut out, i, taken);
-            }
-            ctx.v[*vd as usize] = out;
-            Effect::VAlu
-        }
-        Instr::VMv { vd, operand } => {
-            let vl = ctx.vl as usize;
-            let sew = ctx.sew;
-            let mut out = ctx.v[*vd as usize];
-            match operand {
-                VOperand::Vector(vs) => out = ctx.v[*vs as usize],
-                _ => {
-                    for i in 0..vl {
-                        match operand {
-                            VOperand::Scalar(_) | VOperand::Imm(_) => {
-                                let val = v_operand_int(ctx, operand, i, sew);
-                                set_elem(&mut out, i, sew, val);
-                            }
-                            VOperand::Float(_) => {
-                                let val = v_operand_float(ctx, operand, i, sew);
-                                set_felem(&mut out, i, sew, val);
-                            }
-                            VOperand::Vector(_) => unreachable!(),
-                        }
-                    }
-                }
-            }
-            ctx.v[*vd as usize] = out;
-            Effect::VCtl
-        }
-        Instr::VMvToScalar { rd, vs2 } => {
-            let val = get_elem(&ctx.v[*vs2 as usize], 0, ctx.sew);
-            ctx.write_x(*rd, val);
-            Effect::VCtl
-        }
-        Instr::VMvFromScalar { vd, rs1 } => {
-            let val = ctx.x[*rs1 as usize];
-            let sew = ctx.sew;
-            set_elem(&mut ctx.v[*vd as usize], 0, sew, val);
-            Effect::VCtl
-        }
-        Instr::VFMvToScalar { rd, vs2 } => {
-            let sew = ctx.sew;
-            ctx.f[*rd as usize] = match sew {
-                Sew::E32 => get_elem(&ctx.v[*vs2 as usize], 0, sew) & 0xFFFF_FFFF,
-                _ => get_elem(&ctx.v[*vs2 as usize], 0, Sew::E64),
-            };
-            Effect::VCtl
-        }
-        Instr::Vid { vd, masked } => {
-            let vl = ctx.vl as usize;
-            let sew = ctx.sew;
-            let mut out = ctx.v[*vd as usize];
-            for i in 0..vl {
-                if *masked && !mask_bit(&ctx.v[0], i) {
-                    continue;
-                }
-                set_elem(&mut out, i, sew, i as u64);
-            }
-            ctx.v[*vd as usize] = out;
-            Effect::VAlu
-        }
-        Instr::VMerge { vd, vs2, operand } => {
-            let vl = ctx.vl as usize;
-            let sew = ctx.sew;
-            let b = ctx.v[*vs2 as usize];
-            let mut out = ctx.v[*vd as usize];
-            for i in 0..vl {
-                let val = if mask_bit(&ctx.v[0], i) {
-                    v_operand_int(ctx, operand, i, sew)
-                } else {
-                    get_elem(&b, i, sew)
-                };
-                set_elem(&mut out, i, sew, val);
-            }
-            ctx.v[*vd as usize] = out;
-            Effect::VAlu
-        }
-        Instr::VSlidedown { vd, vs2, operand } => {
-            let vl = ctx.vl as usize;
-            let sew = ctx.sew;
-            let off = v_operand_int(ctx, operand, 0, sew) as usize;
-            let src = ctx.v[*vs2 as usize];
-            let mut out = ctx.v[*vd as usize];
-            for i in 0..vl {
-                // `off` comes from an untrusted register value; a checked add
-                // keeps huge slide amounts well-defined (they read zeros).
-                let val = match i.checked_add(off) {
-                    Some(j) if j < vl => get_elem(&src, j, sew),
-                    _ => 0,
-                };
-                set_elem(&mut out, i, sew, val);
-            }
-            ctx.v[*vd as usize] = out;
-            Effect::VAlu
-        }
-        Instr::VAmo {
-            op,
-            eew,
-            vd,
-            rs1,
-            vs2,
-            masked,
-        } => {
-            let base = ctx.x[*rs1 as usize];
-            let eb = eew.bytes();
-            let vl = effective_vl(ctx, *eew);
-            let width = if eb == 4 { Width::W } else { Width::D };
-            let idx = ctx.v[*vs2 as usize];
-            let src = ctx.v[*vd as usize];
-            let mut out = src;
-            let mut memops = Vec::new();
-            for i in 0..vl as usize {
-                if *masked && !mask_bit(&ctx.v[0], i) {
-                    continue;
-                }
-                let addr = base.wrapping_add(get_elem(&idx, i, *eew));
-                let old = mem.amo(*op, width, addr, get_elem(&src, i, *eew));
-                set_elem(&mut out, i, *eew, old);
-                memops.push(MemOp {
-                    addr,
-                    bytes: eb,
-                    write: true,
-                    amo: true,
-                });
-            }
-            ctx.v[*vd as usize] = out;
-            Effect::VMem(memops)
-        }
-    };
-
-    ctx.pc = next_pc;
-    Ok(effect)
+    let pc = ctx.pc;
+    if prog.fetch(pc).is_none() {
+        return Err(ExecError::PcOutOfRange { pc });
+    }
+    let group = step_group(std::slice::from_mut(ctx), pc, prog, mem, buf);
+    group.effect.ok_or(ExecError::PcOutOfRange { pc })
 }
 
 /// Executes one SIMT group issue: every non-done lane whose pc equals
@@ -1605,11 +824,15 @@ pub fn step_group(
                         amo: false,
                     });
                 } else {
+                    let stride = elem_stride(ctx, mode, eew);
                     for i in 0..vl as usize {
                         if masked && !mask_bit(&ctx.v[0], i) {
                             continue;
                         }
-                        let addr = elem_addr(ctx, mode, base, i, eew);
+                        let addr = base.wrapping_add(match mode {
+                            VAddrMode::Indexed(vs2) => get_elem(&ctx.v[vs2 as usize], i, eew),
+                            _ => stride.wrapping_mul(i as u64),
+                        });
                         let mut lbuf = [0u8; 8];
                         mem.load(addr, &mut lbuf[..eb as usize]);
                         set_elem(&mut out, i, eew, u64::from_le_bytes(lbuf));
@@ -1648,11 +871,15 @@ pub fn step_group(
                         amo: false,
                     });
                 } else {
+                    let stride = elem_stride(ctx, mode, eew);
                     for i in 0..vl as usize {
                         if masked && !mask_bit(&ctx.v[0], i) {
                             continue;
                         }
-                        let addr = elem_addr(ctx, mode, base, i, eew);
+                        let addr = base.wrapping_add(match mode {
+                            VAddrMode::Indexed(vs2) => get_elem(&ctx.v[vs2 as usize], i, eew),
+                            _ => stride.wrapping_mul(i as u64),
+                        });
                         let val = get_elem(&src, i, eew).to_le_bytes();
                         mem.store(addr, &val[..eb as usize]);
                         buf.push(MemOp {
@@ -1972,15 +1199,13 @@ pub fn step_group(
     }
 }
 
-/// Address of element `i` of a vector access that is not a whole-group
-/// unit-stride transfer (unit stride steps by the element width).
-fn elem_addr(ctx: &ThreadCtx, mode: VAddrMode, base: u64, i: usize, eew: Sew) -> u64 {
-    let off = match mode {
-        VAddrMode::Unit => i as u64 * eew.bytes() as u64,
-        VAddrMode::Strided(rs2) => ctx.x[rs2 as usize].wrapping_mul(i as u64),
-        VAddrMode::Indexed(vs2) => get_elem(&ctx.v[vs2 as usize], i, eew),
-    };
-    base.wrapping_add(off)
+/// Byte distance between consecutive elements of a unit-stride (the
+/// element width) or strided vector access; unused for indexed accesses.
+fn elem_stride(ctx: &ThreadCtx, mode: VAddrMode, eew: Sew) -> u64 {
+    match mode {
+        VAddrMode::Strided(rs2) => ctx.x[rs2 as usize],
+        _ => u64::from(eew.bytes()),
+    }
 }
 
 /// vl for an explicit element width: scale the configured vl so the same
@@ -2077,9 +1302,10 @@ mod tests {
         let mut ctx = ThreadCtx::new();
         setup(&mut ctx, &mut mem);
         let mut iface = MainMemoryIface::new(&mut mem);
+        let mut buf = EffectBuf::new();
         let mut steps = 0;
         while !ctx.done {
-            step(&mut ctx, &prog, &mut iface).expect("exec ok");
+            step(&mut ctx, &prog, &mut iface, &mut buf).expect("exec ok");
             steps += 1;
             assert!(steps < 1_000_000, "runaway program");
         }
@@ -2412,9 +1638,10 @@ mod tests {
         let prog = assemble("nop").unwrap();
         let mut mem = MainMemory::new();
         let mut iface = MainMemoryIface::new(&mut mem);
+        let mut buf = EffectBuf::new();
         let mut ctx = ThreadCtx::new();
-        step(&mut ctx, &prog, &mut iface).unwrap();
-        let e = step(&mut ctx, &prog, &mut iface).unwrap_err();
+        step(&mut ctx, &prog, &mut iface, &mut buf).unwrap();
+        let e = step(&mut ctx, &prog, &mut iface, &mut buf).unwrap_err();
         assert!(matches!(e, ExecError::PcOutOfRange { pc: 1 }));
     }
 
@@ -2457,10 +1684,150 @@ mod tests {
         let prog = assemble("li x3, 1\nmul x4, x3, x3\nfexp.s ft0, ft0\nhalt").unwrap();
         let mut mem = MainMemory::new();
         let mut iface = MainMemoryIface::new(&mut mem);
+        let mut buf = EffectBuf::new();
         let mut ctx = ThreadCtx::new();
-        assert_eq!(step(&mut ctx, &prog, &mut iface).unwrap(), Effect::Alu);
-        assert_eq!(step(&mut ctx, &prog, &mut iface).unwrap(), Effect::Mul);
-        assert_eq!(step(&mut ctx, &prog, &mut iface).unwrap(), Effect::Sfu);
-        assert_eq!(step(&mut ctx, &prog, &mut iface).unwrap(), Effect::Halted);
+        for class in [
+            EffectClass::Alu,
+            EffectClass::Mul,
+            EffectClass::Sfu,
+            EffectClass::Halted,
+        ] {
+            assert_eq!(step(&mut ctx, &prog, &mut iface, &mut buf), Ok(class));
+        }
+    }
+
+    #[test]
+    fn jalr_group_reports_its_first_lanes_outcome() {
+        let prog = assemble("ret").unwrap();
+        let mut mem = MainMemory::new();
+        let mut iface = MainMemoryIface::new(&mut mem);
+        let mut buf = EffectBuf::new();
+        for (first_ra, class) in [(0, EffectClass::Halted), (8, EffectClass::Branch)] {
+            let mut lanes = [ThreadCtx::new(), ThreadCtx::new()];
+            lanes[0].x[1] = first_ra;
+            lanes[1].x[1] = 8 - first_ra;
+            let group = step_group(&mut lanes, 0, &prog, &mut iface, &mut buf);
+            assert_eq!(group.effect, Some(class));
+            assert_eq!(group.lanes, 2);
+            assert_eq!(lanes.map(|c| c.done), [first_ra == 0, first_ra != 0]);
+        }
+    }
+
+    /// Where an oracle row reads its result.
+    #[derive(Debug, Clone, Copy)]
+    enum Out {
+        X(usize),
+        F(usize),
+        /// Element `i` of vector register `v` at the final SEW.
+        V(usize, usize),
+    }
+
+    /// Hand-computed results for the opcode arms no other unit test pins.
+    /// Each row runs after a shared prelude: `fa0 = 3.0`, `fa1 = -1.0`,
+    /// `fa2 = 16.0`, `fa3 = 2.0`, `fa4 = 4.0`; at e64, `v1` holds the f64s
+    /// `[1.5, -2.0, 4.0, 0.25]`, `v2` the i64s `[5, -3, 7, 2]`, and `v4` is
+    /// `vid` (`[0, 1, 2, 3]`).
+    #[test]
+    fn opcode_oracles() {
+        const PRELUDE: &str = "li x3, 3
+             fcvt.d.l fa0, x3
+             li x3, -1
+             fcvt.d.l fa1, x3
+             li x3, 16
+             fcvt.d.l fa2, x3
+             li x3, 2
+             fcvt.d.l fa3, x3
+             li x3, 4
+             fcvt.d.l fa4, x3
+             vsetvli x0, x0, e64, m1
+             vle64.v v1, (x1)
+             vle64.v v2, (x2)
+             vid.v v4";
+        let d = f64::to_bits;
+        let rows: &[(&str, &[(Out, u64)])] = &[
+            ("fsgnj.d fa5, fa0, fa1", &[(Out::F(15), d(-3.0))]),
+            ("fsgnjn.d fa5, fa0, fa0", &[(Out::F(15), d(-3.0))]),
+            ("fsgnjx.d fa5, fa1, fa1", &[(Out::F(15), d(1.0))]),
+            ("fsgnjx.d fa5, fa0, fa1", &[(Out::F(15), d(-3.0))]),
+            ("fmin.d fa5, fa0, fa1", &[(Out::F(15), d(-1.0))]),
+            ("fmax.d fa5, fa1, fa0", &[(Out::F(15), d(3.0))]),
+            ("fsqrt.d fa5, fa2", &[(Out::F(15), d(4.0))]),
+            ("fdiv.d fa5, fa0, fa3", &[(Out::F(15), d(1.5))]),
+            ("fmadd.d fa5, fa0, fa3, fa1", &[(Out::F(15), d(5.0))]),
+            // The upper 32 bits of the source are dropped.
+            ("li x3, -1\nfmv.w.x fa5, x3", &[(Out::F(15), 0xFFFF_FFFF)]),
+            // 2^63 fits only the unsigned conversion; negatives saturate to 0.
+            (
+                "li x3, 1\nslli x3, x3, 63\nfcvt.d.lu fa5, x3\nfcvt.lu.d x5, fa5",
+                &[(Out::X(5), 1 << 63)],
+            ),
+            ("fcvt.lu.d x5, fa1", &[(Out::X(5), 0)]),
+            ("vmflt.vf v3, v1, fa4", &[(Out::V(3, 0), 0b1011)]),
+            ("vmfle.vf v3, v1, fa4", &[(Out::V(3, 0), 0b1111)]),
+            ("vmfeq.vf v3, v1, fa4", &[(Out::V(3, 0), 0b0100)]),
+            ("vmfge.vf v3, v1, fa1", &[(Out::V(3, 0), 0b1101)]),
+            ("vmv.v.i v5, 0\nvredmax.vs v3, v2, v5", &[(Out::V(3, 0), 7)]),
+            (
+                "vmv.v.i v5, 0\nvredmin.vs v3, v2, v5",
+                &[(Out::V(3, 0), -3i64 as u64)],
+            ),
+            (
+                "vmv.v.i v5, 0\nvfredmax.vs v3, v1, v5",
+                &[(Out::V(3, 0), d(4.0))],
+            ),
+            (
+                "vmv.v.i v5, 0\nvfredmin.vs v3, v1, v5",
+                &[(Out::V(3, 0), d(-2.0))],
+            ),
+            // vmv.s.x writes element 0 only.
+            (
+                "li x3, 99\nvmv.s.x v4, x3",
+                &[(Out::V(4, 0), 99), (Out::V(4, 1), 1)],
+            ),
+            // vmv.v.v copies the whole register, past vl.
+            (
+                "li x3, 2\nvsetvli x0, x3, e64, m1\nvmv.v.v v3, v4",
+                &[(Out::V(3, 3), 3)],
+            ),
+            (
+                "vfmv.v.f v3, fa0",
+                &[(Out::V(3, 0), d(3.0)), (Out::V(3, 3), d(3.0))],
+            ),
+            // Mask 0b0101: inactive elements keep their old value.
+            (
+                "li x3, 5\nvmv.s.x v0, x3\nvmv.v.i v3, 9\nvid.v v3, v0.t",
+                &[(Out::V(3, 1), 9), (Out::V(3, 2), 2), (Out::V(3, 3), 9)],
+            ),
+            // Offsets at or past vl read zeros, even one that would
+            // overflow the element index.
+            (
+                "vmv.v.i v3, 7\nvslidedown.vi v3, v4, 4",
+                &[(Out::V(3, 0), 0), (Out::V(3, 3), 0)],
+            ),
+            (
+                "li x3, -1\nvmv.v.i v3, 7\nvslidedown.vx v3, v4, x3",
+                &[(Out::V(3, 0), 0), (Out::V(3, 3), 0)],
+            ),
+        ];
+        for (body, expect) in rows {
+            let (ctx, _) = run(&format!("{PRELUDE}\n{body}\nhalt"), |ctx, mem| {
+                ctx.x[1] = 0xA000;
+                ctx.x[2] = 0xB000;
+                for (i, v) in [1.5, -2.0, 4.0, 0.25].into_iter().enumerate() {
+                    mem.write_u64(0xA000 + i as u64 * 8, d(v));
+                }
+                for (i, v) in [5i64, -3, 7, 2].into_iter().enumerate() {
+                    mem.write_u64(0xB000 + i as u64 * 8, v as u64);
+                }
+            });
+            for &(out, want) in *expect {
+                let got = match out {
+                    Out::X(r) => ctx.x[r],
+                    Out::F(r) => ctx.f[r],
+                    Out::V(v, i) => get_elem(&ctx.v[v], i, ctx.sew),
+                };
+                assert_eq!(got, want, "`{body}`: {out:?}");
+            }
+        }
     }
 }

@@ -15,14 +15,12 @@
 //! * [`gen`] — seeded random instruction/program generators used by the
 //!   round-trip and differential property tests (and the fuzz-style CLI);
 //! * [`exec`] — a functional executor: [`exec::ThreadCtx`] holds one
-//!   µthread's architectural state; [`exec::step`] executes one instruction
-//!   against a [`exec::MemIface`] and returns an [`exec::Effect`] that the
-//!   timing layer (in `m2ndp-core`) charges to functional units and the
-//!   memory system. [`exec::step_group`] is the engine's hot path: it
-//!   decodes an instruction once and executes it across a whole SIMT
-//!   group, reporting memory operations through a reusable
-//!   [`exec::EffectBuf`] — semantically identical to per-lane `step`,
-//!   which stays in-tree as the reference implementation.
+//!   µthread's architectural state; [`exec::step_group`] decodes an
+//!   instruction once and executes it across a whole SIMT group against a
+//!   [`exec::MemIface`], returning the [`exec::EffectClass`] that the timing
+//!   layer (in `m2ndp-core`) charges to a functional unit and writing the
+//!   memory operations into a reusable [`exec::EffectBuf`].
+//!   [`exec::step`] is the same for a single µthread.
 //!
 //! Two deliberate deviations from stock RVV, both called out in the paper:
 //! µthreads receive their mapped address and offset in `x1`/`x2` when
@@ -34,7 +32,7 @@
 //!
 //! ```
 //! use m2ndp_riscv::asm::assemble;
-//! use m2ndp_riscv::exec::{step, MainMemoryIface, ThreadCtx};
+//! use m2ndp_riscv::exec::{step, EffectBuf, MainMemoryIface, ThreadCtx};
 //! use m2ndp_mem::MainMemory;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -45,9 +43,10 @@
 //! )?;
 //! let mut mem = MainMemory::new();
 //! let mut iface = MainMemoryIface::new(&mut mem);
+//! let mut buf = EffectBuf::new();
 //! let mut ctx = ThreadCtx::new();
 //! while !ctx.done {
-//!     step(&mut ctx, &prog, &mut iface)?;
+//!     step(&mut ctx, &prog, &mut iface, &mut buf)?;
 //! }
 //! assert_eq!(ctx.x[4], 80);
 //! # Ok(())
@@ -66,8 +65,7 @@ pub mod program;
 pub use asm::{assemble, AsmError};
 pub use disasm::{disassemble, DisasmError};
 pub use exec::{
-    step, step_group, Effect, EffectBuf, EffectClass, ExecError, GroupStep, MemIface, MemOp,
-    ThreadCtx,
+    step, step_group, EffectBuf, EffectClass, ExecError, GroupStep, MemIface, MemOp, ThreadCtx,
 };
 pub use instr::Instr;
 pub use program::{classify, FuClass, InstrClass, Program};

@@ -3,7 +3,7 @@
 
 use m2ndp_mem::MainMemory;
 use m2ndp_riscv::assemble;
-use m2ndp_riscv::exec::{step, MainMemoryIface, ThreadCtx};
+use m2ndp_riscv::exec::{step, EffectBuf, MainMemoryIface, ThreadCtx};
 use proptest::prelude::*;
 
 fn run_to_halt(
@@ -15,9 +15,10 @@ fn run_to_halt(
     let mut ctx = ThreadCtx::new();
     setup(&mut ctx, &mut mem);
     let mut iface = MainMemoryIface::new(&mut mem);
+    let mut buf = EffectBuf::new();
     let mut steps = 0;
     while !ctx.done {
-        step(&mut ctx, &prog, &mut iface).expect("executes");
+        step(&mut ctx, &prog, &mut iface, &mut buf).expect("executes");
         steps += 1;
         assert!(steps < 100_000, "runaway");
     }
@@ -78,7 +79,7 @@ proptest! {
     #[test]
     fn gather_matches_indexing(perm in prop::sample::subsequence((0u64..8).collect::<Vec<_>>(), 4)) {
         prop_assume!(perm.len() == 4);
-        let (ctx, _) = run_to_halt(
+        let (_, mem) = run_to_halt(
             "vsetvli x0, x0, e64, m1
              vle64.v v2, (x1)
              li x3, 0xB000
@@ -95,7 +96,9 @@ proptest! {
                 }
             },
         );
-        let _ = ctx;
+        for (i, p) in perm.iter().enumerate() {
+            prop_assert_eq!(mem.read_u64(0xA000 + i as u64 * 8), 1000 + p * 7, "element {}", i);
+        }
     }
 
     /// Masked compare + merge equals the scalar select.

@@ -18,9 +18,7 @@
 use std::collections::HashMap;
 
 use m2ndp_mem::MainMemory;
-use m2ndp_riscv::exec::{
-    amo_on_memory, step, step_group, Effect, EffectBuf, MemIface, MemOp, ThreadCtx,
-};
+use m2ndp_riscv::exec::{amo_on_memory, step, step_group, EffectBuf, MemIface, MemOp, ThreadCtx};
 use m2ndp_riscv::gen::gen_program;
 use m2ndp_riscv::instr::{AmoOp, Width};
 use m2ndp_riscv::{assemble, disassemble, Instr, Program};
@@ -213,13 +211,14 @@ fn run_bounded(program: &Program, max_steps: usize) -> (Vec<String>, Vec<String>
     let mut ctx = ThreadCtx::new();
     ctx.x[1] = 0x8000; // pool address / offset, as at µthread spawn
     ctx.x[2] = 0x40;
+    let mut buf = EffectBuf::new();
     let mut trace = Vec::new();
     for _ in 0..max_steps {
         if ctx.done {
             break;
         }
-        match step(&mut ctx, program, &mut mem) {
-            Ok(effect) => trace.push(format!("{effect:?}")),
+        match step(&mut ctx, program, &mut mem, &mut buf) {
+            Ok(class) => trace.push(format!("{class:?} {:?}", buf.memops())),
             Err(e) => {
                 trace.push(format!("err {e:?}"));
                 break;
@@ -308,16 +307,16 @@ fn group_digest(ctxs: &[ThreadCtx], log: &[String]) -> u64 {
     fp.value()
 }
 
-/// Reference semantics: the engine's original per-lane loop. Scans for the
-/// minimum pc over non-done lanes, then `step`s every lane parked there in
-/// lane order, collecting the first Ok effect's class, the lane count, and
-/// the memory operations in lane order.
-fn run_group_reference(
+/// Lane-at-a-time semantics: scans for the minimum pc over non-done lanes,
+/// then `step`s every lane parked there in lane order, collecting the first
+/// lane's class, the lane count, and the memory operations in lane order.
+fn run_group_per_lane(
     program: &Program,
     max_issues: usize,
 ) -> (Vec<String>, Vec<String>, Vec<ThreadCtx>) {
     let mut mem = MaskedMem::new();
     let mut ctxs = spawn_lanes();
+    let mut buf = EffectBuf::new();
     let mut trace = Vec::new();
     for _ in 0..max_issues {
         let Some(min_pc) = ctxs.iter().filter(|c| !c.done).map(|c| c.pc).min() else {
@@ -334,15 +333,11 @@ fn run_group_reference(
                 continue;
             }
             lanes += 1;
-            match step(ctx, program, &mut mem) {
-                Ok(effect) => {
-                    match &effect {
-                        Effect::Mem(op) => memops.push(*op),
-                        Effect::VMem(ops) => memops.extend_from_slice(ops),
-                        _ => {}
-                    }
+            match step(ctx, program, &mut mem, &mut buf) {
+                Ok(class) => {
+                    memops.extend_from_slice(buf.memops());
                     if first.is_none() {
-                        first = Some(format!("{:?}", effect.class()));
+                        first = Some(format!("{class:?}"));
                     }
                 }
                 Err(_) => ctx.done = true,
@@ -353,8 +348,8 @@ fn run_group_reference(
     (trace, mem.log, ctxs)
 }
 
-/// The optimized path: `step_group` over the same spawn state.
-fn run_group_optimized(
+/// The whole group at once: `step_group` over the same spawn state.
+fn run_group_at_once(
     program: &Program,
     max_issues: usize,
 ) -> (Vec<String>, Vec<String>, Vec<ThreadCtx>) {
@@ -383,8 +378,8 @@ fn run_group_optimized(
 /// Asserts `step_group` ≡ per-lane `step` for one program, dumping an
 /// artifact on divergence.
 fn assert_group_equivalence(name: &str, program: &Program, max_issues: usize) {
-    let (tr, mr, cr) = run_group_reference(program, max_issues);
-    let (tg, mg, cg) = run_group_optimized(program, max_issues);
+    let (tr, mr, cr) = run_group_per_lane(program, max_issues);
+    let (tg, mg, cg) = run_group_at_once(program, max_issues);
     let dr = group_digest(&cr, &mr);
     let dg = group_digest(&cg, &mg);
     if tr != tg || mr != mg || cr != cg || dr != dg {
@@ -392,7 +387,7 @@ fn assert_group_equivalence(name: &str, program: &Program, max_issues: usize) {
         let path = dump_artifact(
             &format!("group-differential-{name}.s"),
             &format!(
-                "// case {name}\n{text}\n\n/*\nissue trace (reference): {tr:#?}\nissue trace (group): {tg:#?}\nmem (reference): {mr:#?}\nmem (group): {mg:#?}\nctx (reference): {cr:#?}\nctx (group): {cg:#?}\ndigest: {dr:#x} vs {dg:#x}\n*/\n"
+                "// case {name}\n{text}\n\n/*\nissue trace (per-lane): {tr:#?}\nissue trace (group): {tg:#?}\nmem (per-lane): {mr:#?}\nmem (group): {mg:#?}\nctx (per-lane): {cr:#?}\nctx (group): {cg:#?}\ndigest: {dr:#x} vs {dg:#x}\n*/\n"
             ),
         );
         panic!("{name}: step_group diverged from per-lane step; artifact at {path}");
