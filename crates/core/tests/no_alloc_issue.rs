@@ -1,7 +1,7 @@
 //! Allocation regression test for the engine's issue path.
 //!
-//! A counting global allocator (same shape as `crates/cache/tests/no_alloc.rs`)
-//! pins the group-decoded interpreter's contract: once a kernel is running
+//! A counting global allocator with per-thread counts pins the
+//! group-decoded interpreter's contract: once a kernel is running
 //! and every scratch buffer has reached its high-water capacity,
 //! `Engine::tick` — spawning µthreads into reused slot storage, issuing
 //! SIMT groups through `step_group` into the engine-owned `EffectBuf`,
@@ -13,7 +13,7 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use m2ndp_core::engine::{Engine, RequestKind};
@@ -23,11 +23,21 @@ use m2ndp_riscv::assemble;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per thread, so tests running in parallel do not count each other's
+    // allocations. Const-initialized and drop-free, so the allocator can
+    // touch it without allocating.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with` fails only during thread teardown, when nothing is measured.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -36,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -44,11 +54,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Heap allocations performed while running `f`.
+/// Heap allocations this thread performed while running `f`.
 fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     let result = f();
-    (ALLOCS.load(Ordering::Relaxed) - before, result)
+    (ALLOCS.with(Cell::get) - before, result)
 }
 
 fn small_cfg() -> EngineConfig {

@@ -1021,17 +1021,12 @@ pub fn step_group(
                 let mut out = [0u8; VLEN_BYTES];
                 for i in 0..ctx.vl as usize {
                     let taken = match op {
-                        VCmpOp::FLt | VCmpOp::FLe | VCmpOp::FEq | VCmpOp::FGe => {
-                            let rhs = v_operand_float(ctx, &operand, i, sew);
-                            let lhs = get_felem(&b, i, sew);
-                            match op {
-                                VCmpOp::FLt => lhs < rhs,
-                                VCmpOp::FLe => lhs <= rhs,
-                                VCmpOp::FEq => lhs == rhs,
-                                _ => lhs >= rhs,
-                            }
-                        }
-                        _ => {
+                        VCmpOp::Eq
+                        | VCmpOp::Ne
+                        | VCmpOp::Lt
+                        | VCmpOp::Le
+                        | VCmpOp::Gt
+                        | VCmpOp::Ge => {
                             let rhs = sign_at(v_operand_int(ctx, &operand, i, sew), sew);
                             let lhs = get_elem_signed(&b, i, sew);
                             match op {
@@ -1040,6 +1035,16 @@ pub fn step_group(
                                 VCmpOp::Lt => lhs < rhs,
                                 VCmpOp::Le => lhs <= rhs,
                                 VCmpOp::Gt => lhs > rhs,
+                                _ => lhs >= rhs,
+                            }
+                        }
+                        VCmpOp::FLt | VCmpOp::FLe | VCmpOp::FEq | VCmpOp::FGe => {
+                            let rhs = v_operand_float(ctx, &operand, i, sew);
+                            let lhs = get_felem(&b, i, sew);
+                            match op {
+                                VCmpOp::FLt => lhs < rhs,
+                                VCmpOp::FLe => lhs <= rhs,
+                                VCmpOp::FEq => lhs == rhs,
                                 _ => lhs >= rhs,
                             }
                         }
