@@ -560,11 +560,11 @@ impl CxlM2ndpDevice {
     /// Returns `Err` when the kernel id is unknown or the launch buffer is
     /// full.
     pub fn launch(&mut self, args: LaunchArgs) -> Result<KernelInstanceId, crate::NdpApiError> {
-        let spec = self
-            .registry
-            .get(args.kernel_id)
-            .ok_or(crate::NdpApiError::UnknownKernel)?;
-        let spec = Arc::new(spec.clone());
+        let spec = Arc::clone(
+            self.registry
+                .get(args.kernel_id)
+                .ok_or(crate::NdpApiError::UnknownKernel)?,
+        );
         let id = KernelInstanceId(self.next_instance);
         if !self.engine.launch(self.now, id, spec, args) {
             return Err(crate::NdpApiError::LaunchBufferFull);
@@ -573,12 +573,14 @@ impl CxlM2ndpDevice {
         Ok(id)
     }
 
-    /// Kernel instance status (`ndpPollKernelStatus`).
+    /// Kernel instance status (`ndpPollKernelStatus`). A finished
+    /// instance answers `Finished` for the device's lifetime, also after
+    /// the engine has retired it from its live store.
     pub fn poll(&self, id: KernelInstanceId) -> Option<InstanceStatus> {
         self.engine.status(id)
     }
 
-    /// Completion cycle of an instance.
+    /// Completion cycle of an instance (kept for retired instances too).
     pub fn finished_at(&self, id: KernelInstanceId) -> Option<Cycle> {
         self.engine.finished_at(id)
     }

@@ -21,7 +21,7 @@
 //! * no scalar units — scalar instructions occupy the vector ALU — and
 //!   extra index-arithmetic instructions per context (A1).
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use m2ndp_cache::{
@@ -241,7 +241,6 @@ struct TbGroup {
     remaining: u32,
     /// Virtual scratchpad unit backing this TB (A3: TB-scoped shared mem).
     spad_unit: u32,
-    live: bool,
 }
 
 #[derive(Debug)]
@@ -252,7 +251,11 @@ struct Unit {
     l1d: Option<SectoredCache<SubSlot>>,
     dtlb: Tlb,
     outbound: VecDeque<UnitRequest>,
+    /// Threadblocks by index (slots name theirs through `Slot::tb`).
+    /// Released entries are recycled through `free_tbs`, so the table is
+    /// as large as the most TBs ever resident at once.
     tbs: Vec<TbGroup>,
+    free_tbs: Vec<usize>,
     active_contexts: u32,
     free_slots: Vec<SubSlot>,
 }
@@ -287,7 +290,6 @@ struct Instance {
     total_tbs: u64,
     granules_per_tb: u64,
     started_at: Cycle,
-    finished_at: Option<Cycle>,
     /// Cached register bytes per context.
     ctx_reg_bytes: u32,
     /// Scratchpad argument-block slot held while resident.
@@ -373,7 +375,19 @@ pub enum EngineEvent {
 pub struct Engine {
     cfg: EngineConfig,
     units: Vec<Unit>,
-    instances: Vec<Instance>,
+    /// Admitted instances in admission order, which is the order the
+    /// spawn passes scan. Slots, `TbGroup`s and `pending_iter_update` name
+    /// an instance by its global admission index `i`, stored at
+    /// `instances[i - base]`. Finished instances leave from the front at
+    /// the end of each tick, so the store holds the live instances plus
+    /// any that finished behind an older live one.
+    instances: VecDeque<Instance>,
+    /// Global admission index of `instances[0]`: the number of instances
+    /// that have left the store.
+    base: usize,
+    /// Finish cycle of every finished instance. Outlives the instance, so
+    /// `status` and `finished_at` still answer once it has left the store.
+    finished: HashMap<KernelInstanceId, Cycle>,
     queued: VecDeque<Instance>,
     next_virtual_spad: u32,
     /// Instances whose body-iteration word must be rewritten at the next
@@ -399,6 +413,9 @@ pub struct Engine {
     /// steady-state tick performs no heap allocation. Pure representation
     /// state: capacity never contributes to [`Engine::fingerprint`].
     scratch: IssueScratch,
+    /// Per-unit context counts of the instance being spawned, reused
+    /// across spawn passes; only filled while tracing.
+    wave_counts: Vec<u32>,
 }
 
 /// Reusable buffers for one group issue: the [`EffectBuf`] the executor
@@ -477,6 +494,7 @@ impl Engine {
                     dtlb: Tlb::ndp_dtlb(),
                     outbound: VecDeque::new(),
                     tbs: Vec::new(),
+                    free_tbs: Vec::new(),
                     active_contexts: 0,
                     free_slots,
                 }
@@ -485,7 +503,9 @@ impl Engine {
         Self {
             cfg,
             units,
-            instances: Vec::new(),
+            instances: VecDeque::new(),
+            base: 0,
+            finished: HashMap::new(),
             queued: VecDeque::new(),
             next_virtual_spad: 4096, // TB spad backing starts past real units
             pending_iter_update: Vec::new(),
@@ -495,6 +515,7 @@ impl Engine {
             stats: EngineStats::default(),
             trace: None,
             scratch: IssueScratch::default(),
+            wave_counts: Vec::new(),
         }
     }
 
@@ -607,7 +628,6 @@ impl Engine {
         }
         let pool_bytes = launch.pool_bound.saturating_sub(launch.pool_base);
         let granules = pool_bytes.div_ceil(self.cfg.granule_bytes as u64).max(1);
-        let contexts = granules.div_ceil(self.cfg.threads_per_context as u64);
         let ctx_reg_bytes =
             self.cfg
                 .context_reg_bytes(spec.int_regs, spec.float_regs, spec.vector_regs);
@@ -642,11 +662,9 @@ impl Engine {
             total_tbs,
             granules_per_tb,
             started_at: now,
-            finished_at: None,
             ctx_reg_bytes,
             arg_slot: u32::MAX,
         };
-        let _ = contexts;
         Self::push_ev(&mut self.trace, || EngineEvent::Launched {
             at: now,
             instance: inst.id.0,
@@ -656,27 +674,30 @@ impl Engine {
         true
     }
 
-    /// Status of an instance for `ndpPollKernelStatus`.
+    /// Status of an instance for `ndpPollKernelStatus`; `None` for an id
+    /// this engine never accepted. A finished instance keeps answering
+    /// `Finished` after it has left the live store.
     pub fn status(&self, id: KernelInstanceId) -> Option<InstanceStatus> {
         if self.queued.iter().any(|i| i.id == id) {
             return Some(InstanceStatus::Pending);
         }
-        self.instances
-            .iter()
-            .find(|i| i.id == id)
-            .map(|i| match i.phase {
+        if let Some(inst) = self.instances.iter().find(|i| i.id == id) {
+            return Some(match inst.phase {
                 InstPhase::Done => InstanceStatus::Finished,
                 InstPhase::Pending => InstanceStatus::Pending,
                 _ => InstanceStatus::Running,
-            })
+            });
+        }
+        self.finished
+            .contains_key(&id)
+            .then_some(InstanceStatus::Finished)
     }
 
-    /// Completion cycle of an instance, if finished.
+    /// Completion cycle of an instance, if finished. Answers for as long
+    /// as the engine lives, also after the instance has left the live
+    /// store.
     pub fn finished_at(&self, id: KernelInstanceId) -> Option<Cycle> {
-        self.instances
-            .iter()
-            .find(|i| i.id == id)
-            .and_then(|i| i.finished_at)
+        self.finished.get(&id).copied()
     }
 
     /// Whether all submitted work has completed.
@@ -760,6 +781,27 @@ impl Engine {
         self.stats
             .occupancy_integral
             .add(self.active_contexts() as u64);
+        self.retire_finished();
+    }
+
+    /// Drops finished instances off the front of the store. Runs once per
+    /// tick after every pass, never inside one: `spawn_tb_mode` can finish
+    /// an instance (through `release_tb`) and read its index again in the
+    /// same pass.
+    fn retire_finished(&mut self) {
+        while self
+            .instances
+            .front()
+            .is_some_and(|i| i.phase == InstPhase::Done)
+        {
+            self.instances.pop_front();
+            self.base += 1;
+        }
+    }
+
+    /// The instance at global admission index `inst_idx`.
+    fn inst(&self, inst_idx: usize) -> &Instance {
+        &self.instances[inst_idx - self.base]
     }
 
     /// Whether this cycle's tick would change nothing but the occupancy
@@ -812,21 +854,13 @@ impl Engine {
                 break;
             };
             inst.arg_slot = arg_slot;
+            inst.started_at = now;
             // Resource sanity: one context must fit a unit's register file.
             if inst.ctx_reg_bytes > self.cfg.regfile_bytes_per_unit {
-                inst.phase = InstPhase::Done;
-                inst.finished_at = Some(now);
-                self.free_arg_slots.push(inst.arg_slot);
-                Self::push_ev(&mut self.trace, || EngineEvent::Retired {
-                    at: now,
-                    instance: inst.id.0,
-                    kernel: inst.launch.kernel_id.0,
-                    started: now,
-                });
-                self.instances.push(inst);
+                self.instances.push_back(inst);
+                self.finish(now, self.base + self.instances.len() - 1);
                 continue;
             }
-            inst.started_at = now;
             if self.cfg.spawn_batch_contexts > 1 {
                 // TB mode: args written per TB at TB spawn.
                 inst.phase = InstPhase::Body;
@@ -841,8 +875,24 @@ impl Engine {
                     InstPhase::Body
                 };
             }
-            self.instances.push(inst);
+            self.instances.push_back(inst);
         }
+    }
+
+    /// Marks an instance finished at `now`: records its finish cycle,
+    /// frees its argument-block slot and emits `Retired`. The instance
+    /// itself leaves the store at the end of the tick.
+    fn finish(&mut self, now: Cycle, inst_idx: usize) {
+        let inst = &mut self.instances[inst_idx - self.base];
+        inst.phase = InstPhase::Done;
+        self.finished.insert(inst.id, now);
+        self.free_arg_slots.push(inst.arg_slot);
+        Self::push_ev(&mut self.trace, || EngineEvent::Retired {
+            at: now,
+            instance: inst.id.0,
+            kernel: inst.launch.kernel_id.0,
+            started: inst.started_at,
+        });
     }
 
     fn arg_block_off(&self, arg_slot: u32) -> u64 {
@@ -896,15 +946,20 @@ impl Engine {
         let units = self.cfg.units as usize;
         let total_slots = self.cfg.total_slots();
         let tracing = self.trace.is_some();
-        for inst_idx in 0..self.instances.len() {
-            let mut wave_counts: Vec<u32> = if tracing { vec![0; units] } else { Vec::new() };
+        let mut wave_counts = std::mem::take(&mut self.wave_counts);
+        for pos in 0..self.instances.len() {
+            let inst_idx = self.base + pos;
+            if tracing {
+                wave_counts.clear();
+                wave_counts.resize(units, 0);
+            }
             let (phase, id) = {
-                let inst = &self.instances[inst_idx];
+                let inst = &self.instances[pos];
                 (inst.phase, inst.arg_slot)
             };
             match phase {
                 InstPhase::Init | InstPhase::Fini => loop {
-                    let inst = &self.instances[inst_idx];
+                    let inst = &self.instances[pos];
                     if inst.once_spawned >= total_slots {
                         break;
                     }
@@ -924,20 +979,20 @@ impl Engine {
                         unit_idx, ss, inst_idx, prog_phase, 0, uid as u64, arg_va, None,
                     );
                     placed += 1;
-                    self.instances[inst_idx].once_spawned += 1;
-                    self.instances[inst_idx].outstanding += 1;
+                    self.instances[pos].once_spawned += 1;
+                    self.instances[pos].outstanding += 1;
                     if tracing {
                         wave_counts[unit_idx] += 1;
                     }
                 },
                 InstPhase::Body => {
                     // Fill free slots unit by unit with that unit's granules.
-                    // (`wave_counts` is deliberately empty when tracing is
-                    // off, so this cannot iterate over it.)
+                    // (`wave_counts` is only filled while tracing, so this
+                    // cannot iterate over it.)
                     #[allow(clippy::needless_range_loop)]
                     for unit_idx in 0..units {
                         loop {
-                            let inst = &self.instances[inst_idx];
+                            let inst = &self.instances[pos];
                             let cursor = inst.unit_cursor[unit_idx];
                             let granule = unit_idx as u64 + cursor * units as u64;
                             if granule >= inst.granules {
@@ -947,9 +1002,8 @@ impl Engine {
                             let Some(ss) = self.take_slot(unit_idx, reg_bytes) else {
                                 break;
                             };
-                            let inst = &self.instances[inst_idx];
                             let gb = self.cfg.granule_bytes as u64;
-                            let addr = inst.launch.pool_base + granule * gb;
+                            let addr = self.instances[pos].launch.pool_base + granule * gb;
                             let arg_va = self.arg_block_va(id);
                             self.place(
                                 unit_idx,
@@ -962,8 +1016,8 @@ impl Engine {
                                 None,
                             );
                             placed += 1;
-                            self.instances[inst_idx].unit_cursor[unit_idx] += 1;
-                            self.instances[inst_idx].outstanding += 1;
+                            self.instances[pos].unit_cursor[unit_idx] += 1;
+                            self.instances[pos].outstanding += 1;
                             if tracing {
                                 wave_counts[unit_idx] += 1;
                             }
@@ -973,7 +1027,7 @@ impl Engine {
                 _ => {}
             }
             if tracing {
-                let instance = self.instances[inst_idx].id.0;
+                let instance = self.instances[pos].id.0;
                 for (unit, &count) in wave_counts.iter().enumerate() {
                     if count > 0 {
                         Self::push_ev(&mut self.trace, || EngineEvent::WaveSpawn {
@@ -986,6 +1040,7 @@ impl Engine {
                 }
             }
         }
+        self.wave_counts = wave_counts;
         placed
     }
 
@@ -993,76 +1048,80 @@ impl Engine {
     /// contiguous granule chunk, scheduled round-robin across units.
     /// Returns the number of TBs placed (empty TBs released through the
     /// completion path still count — the pass made progress).
-    fn spawn_tb_mode(&mut self, _now: Cycle, mem: &mut MainMemory) -> u64 {
+    fn spawn_tb_mode(&mut self, now: Cycle, mem: &mut MainMemory) -> u64 {
         let mut placed: u64 = 0;
         let units = self.cfg.units as usize;
         let batch = self.cfg.spawn_batch_contexts;
         let tpc = self.cfg.threads_per_context;
-        for inst_idx in 0..self.instances.len() {
+        for pos in 0..self.instances.len() {
+            let inst_idx = self.base + pos;
             loop {
-                let inst = &self.instances[inst_idx];
+                let inst = &self.instances[pos];
                 if inst.phase != InstPhase::Body || inst.next_tb >= inst.total_tbs {
                     break;
                 }
                 let tb_ord = inst.next_tb;
                 let unit_idx = (tb_ord as usize) % units;
-                let need_regs = inst.ctx_reg_bytes * batch;
+                let reg_bytes = inst.ctx_reg_bytes;
                 // All-or-nothing TB admission.
                 if self.units[unit_idx].free_slots.len() < batch as usize
-                    || self.units[unit_idx].regfile_free < need_regs
+                    || self.units[unit_idx].regfile_free < reg_bytes * batch
                 {
                     break;
                 }
-                let inst = &self.instances[inst_idx];
                 let chunk_start = tb_ord * inst.granules_per_tb;
                 let chunk_len = inst.granules_per_tb.min(inst.granules - chunk_start);
                 let spad_unit = self.next_virtual_spad;
                 self.next_virtual_spad += 1;
-                self.write_arg_block(mem, spad_unit, inst, 1);
-                let id = inst.arg_slot;
-                let has_init = inst.spec.init.is_some();
+                self.write_arg_block(mem, spad_unit, &self.instances[pos], 1);
+                let inst = &self.instances[pos];
+                let arg_va = self.arg_block_va(inst.arg_slot);
+                let state = if inst.spec.init.is_some() {
+                    TbState::Init
+                } else {
+                    TbState::Body
+                };
 
-                let mut members = Vec::with_capacity(batch as usize);
-                for _ in 0..batch {
-                    let ss = self
-                        .take_slot(unit_idx, self.instances[inst_idx].ctx_reg_bytes)
-                        .expect("checked free slots above");
-                    members.push(ss);
-                }
-                let tb_idx = self.units[unit_idx].tbs.len();
-                self.units[unit_idx].tbs.push(TbGroup {
+                let tbg = TbGroup {
                     instance: inst_idx,
-                    members: members.clone(),
-                    state: if has_init {
-                        TbState::Init
-                    } else {
-                        TbState::Body
-                    },
+                    members: Vec::with_capacity(batch as usize),
+                    state,
                     remaining: 0,
                     spad_unit,
-                    live: true,
-                });
+                };
+                let unit = &mut self.units[unit_idx];
+                let tb_idx = match unit.free_tbs.pop() {
+                    Some(tb_idx) => {
+                        unit.tbs[tb_idx] = tbg;
+                        tb_idx
+                    }
+                    None => {
+                        unit.tbs.push(tbg);
+                        unit.tbs.len() - 1
+                    }
+                };
+                for _ in 0..batch {
+                    let ss = self
+                        .take_slot(unit_idx, reg_bytes)
+                        .expect("checked free slots above");
+                    self.units[unit_idx].tbs[tb_idx].members.push(ss);
+                }
 
                 // Assign grid-stride spans: context j takes granule spans
                 // starting at chunk_start + j*tpc, striding batch*tpc.
-                let arg_va = self.arg_block_va(id);
-                let inst = &self.instances[inst_idx];
-                let gb = self.cfg.granule_bytes as u64;
-                let pool_base = inst.launch.pool_base;
-                for (j, ss) in members.iter().enumerate() {
+                for j in 0..batch as usize {
+                    let ss = self.units[unit_idx].tbs[tb_idx].members[j];
                     let mut spans = VecDeque::new();
                     let mut s = chunk_start + j as u64 * tpc as u64;
                     while s < chunk_start + chunk_len {
                         spans.push_back(s);
                         s += (batch * tpc) as u64;
                     }
-                    let _ = pool_base;
-                    let _ = gb;
-                    if self.units[unit_idx].tbs[tb_idx].state == TbState::Init {
+                    if state == TbState::Init {
                         if j == 0 {
                             self.place(
                                 unit_idx,
-                                *ss,
+                                ss,
                                 inst_idx,
                                 Phase::Init,
                                 0,
@@ -1083,7 +1142,7 @@ impl Engine {
                             slot.phase = Phase::Body;
                             slot.tb = Some(tb_idx);
                             slot.spans = spans;
-                            slot.reg_bytes = self.instances[inst_idx].ctx_reg_bytes;
+                            slot.reg_bytes = reg_bytes;
                             self.units[unit_idx].active_contexts += 1;
                         }
                     } else {
@@ -1096,12 +1155,12 @@ impl Engine {
                         slot.spans = spans;
                         slot.instance = inst_idx;
                         slot.tb = Some(tb_idx);
-                        slot.reg_bytes = self.instances[inst_idx].ctx_reg_bytes;
+                        slot.reg_bytes = reg_bytes;
                         slot.state = SlotState::Parked;
                         self.units[unit_idx].active_contexts += 1;
                         if has_spans {
                             self.units[unit_idx].tbs[tb_idx].remaining += 1;
-                            self.start_next_span(unit_idx, *ss, inst_idx, tb_idx);
+                            self.start_next_span(unit_idx, ss, inst_idx, tb_idx);
                         }
                     }
                 }
@@ -1112,9 +1171,9 @@ impl Engine {
                 if self.units[unit_idx].tbs[tb_idx].state == TbState::Body
                     && self.units[unit_idx].tbs[tb_idx].remaining == 0
                 {
-                    self.instances[inst_idx].outstanding += 1;
-                    self.instances[inst_idx].next_tb += 1;
-                    self.advance_tb(_now, unit_idx, tb_idx);
+                    self.instances[pos].outstanding += 1;
+                    self.instances[pos].next_tb += 1;
+                    self.advance_tb(now, unit_idx, tb_idx);
                     self.stats
                         .addr_calc_instrs
                         .add((self.cfg.addr_calc_overhead * batch) as u64);
@@ -1122,15 +1181,15 @@ impl Engine {
                     continue;
                 }
 
-                self.instances[inst_idx].next_tb += 1;
-                self.instances[inst_idx].outstanding += 1;
+                self.instances[pos].next_tb += 1;
+                self.instances[pos].outstanding += 1;
                 placed += 1;
                 self.stats
                     .addr_calc_instrs
                     .add((self.cfg.addr_calc_overhead * batch) as u64);
-                let instance = self.instances[inst_idx].id.0;
+                let instance = self.instances[pos].id.0;
                 Self::push_ev(&mut self.trace, || EngineEvent::WaveSpawn {
-                    at: _now,
+                    at: now,
                     unit: unit_idx as u32,
                     instance,
                     count: batch,
@@ -1152,14 +1211,11 @@ impl Engine {
         let tpc = self.cfg.threads_per_context as u64;
         let gb = self.cfg.granule_bytes as u64;
         let (pool_base, granules, id) = {
-            let inst = &self.instances[inst_idx];
+            let inst = self.inst(inst_idx);
             (inst.launch.pool_base, inst.granules, inst.arg_slot)
         };
         let arg_va = self.arg_block_va(id);
-        let unit = &mut self.units[unit_idx];
-        let spad_unit = unit.tbs[tb_idx].spad_unit;
-        let _ = spad_unit;
-        let sc = &mut unit.subcores[ss.subcore as usize];
+        let sc = &mut self.units[unit_idx].subcores[ss.subcore as usize];
         let slot = &mut sc.slots[ss.slot as usize];
         let Some(span_start) = slot.spans.pop_front() else {
             return false;
@@ -1213,7 +1269,7 @@ impl Engine {
         arg_va: u64,
         tb: Option<usize>,
     ) {
-        let reg_bytes = self.instances[inst_idx].ctx_reg_bytes;
+        let reg_bytes = self.inst(inst_idx).ctx_reg_bytes;
         let unit = &mut self.units[unit_idx];
         let sc = &mut unit.subcores[ss.subcore as usize];
         let slot = &mut sc.slots[ss.slot as usize];
@@ -1292,7 +1348,7 @@ impl Engine {
             }
             let scan = {
                 let slot = &self.units[unit_idx].subcores[sc_idx].slots[slot_idx as usize];
-                let spec = &self.instances[slot.instance].spec;
+                let spec = &self.inst(slot.instance).spec;
                 let prog = match slot.phase {
                     Phase::Init => spec.init.as_ref().expect("init phase has program"),
                     Phase::Body => &spec.body,
@@ -1367,7 +1423,7 @@ impl Engine {
         };
         // One Arc clone per *issue* (not per scanned slot) keeps the spec
         // alive across the disjoint unit/instance borrows below.
-        let spec = self.instances[inst_idx].spec.clone();
+        let spec = self.inst(inst_idx).spec.clone();
         let prog = match phase {
             Phase::Init => spec.init.as_ref().expect("init"),
             Phase::Body => &spec.body,
@@ -1480,7 +1536,6 @@ impl Engine {
             subcore: sc_idx as u8,
             slot: slot_idx,
         };
-        let spad_lat = self.cfg.lat.spad;
         let mut max_local_ready = now + 1;
         let mut pending = 0u32;
 
@@ -1502,7 +1557,6 @@ impl Engine {
                 let unit = &mut self.units[unit_idx];
                 let ready = unit.spad.access(now, op.bytes, op.write, op.amo);
                 max_local_ready = max_local_ready.max(ready);
-                let _ = spad_lat;
             } else if op.amo {
                 global_amos.push((op.addr, op.bytes));
             } else if op.write {
@@ -1713,18 +1767,19 @@ impl Engine {
     }
 
     fn advance_tb(&mut self, now: Cycle, unit_idx: usize, tb_idx: usize) {
-        let (state, inst_idx, members) = {
+        let (state, inst_idx) = {
             let tbg = &self.units[unit_idx].tbs[tb_idx];
-            (tbg.state, tbg.instance, tbg.members.clone())
+            (tbg.state, tbg.instance)
         };
         match state {
             TbState::Init => {
                 // Activate all members for the body phase.
-                self.units[unit_idx].tbs[tb_idx].state = TbState::Body;
-                for ss in &members {
-                    self.units[unit_idx].tbs[tb_idx].remaining += 1;
-                    if !self.start_next_span(unit_idx, *ss, inst_idx, tb_idx) {
-                        self.units[unit_idx].tbs[tb_idx].remaining -= 1;
+                let tbg = &mut self.units[unit_idx].tbs[tb_idx];
+                tbg.state = TbState::Body;
+                for j in 0..tbg.members.len() {
+                    let ss = self.units[unit_idx].tbs[tb_idx].members[j];
+                    if self.start_next_span(unit_idx, ss, inst_idx, tb_idx) {
+                        self.units[unit_idx].tbs[tb_idx].remaining += 1;
                     }
                 }
                 if self.units[unit_idx].tbs[tb_idx].remaining == 0 {
@@ -1732,14 +1787,15 @@ impl Engine {
                 }
             }
             TbState::Body => {
-                let has_fini = self.instances[inst_idx].spec.fini.is_some();
-                if has_fini {
-                    self.units[unit_idx].tbs[tb_idx].state = TbState::Fini;
-                    self.units[unit_idx].tbs[tb_idx].remaining = 1;
-                    let ss = members[0];
-                    let id = self.instances[inst_idx].arg_slot;
-                    let arg_va = self.arg_block_va(id);
-                    let sc = &mut self.units[unit_idx].subcores[ss.subcore as usize];
+                let inst = self.inst(inst_idx);
+                if inst.spec.fini.is_some() {
+                    let arg_va = self.arg_block_va(inst.arg_slot);
+                    let unit = &mut self.units[unit_idx];
+                    let tbg = &mut unit.tbs[tb_idx];
+                    tbg.state = TbState::Fini;
+                    tbg.remaining = 1;
+                    let ss = tbg.members[0];
+                    let sc = &mut unit.subcores[ss.subcore as usize];
                     let slot = &mut sc.slots[ss.slot as usize];
                     slot.refill_ctxs(1);
                     slot.ctxs[0].x[3] = arg_va;
@@ -1757,15 +1813,14 @@ impl Engine {
         }
     }
 
+    /// Frees a TB's member slots and recycles its entry through `free_tbs`.
     fn release_tb(&mut self, now: Cycle, unit_idx: usize, tb_idx: usize) {
-        let (inst_idx, members) = {
-            let tbg = &mut self.units[unit_idx].tbs[tb_idx];
-            tbg.live = false;
-            (tbg.instance, tbg.members.clone())
-        };
-        for ss in members {
+        let tbg = &mut self.units[unit_idx].tbs[tb_idx];
+        let inst_idx = tbg.instance;
+        for ss in std::mem::take(&mut tbg.members) {
             self.free_slot(unit_idx, ss);
         }
+        self.units[unit_idx].free_tbs.push(tb_idx);
         self.on_context_done(now, inst_idx, Phase::Body);
     }
 
@@ -1786,99 +1841,64 @@ impl Engine {
         // new work spawnable even without a slot freeing first.
         self.spawn_exhausted = false;
         let tb_mode = self.cfg.spawn_batch_contexts > 1;
+        let units = self.cfg.units as u64;
         let total_slots = self.cfg.total_slots();
-        let inst = &mut self.instances[inst_idx];
-        match phase {
-            Phase::Init | Phase::Fini if !tb_mode => {
-                inst.once_done += 1;
-                inst.outstanding -= 1;
-                if inst.once_done == total_slots {
-                    Self::push_ev(&mut self.trace, || EngineEvent::WaveDrain {
-                        at: now,
-                        instance: inst.id.0,
-                    });
-                    match inst.phase {
-                        InstPhase::Init => {
-                            inst.phase = InstPhase::Body;
-                            inst.once_spawned = 0;
-                            inst.once_done = 0;
-                        }
-                        InstPhase::Fini => {
-                            inst.phase = InstPhase::Done;
-                            inst.finished_at = Some(now);
-                            self.free_arg_slots.push(inst.arg_slot);
-                            Self::push_ev(&mut self.trace, || EngineEvent::Retired {
-                                at: now,
-                                instance: inst.id.0,
-                                kernel: inst.launch.kernel_id.0,
-                                started: inst.started_at,
-                            });
-                        }
-                        _ => {}
-                    }
-                }
+        let inst = &mut self.instances[inst_idx - self.base];
+        inst.outstanding -= 1;
+        // Init/fini µthreads run once per slot (NDP mode only); body
+        // contexts (or TBs) drain an iteration once all are spawned.
+        let once = matches!(phase, Phase::Init | Phase::Fini) && !tb_mode;
+        let drained = if once {
+            inst.once_done += 1;
+            inst.once_done == total_slots
+        } else if tb_mode {
+            inst.next_tb >= inst.total_tbs && inst.outstanding == 0
+        } else {
+            let all_spawned = (0..units as usize).all(|u| {
+                let granule = u as u64 + inst.unit_cursor[u] * units;
+                granule >= inst.granules
+            });
+            all_spawned && inst.outstanding == 0
+        };
+        if !drained {
+            return;
+        }
+        Self::push_ev(&mut self.trace, || EngineEvent::WaveDrain {
+            at: now,
+            instance: inst.id.0,
+        });
+        let done = if once {
+            // Init hands off to the body; Fini completes the instance.
+            if inst.phase == InstPhase::Init {
+                inst.phase = InstPhase::Body;
+                inst.once_spawned = 0;
+                inst.once_done = 0;
             }
-            _ => {
-                inst.outstanding -= 1;
+            inst.phase == InstPhase::Fini
+        } else {
+            inst.body_iter += 1;
+            if inst.body_iter < inst.launch.body_iterations {
+                // Multi-body barrier (§III-G): rerun the grid. NDP mode
+                // rewrites the iteration word in every unit's arg block
+                // at the next tick.
                 if tb_mode {
-                    if inst.next_tb >= inst.total_tbs && inst.outstanding == 0 {
-                        Self::push_ev(&mut self.trace, || EngineEvent::WaveDrain {
-                            at: now,
-                            instance: inst.id.0,
-                        });
-                        inst.body_iter += 1;
-                        if inst.body_iter < inst.launch.body_iterations {
-                            // Multi-body barrier (§III-G): rerun the grid.
-                            inst.next_tb = 0;
-                        } else {
-                            inst.phase = InstPhase::Done;
-                            inst.finished_at = Some(now);
-                            self.free_arg_slots.push(inst.arg_slot);
-                            Self::push_ev(&mut self.trace, || EngineEvent::Retired {
-                                at: now,
-                                instance: inst.id.0,
-                                kernel: inst.launch.kernel_id.0,
-                                started: inst.started_at,
-                            });
-                        }
-                    }
-                    return;
+                    inst.next_tb = 0;
+                } else {
+                    inst.unit_cursor.iter_mut().for_each(|c| *c = 0);
+                    self.pending_iter_update.push(inst_idx);
                 }
-                // NDP body: iteration barrier / completion check.
-                let units = self.cfg.units as u64;
-                let all_spawned = (0..self.cfg.units as usize).all(|u| {
-                    let granule = u as u64 + inst.unit_cursor[u] * units;
-                    granule >= inst.granules
-                });
-                if all_spawned && inst.outstanding == 0 {
-                    Self::push_ev(&mut self.trace, || EngineEvent::WaveDrain {
-                        at: now,
-                        instance: inst.id.0,
-                    });
-                    inst.body_iter += 1;
-                    if inst.body_iter < inst.launch.body_iterations {
-                        inst.unit_cursor.iter_mut().for_each(|c| *c = 0);
-                        // Update the iteration word in every unit's args.
-                        // (done lazily in tick via needs_iter_update flag)
-                        inst.phase = InstPhase::Body;
-                        self.pending_iter_update.push(inst_idx);
-                    } else if inst.spec.fini.is_some() {
-                        inst.phase = InstPhase::Fini;
-                        inst.once_spawned = 0;
-                        inst.once_done = 0;
-                    } else {
-                        inst.phase = InstPhase::Done;
-                        inst.finished_at = Some(now);
-                        self.free_arg_slots.push(inst.arg_slot);
-                        Self::push_ev(&mut self.trace, || EngineEvent::Retired {
-                            at: now,
-                            instance: inst.id.0,
-                            kernel: inst.launch.kernel_id.0,
-                            started: inst.started_at,
-                        });
-                    }
-                }
+                false
+            } else if !tb_mode && inst.spec.fini.is_some() {
+                inst.phase = InstPhase::Fini;
+                inst.once_spawned = 0;
+                inst.once_done = 0;
+                false
+            } else {
+                true
             }
+        };
+        if done {
+            self.finish(now, inst_idx);
         }
     }
 }
@@ -1895,7 +1915,7 @@ impl Engine {
             std::mem::take(&mut self.iter_scratch),
         );
         for &inst_idx in &pending {
-            let inst = &self.instances[inst_idx];
+            let inst = self.inst(inst_idx);
             let off = self.arg_block_off(inst.arg_slot);
             for u in 0..self.cfg.units {
                 let base = spad_backing_addr(u, off);
@@ -1920,10 +1940,22 @@ mod tests {
     /// Drives the engine with an idealized memory backend: every outbound
     /// request completes after a fixed latency.
     fn run_to_completion(engine: &mut Engine, mem: &mut MainMemory, mem_lat: Cycle) -> Cycle {
+        run_from(engine, mem, 0, mem_lat, |_| {})
+    }
+
+    /// [`run_to_completion`] starting at cycle `now`, calling `each_tick`
+    /// after every tick. Returns the cycle after the last tick.
+    fn run_from(
+        engine: &mut Engine,
+        mem: &mut MainMemory,
+        mut now: Cycle,
+        mem_lat: Cycle,
+        mut each_tick: impl FnMut(&Engine),
+    ) -> Cycle {
         let mut inflight: EventQueue<(usize, RequestKind, u64)> = EventQueue::new();
-        let mut now = 0;
         while !engine.is_idle() {
             engine.tick(now, mem);
+            each_tick(engine);
             for u in 0..engine.config().units as usize {
                 while let Some(req) = engine.pop_outbound(u) {
                     if !matches!(req.kind, RequestKind::Posted) {
@@ -2242,6 +2274,79 @@ mod tests {
         engine.launch(0, KernelInstanceId(0), spec, launch);
         run_to_completion(&mut engine, &mut mem, 40);
         assert_eq!(mem.read_u64(global_sum), expect);
+    }
+
+    #[test]
+    fn finished_instances_leave_the_store_and_keep_answering() {
+        let mut engine = Engine::new(small_cfg());
+        let mut mem = MainMemory::new();
+        let spec = Arc::new(vec_double_kernel());
+        let base = 0x10_0000u64;
+        let mut now = 0;
+        let mut first_finish = None;
+        for i in 0..1000 {
+            let launch = LaunchArgs::new(crate::kernel::KernelId(0), base, base + 64);
+            assert!(engine.launch(now, KernelInstanceId(i), spec.clone(), launch));
+            now = run_from(&mut engine, &mut mem, now, 20, |e| {
+                assert!(
+                    e.instances.len() <= e.live_instances(),
+                    "store holds dead work"
+                );
+            });
+            assert_eq!(engine.live_instances(), 0);
+            assert!(engine.instances.is_empty());
+            if i == 0 {
+                first_finish = engine.finished_at(KernelInstanceId(0));
+                assert!(first_finish.is_some());
+            }
+        }
+        assert_eq!(
+            engine.status(KernelInstanceId(0)),
+            Some(InstanceStatus::Finished)
+        );
+        assert_eq!(engine.finished_at(KernelInstanceId(0)), first_finish);
+        assert_eq!(engine.status(KernelInstanceId(1000)), None);
+    }
+
+    #[test]
+    fn instances_finishing_out_of_order_keep_their_records() {
+        let spin = assemble(
+            "li x4, 500
+             loop: addi x4, x4, -1
+             bnez x4, loop
+             halt",
+        )
+        .unwrap();
+        let long = KernelInstanceId(0);
+        let short = KernelInstanceId(1);
+        let mut engine = Engine::new(small_cfg());
+        let mut mem = MainMemory::new();
+        let base = 0x10_0000u64;
+        let args = || LaunchArgs::new(crate::kernel::KernelId(0), base, base + 32);
+        assert!(engine.launch(
+            0,
+            long,
+            Arc::new(KernelSpec::body_only("spin", spin)),
+            args()
+        ));
+        assert!(engine.launch(0, short, Arc::new(vec_double_kernel()), args()));
+        let mut short_at = None;
+        let end = run_from(&mut engine, &mut mem, 0, 20, |e| {
+            if short_at.is_none() && e.status(short) == Some(InstanceStatus::Finished) {
+                short_at = e.finished_at(short);
+                assert!(short_at.is_some());
+                assert_eq!(e.status(long), Some(InstanceStatus::Running));
+                assert_eq!(e.finished_at(long), None);
+                assert_eq!(e.live_instances(), 1);
+            }
+        });
+        let short_at = short_at.expect("the short kernel finishes first");
+        let long_at = engine.finished_at(long).expect("long kernel finished");
+        assert!(short_at < long_at && long_at < end);
+        assert_eq!(engine.status(long), Some(InstanceStatus::Finished));
+        assert_eq!(engine.status(short), Some(InstanceStatus::Finished));
+        assert_eq!(engine.finished_at(short), Some(short_at));
+        assert!(engine.instances.is_empty());
     }
 
     #[test]

@@ -112,3 +112,25 @@ fn launch_buffer_overflow_surfaces_err() {
     let c = dev.handle_m2func_call(ASID, M2FuncCall::LaunchKernel(mk()), false);
     assert!(c < 0, "third concurrent launch must be rejected: {c}");
 }
+
+#[test]
+fn poll_answers_finished_for_long_retired_instances() {
+    // Finished instances leave the engine's live store; the poll must
+    // still report them Finished on the wire, however many launches ago.
+    let mut dev = SystemBuilder::m2ndp().units(2).build();
+    let kid = dev.register_kernel(KernelSpec::body_only("nop", assemble("halt").unwrap()));
+    let mut first = None;
+    for _ in 0..200 {
+        let inst = dev
+            .m2func_launch(ASID, LaunchArgs::new(kid, 0x1000, 0x1020))
+            .unwrap();
+        dev.run_until_idle();
+        first.get_or_insert(inst);
+    }
+    let status = dev.handle_m2func_call(
+        ASID,
+        M2FuncCall::PollKernelStatus(first.expect("launched")),
+        false,
+    );
+    assert_eq!(status, InstanceStatus::Finished.code());
+}
