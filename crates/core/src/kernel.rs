@@ -167,7 +167,7 @@ impl LaunchArgs {
 /// The kernel registry held in the M²func region's metadata area (§III-B).
 ///
 /// Specs are stored behind an [`Arc`], so every launch of a kernel shares
-/// one copy of its programs instead of cloning them.
+/// one copy of its programs.
 #[derive(Debug, Default)]
 pub struct KernelRegistry {
     kernels: HashMap<KernelId, Arc<KernelSpec>>,
