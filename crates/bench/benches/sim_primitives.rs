@@ -25,9 +25,7 @@ fn bench_dram(c: &mut Criterion) {
                     issued += 1;
                 }
                 dev.tick(now);
-                while dev.pop_completed(now).is_some() {
-                    done += 1;
-                }
+                dev.drain_completed(now, |_, _| done += 1);
                 now += 1;
             }
             now

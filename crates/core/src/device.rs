@@ -27,7 +27,9 @@ use m2ndp_sim::trace::{EventKind, Lane, TraceEvent, TraceSink, Tracer};
 use m2ndp_sim::{Counter, Cycle, EventQueue, Fingerprint};
 
 use crate::config::M2ndpConfig;
-use crate::engine::{Engine, EngineEvent, RequestKind, UnitRequest, SECTOR_BYTES};
+use crate::engine::{
+    next_set_bit, set_bits, Engine, EngineEvent, RequestKind, UnitRequest, SECTOR_BYTES,
+};
 use crate::kernel::{KernelId, KernelInstanceId, KernelRegistry, KernelSpec, LaunchArgs};
 use crate::m2func::InstanceStatus;
 
@@ -70,6 +72,20 @@ struct L2Slice {
     to_dram: Vec<MemReq>,
 }
 
+impl L2Slice {
+    /// Whether the slice's per-cycle pass has nothing to do until new work
+    /// reaches it: no inbox work, no DRAM-blocked fetch and no parked
+    /// waiter in the cache's ready queue.
+    fn is_idle(&self) -> bool {
+        self.inbox.is_empty() && self.to_dram.is_empty() && self.cache.next_ready_cycle().is_none()
+    }
+}
+
+/// Sets bit `i` of an activity mask.
+fn mark(active: &mut [u64], i: usize) {
+    active[i / 64] |= 1 << (i % 64);
+}
+
 /// Where a DRAM completion routes.
 #[derive(Debug, Clone, Copy)]
 enum DramOrigin {
@@ -87,6 +103,15 @@ struct MemSystem {
     xbar_req: Crossbar,
     xbar_resp: Crossbar,
     slices: Vec<L2Slice>,
+    /// Bit `s` set while slice `s` may have work (64 slices per word, the
+    /// [`DramDevice`] active-channel shape). Set on every inbox schedule,
+    /// DRAM-blocked fetch and L2 fill; cleared only at the end of the
+    /// slice's own pass once [`L2Slice::is_idle`]. So every slice with
+    /// work has its bit set, and the per-cycle walks (`run_mem_system`,
+    /// `maybe_fast_forward`, `run_until_idle`) visit set bits only, in
+    /// slice order — the slices they skip are those the old full walks did
+    /// nothing with. Derived bookkeeping: never fingerprinted.
+    active: Vec<u64>,
     dram: DramDevice,
     dram_origin: HashMap<ReqId, DramOrigin>,
 }
@@ -114,8 +139,37 @@ impl MemSystem {
                     to_dram: Vec::new(),
                 })
                 .collect(),
+            active: vec![0; channels.div_ceil(64)],
             dram: DramDevice::new(cfg.dram.clone(), cfg.engine.freq),
             dram_origin: HashMap::new(),
+        }
+    }
+
+    /// Parks a fetch of slice `slice` until a DRAM queue slot frees.
+    fn block_fetch(&mut self, slice: usize, req: MemReq) {
+        self.slices[slice].to_dram.push(req);
+        mark(&mut self.active, slice);
+    }
+
+    /// Queues `work` for slice `slice` at cycle `at`.
+    fn schedule(&mut self, slice: usize, at: Cycle, work: L2Work) {
+        self.slices[slice].inbox.schedule(at, work);
+        mark(&mut self.active, slice);
+    }
+
+    /// The slices whose active bit is set, in slice order.
+    fn active_slices(&self) -> impl Iterator<Item = &L2Slice> {
+        set_bits(&self.active).map(|i| &self.slices[i])
+    }
+
+    /// Panics unless every slice with work has its active bit set.
+    #[cfg(test)]
+    fn assert_activity_invariant(&self) {
+        for (i, s) in self.slices.iter().enumerate() {
+            assert!(
+                s.is_idle() || self.active[i / 64] & (1 << (i % 64)) != 0,
+                "L2 slice {i} has work but its active bit is clear"
+            );
         }
     }
 }
@@ -744,14 +798,12 @@ impl CxlM2ndpDevice {
                 && self.unit_deliveries.is_empty()
                 && self
                     .local
-                    .slices
-                    .iter()
+                    .active_slices()
                     .all(|s| s.inbox.is_empty() && s.to_dram.is_empty())
                 && self.local.dram.is_idle()
-                && self
-                    .remote
-                    .as_ref()
-                    .is_none_or(|r| r.slices.iter().all(|s| s.inbox.is_empty()) && r.dram.is_idle())
+                && self.remote.as_ref().is_none_or(|r| {
+                    r.active_slices().all(|s| s.inbox.is_empty()) && r.dram.is_idle()
+                })
             {
                 return self.now;
             }
@@ -763,9 +815,16 @@ impl CxlM2ndpDevice {
     /// required for the completion stamp). Returns the completion cycle.
     pub fn run_until_finished(&mut self, instance: KernelInstanceId) -> Cycle {
         let mut guard = 0u64;
+        // The finish record is looked up only when the finish count moved
+        // (and once up front, for an instance that already finished).
+        let mut seen = None;
         loop {
-            if let Some(at) = self.engine.finished_at(instance) {
-                return at;
+            let finished = self.engine.finished_count();
+            if seen != Some(finished) {
+                seen = Some(finished);
+                if let Some(at) = self.engine.finished_at(instance) {
+                    return at;
+                }
             }
             self.tick();
             guard += 1;
@@ -791,7 +850,7 @@ impl CxlM2ndpDevice {
         fold(self.host_inbound.next_cycle());
         fold(self.host_completions.next_cycle());
         fold(self.local.dram.next_event_cycle());
-        for s in &self.local.slices {
+        for s in self.local.active_slices() {
             fold(s.inbox.next_cycle());
             if !s.to_dram.is_empty() {
                 return; // work pending this cycle
@@ -799,7 +858,7 @@ impl CxlM2ndpDevice {
         }
         if let Some(r) = &self.remote {
             fold(r.dram.next_event_cycle());
-            for s in &r.slices {
+            for s in r.active_slices() {
                 fold(s.inbox.next_cycle());
             }
         }
@@ -897,7 +956,8 @@ impl CxlM2ndpDevice {
         } else {
             &mut self.local
         };
-        sys.slices[channel].inbox.schedule(
+        sys.schedule(
+            channel,
             arrival,
             L2Work {
                 addr: req.addr,
@@ -927,7 +987,8 @@ impl CxlM2ndpDevice {
                 .local
                 .xbar_req
                 .route(now, host_port, channel, req.bytes);
-            self.local.slices[channel].inbox.schedule(
+            self.local.schedule(
+                channel,
                 arrival,
                 L2Work {
                     addr: req.addr,
@@ -954,17 +1015,15 @@ impl CxlM2ndpDevice {
         } else {
             &mut self.local
         };
-        // 1. L2 slices consume due work.
-        for slice_idx in 0..sys.slices.len() {
-            // Retry DRAM-blocked fetches first.
-            let slice = &mut sys.slices[slice_idx];
-            let mut still_blocked = Vec::new();
-            for r in slice.to_dram.drain(..) {
-                if let Err(r) = sys.dram.enqueue(now, r) {
-                    still_blocked.push(r);
-                }
-            }
-            sys.slices[slice_idx].to_dram = still_blocked;
+        // 1. L2 slices with work consume what is due, in slice order.
+        let mut next = 0;
+        while let Some(slice_idx) = next_set_bit(&sys.active, next) {
+            next = slice_idx + 1;
+            // Retry DRAM-blocked fetches first, in place and in order.
+            let dram = &mut sys.dram;
+            sys.slices[slice_idx]
+                .to_dram
+                .retain(|&r| dram.enqueue(now, r).is_err());
 
             while let Some((_, work)) = sys.slices[slice_idx].inbox.pop_due(now) {
                 let slice = &mut sys.slices[slice_idx];
@@ -1020,7 +1079,7 @@ impl CxlM2ndpDevice {
                                 },
                             );
                             if let Err(r) = sys.dram.enqueue(now, r) {
-                                sys.slices[slice_idx].to_dram.push(r);
+                                sys.block_fetch(slice_idx, r);
                             }
                         }
                         if let Some((wb_addr, wb_bytes)) = writeback {
@@ -1037,7 +1096,7 @@ impl CxlM2ndpDevice {
                             let r = MemReq::write(id, wb_addr, wb_bytes, ReqSource::Internal);
                             sys.dram_origin.insert(id, DramOrigin::Drain);
                             if let Err(r) = sys.dram.enqueue(now, r) {
-                                sys.slices[slice_idx].to_dram.push(r);
+                                sys.block_fetch(slice_idx, r);
                             }
                         }
                         // Write-allocate misses complete locally via the
@@ -1046,7 +1105,7 @@ impl CxlM2ndpDevice {
                     }
                     CacheResult::Stalled => {
                         // Retry next cycle.
-                        sys.slices[slice_idx].inbox.schedule(now + 1, work);
+                        sys.schedule(slice_idx, now + 1, work);
                     }
                 }
             }
@@ -1061,27 +1120,41 @@ impl CxlM2ndpDevice {
                     token,
                 );
             }
+            if sys.slices[slice_idx].is_idle() {
+                sys.active[slice_idx / 64] &= !(1 << (slice_idx % 64));
+            }
         }
 
-        // 2. DRAM.
+        // 2. DRAM. Completions drain channel-major in one pass; a fill
+        // marks its slice, whose waiters may mature on a later cycle.
         sys.dram.tick(now);
-        while let Some(done) = sys.dram.pop_completed(now) {
+        let MemSystem {
+            xbar_resp,
+            slices,
+            active,
+            dram,
+            dram_origin,
+            ..
+        } = sys;
+        dram.drain_completed(now, |channel, done| {
             self.tracer.emit(|| TraceEvent {
                 ts_ns: self.cfg.engine.freq.ns_from_cycles(now),
                 device: self.trace_dev,
-                lane: Lane::DramChannel(sys.dram.channel_of(done.addr) as u16),
+                lane: Lane::DramChannel(channel as u16),
                 kind: EventKind::DramTxn {
                     bytes: done.bytes,
                     write: done.write,
                 },
             });
-            match sys.dram_origin.remove(&done.id) {
+            match dram_origin.remove(&done.id) {
                 Some(DramOrigin::L2Fill { slice }) => {
-                    let s = &mut sys.slices[slice as usize];
+                    let slice = slice as usize;
+                    let s = &mut slices[slice];
                     s.cache.fill(now, done.addr);
+                    mark(active, slice);
                     while let Some(token) = s.cache.pop_ready(now) {
                         Self::respond(
-                            &mut sys.xbar_resp,
+                            xbar_resp,
                             &mut self.unit_deliveries,
                             &mut self.host_done,
                             host_port,
@@ -1092,7 +1165,7 @@ impl CxlM2ndpDevice {
                 }
                 Some(DramOrigin::Drain) | None => {}
             }
-        }
+        });
     }
 
     /// Routes an L2 response to its destination.
@@ -1456,6 +1529,107 @@ mod tests {
         // BI adds latency; with FGMT the impact is bounded (Fig. 13b shows
         // ≤26.5% at 80% dirty) but must not be negative.
         assert!(t_dirty >= t_clean, "dirty {t_dirty} vs clean {t_clean}");
+    }
+
+    /// One step of `run_until_finished`'s loop — tick, then fast-forward —
+    /// asserting that every L2 slice and engine sub-core with work has its
+    /// active bit set.
+    fn step_checked(dev: &mut CxlM2ndpDevice) {
+        dev.tick();
+        dev.engine.assert_activity_invariant();
+        dev.local.assert_activity_invariant();
+        if let Some(remote) = &dev.remote {
+            remote.assert_activity_invariant();
+        }
+        dev.maybe_fast_forward();
+        assert!(dev.now() < 10_000_000, "device never drained");
+    }
+
+    #[test]
+    fn activity_masks_cover_all_work_under_host_traffic() {
+        // A one-entry DRAM queue makes L2 fetches wait for a slot, so the
+        // retry list runs beside inbox work, fills and parked waiters.
+        let mut cfg = M2ndpConfig::default_device();
+        cfg.engine.units = 4;
+        cfg.dram.queue_depth = 1;
+        let mut dev = CxlM2ndpDevice::new(cfg);
+        let base = 0x40_0000u64;
+        for i in 0..2048u64 {
+            dev.memory_mut().write_u32(base + i * 4, 1);
+        }
+        let kid = dev.register_kernel(vec_double());
+        let inst = dev
+            .launch(LaunchArgs::new(kid, base, base + 2048 * 4))
+            .unwrap();
+        let (mut submitted, mut completed, mut blocked) = (0u64, 0u64, false);
+        while dev.poll(inst) != Some(InstanceStatus::Finished) || completed < submitted {
+            if submitted < 64 {
+                let write = submitted % 4 == 3;
+                dev.host_submit(dev.now(), 0x8_0000 + submitted * 64, 64, write);
+                submitted += 1;
+            }
+            step_checked(&mut dev);
+            blocked |= dev.local.slices.iter().any(|s| !s.to_dram.is_empty());
+            while dev.pop_host_completion(dev.now()).is_some() {
+                completed += 1;
+            }
+        }
+        assert!(blocked, "no L2 fetch ever waited for a DRAM queue slot");
+        assert_eq!(dev.memory().read_u32(base), 2);
+    }
+
+    #[test]
+    fn activity_masks_cover_all_work_in_tb_mode() {
+        let cfg = M2ndpConfig::gpu_ndp_device(2, m2ndp_sim::Frequency::ghz(2.0), 4);
+        let mut dev = CxlM2ndpDevice::new(cfg);
+        let (a, b) = (0x40_0000u64, 0x80_0000u64);
+        for i in 0..4096u64 {
+            dev.memory_mut().write_u32(a + i * 4, 3);
+            dev.memory_mut().write_u32(b + i * 4, 5);
+        }
+        // Body-only threadblocks start their spans at spawn; staged ones
+        // when the initializer retires, then run a finalizer.
+        let plain = dev.register_kernel(vec_double());
+        let halt = || assemble("halt").unwrap();
+        let staged = dev.register_kernel(KernelSpec::from_programs(
+            "staged",
+            Some(halt()),
+            vec_double().body,
+            Some(halt()),
+            0,
+        ));
+        let i1 = dev.launch(LaunchArgs::new(plain, a, a + 4096 * 4)).unwrap();
+        let i2 = dev
+            .launch(LaunchArgs::new(staged, b, b + 4096 * 4))
+            .unwrap();
+        while [i1, i2]
+            .iter()
+            .any(|&i| dev.poll(i) != Some(InstanceStatus::Finished))
+        {
+            step_checked(&mut dev);
+        }
+        assert_eq!(dev.memory().read_u32(a), 6);
+        assert_eq!(dev.memory().read_u32(b), 10);
+    }
+
+    #[test]
+    fn activity_masks_cover_all_work_across_the_remote_window() {
+        let mut cfg = M2ndpConfig::default_device();
+        cfg.engine.units = 2;
+        let mut dev = CxlM2ndpDevice::new(cfg.clone()).with_remote_cxl(cfg);
+        let base = REMOTE_WINDOW_BASE + 0x10_0000;
+        for i in 0..512u64 {
+            dev.memory_mut().write_u32(base + i * 4, 5);
+        }
+        let kid = dev.register_kernel(vec_double());
+        let inst = dev
+            .launch(LaunchArgs::new(kid, base, base + 512 * 4))
+            .unwrap();
+        while dev.poll(inst) != Some(InstanceStatus::Finished) {
+            step_checked(&mut dev);
+        }
+        assert_eq!(dev.memory().read_u32(base), 10);
+        assert!(dev.remote.as_ref().unwrap().dram.total_bytes() > 0);
     }
 
     #[test]

@@ -42,6 +42,23 @@ use crate::tlb::{dram_tlb_entry_addr, Tlb, DRAM_TLB_ENTRY_BYTES};
 /// Sector size for memory coalescing (matches LPDDR5 access granularity).
 pub const SECTOR_BYTES: u64 = 32;
 
+/// The lowest set bit of the activity mask `mask` (64 bits per word) at
+/// or above index `from`.
+pub(crate) fn next_set_bit(mask: &[u64], from: usize) -> Option<usize> {
+    let mut w = from / 64;
+    let mut word = *mask.get(w)? & (u64::MAX << (from % 64));
+    while word == 0 {
+        w += 1;
+        word = *mask.get(w)?;
+    }
+    Some(w * 64 + word.trailing_zeros() as usize)
+}
+
+/// The set bits of the activity mask `mask`, ascending.
+pub(crate) fn set_bits(mask: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    std::iter::successors(next_set_bit(mask, 0), |&i| next_set_bit(mask, i + 1))
+}
+
 /// Offset (within a unit's scratchpad) where per-instance argument blocks
 /// are placed, growing downward from the top of the 128 KB array.
 const ARG_BLOCK_BYTES: u64 = 256;
@@ -246,6 +263,15 @@ struct TbGroup {
 #[derive(Debug)]
 struct Unit {
     subcores: Vec<SubCore>,
+    /// Bit `s` set while sub-core `s` may have work. Set at every push
+    /// onto a sub-core's ready or wake queue; cleared only at the end of
+    /// that sub-core's own pass in `issue_all`, once both queues are
+    /// empty. So every sub-core with a ready or wake entry has its bit
+    /// set, and the per-cycle walks (`issue_all`, `tick_is_trivial`,
+    /// `next_wake`, `has_ready`) visit set bits only, in sub-core order —
+    /// the sub-cores they skip are those the old full walks did nothing
+    /// with. Derived bookkeeping: never fingerprinted.
+    active: u64,
     regfile_free: u32,
     spad: Scratchpad,
     l1d: Option<SectoredCache<SubSlot>>,
@@ -258,6 +284,13 @@ struct Unit {
     free_tbs: Vec<usize>,
     active_contexts: u32,
     free_slots: Vec<SubSlot>,
+}
+
+impl Unit {
+    /// The sub-cores whose active bit is set, in sub-core order.
+    fn active_subcores(&self) -> impl Iterator<Item = &SubCore> {
+        set_bits(std::slice::from_ref(&self.active)).map(|i| &self.subcores[i])
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -471,7 +504,15 @@ impl MemIface for EngineMemIface<'_> {
 
 impl Engine {
     /// Builds an engine from its configuration.
+    ///
+    /// # Panics
+    /// If a unit has more than 64 sub-cores (one activity-mask word).
     pub fn new(cfg: EngineConfig) -> Self {
+        assert!(
+            cfg.subcores_per_unit <= 64,
+            "at most 64 sub-cores per unit, got {}",
+            cfg.subcores_per_unit
+        );
         let free_arg_slots: Vec<u32> = (0..cfg.max_concurrent_kernels).rev().collect();
         let units = (0..cfg.units)
             .map(|_| {
@@ -488,6 +529,7 @@ impl Engine {
                     subcores: (0..cfg.subcores_per_unit)
                         .map(|_| SubCore::new(cfg.slots_per_subcore))
                         .collect(),
+                    active: 0,
                     regfile_free: cfg.regfile_bytes_per_unit,
                     spad: Scratchpad::new(cfg.spad_bytes_per_unit as u64, cfg.lat.spad),
                     l1d: cfg.l1d.clone().map(SectoredCache::new),
@@ -700,6 +742,13 @@ impl Engine {
         self.finished.get(&id).copied()
     }
 
+    /// How many instances have finished over the engine's lifetime. It
+    /// moves exactly when some instance finishes, so a caller waiting on
+    /// one can skip [`Engine::finished_at`] while it stands still.
+    pub(crate) fn finished_count(&self) -> usize {
+        self.finished.len()
+    }
+
     /// Whether all submitted work has completed.
     pub fn is_idle(&self) -> bool {
         self.queued.is_empty() && self.instances.iter().all(|i| i.phase == InstPhase::Done)
@@ -749,6 +798,7 @@ impl Engine {
         if slot.pending == 0 {
             slot.state = SlotState::Ready;
             sc.ready.push_back(ss.slot);
+            unit.active |= 1 << ss.subcore;
         }
     }
 
@@ -822,8 +872,7 @@ impl Engine {
                 .as_ref()
                 .and_then(SectoredCache::next_ready_cycle)
                 .is_none_or(|c| c > now)
-                && u.subcores
-                    .iter()
+                && u.active_subcores()
                     .all(|sc| sc.ready.is_empty() && sc.wake.next_cycle().is_none_or(|c| c > now))
         })
     }
@@ -833,7 +882,7 @@ impl Engine {
     pub fn next_wake(&self) -> Option<Cycle> {
         self.units
             .iter()
-            .flat_map(|u| u.subcores.iter())
+            .flat_map(Unit::active_subcores)
             .filter_map(|sc| sc.wake.next_cycle())
             .min()
     }
@@ -842,7 +891,21 @@ impl Engine {
     pub fn has_ready(&self) -> bool {
         self.units
             .iter()
-            .any(|u| u.subcores.iter().any(|sc| !sc.ready.is_empty()))
+            .any(|u| u.active_subcores().any(|sc| !sc.ready.is_empty()))
+    }
+
+    /// Panics unless every sub-core with a ready or wake entry has its
+    /// active bit set.
+    #[cfg(test)]
+    pub(crate) fn assert_activity_invariant(&self) {
+        for (u, unit) in self.units.iter().enumerate() {
+            for (i, sc) in unit.subcores.iter().enumerate() {
+                assert!(
+                    (sc.ready.is_empty() && sc.wake.is_empty()) || unit.active & (1 << i) != 0,
+                    "unit {u} sub-core {i} has work but its active bit is clear"
+                );
+            }
+        }
     }
 
     // ----- instance admission and spawning -----
@@ -1215,7 +1278,8 @@ impl Engine {
             (inst.launch.pool_base, inst.granules, inst.arg_slot)
         };
         let arg_va = self.arg_block_va(id);
-        let sc = &mut self.units[unit_idx].subcores[ss.subcore as usize];
+        let unit = &mut self.units[unit_idx];
+        let sc = &mut unit.subcores[ss.subcore as usize];
         let slot = &mut sc.slots[ss.slot as usize];
         let Some(span_start) = slot.spans.pop_front() else {
             return false;
@@ -1240,6 +1304,7 @@ impl Engine {
         slot.pending = 0;
         slot.state = SlotState::Ready;
         sc.ready.push_back(ss.slot);
+        unit.active |= 1 << ss.subcore;
         true
     }
 
@@ -1286,6 +1351,7 @@ impl Engine {
         slot.reg_bytes = reg_bytes;
         slot.live_ctxs = 1;
         sc.ready.push_back(ss.slot);
+        unit.active |= 1 << ss.subcore;
         unit.active_contexts += 1;
         if self.cfg.addr_calc_overhead > 0 {
             self.stats
@@ -1298,7 +1364,14 @@ impl Engine {
 
     fn issue_all(&mut self, now: Cycle, mem: &mut MainMemory) {
         for unit_idx in 0..self.units.len() {
-            for sc_idx in 0..self.cfg.subcores_per_unit as usize {
+            // The live mask is re-read at every step: a TB-mode
+            // `advance_tb` can mark a later sub-core during this pass, and
+            // that sub-core still issues in this pass.
+            let mut next = 0;
+            while let Some(sc_idx) =
+                next_set_bit(std::slice::from_ref(&self.units[unit_idx].active), next)
+            {
+                next = sc_idx + 1;
                 // Wake blocked slots first.
                 loop {
                     let sc = &mut self.units[unit_idx].subcores[sc_idx];
@@ -1312,6 +1385,11 @@ impl Engine {
                     }
                 }
                 self.issue_subcore(now, mem, unit_idx, sc_idx);
+                let unit = &mut self.units[unit_idx];
+                let sc = &unit.subcores[sc_idx];
+                if sc.ready.is_empty() && sc.wake.is_empty() {
+                    unit.active &= !(1 << sc_idx);
+                }
             }
         }
     }
@@ -1509,7 +1587,8 @@ impl Engine {
     }
 
     fn block_slot(&mut self, now: Cycle, unit_idx: usize, sc_idx: usize, slot_idx: u8, dur: Cycle) {
-        let sc = &mut self.units[unit_idx].subcores[sc_idx];
+        let unit = &mut self.units[unit_idx];
+        let sc = &mut unit.subcores[sc_idx];
         let slot = &mut sc.slots[slot_idx as usize];
         if dur <= 1 {
             // Ready again next cycle: keep it in the ready queue.
@@ -1519,6 +1598,7 @@ impl Engine {
             slot.state = SlotState::Blocked;
             sc.wake.schedule(now + dur, slot_idx);
         }
+        unit.active |= 1 << sc_idx;
     }
 
     /// Routes the memory operations of one group issue: scratchpad accesses
@@ -1715,7 +1795,8 @@ impl Engine {
             self.stats.mem_reqs.inc();
         }
 
-        let sc = &mut self.units[unit_idx].subcores[sc_idx];
+        let unit = &mut self.units[unit_idx];
+        let sc = &mut unit.subcores[sc_idx];
         let slot = &mut sc.slots[slot_idx as usize];
         if pending > 0 {
             slot.pending = pending;
@@ -1723,9 +1804,11 @@ impl Engine {
         } else if max_local_ready > now + 1 {
             slot.state = SlotState::Blocked;
             sc.wake.schedule(max_local_ready, slot_idx);
+            unit.active |= 1 << sc_idx;
         } else {
             slot.state = SlotState::Ready;
             sc.ready.push_back(slot_idx);
+            unit.active |= 1 << sc_idx;
         }
     }
 
@@ -1803,6 +1886,7 @@ impl Engine {
                     slot.state = SlotState::Ready;
                     slot.live_ctxs = 1;
                     sc.ready.push_back(ss.slot);
+                    unit.active |= 1 << ss.subcore;
                 } else {
                     self.release_tb(now, unit_idx, tb_idx);
                 }

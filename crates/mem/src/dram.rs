@@ -16,7 +16,7 @@ pub struct DramDevice {
     /// Bit `c` set while channel `c` may have queued or in-flight work
     /// (64 channels per word). A channel only leaves idle through
     /// [`DramDevice::enqueue`], so the per-cycle walks (`tick`,
-    /// `pop_completed`, `next_event_cycle`) visit just the set bits — in
+    /// `drain_completed`, `next_event_cycle`) visit just the set bits — in
     /// channel-index order, same as the old full scans — instead of all
     /// channels.
     active: Vec<u64>,
@@ -77,26 +77,28 @@ impl DramDevice {
         }
     }
 
-    /// Pops one completed request from any busy channel (by channel index
-    /// each call), retiring channels from the active mask as they drain.
-    pub fn pop_completed(&mut self, now: Cycle) -> Option<MemReq> {
-        for w in 0..self.active.len() {
-            let mut mask = self.active[w];
+    /// Hands every request completed by `now` to `done` as
+    /// `(channel, request)`, channel-major in channel-index order, and
+    /// retires channels from the active mask as they drain. One pass over
+    /// the busy channels: `done` must not enqueue DRAM work (it cannot —
+    /// the device is mutably borrowed), so no channel gains a completion
+    /// behind the pass.
+    pub fn drain_completed(&mut self, now: Cycle, mut done: impl FnMut(usize, MemReq)) {
+        for (w, word) in self.active.iter_mut().enumerate() {
+            let mut mask = *word;
             while mask != 0 {
                 let bit = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
                 let c = w * 64 + bit;
                 let ch = &mut self.channels[c];
-                let popped = ch.pop_completed(now);
-                if ch.is_idle() {
-                    self.active[w] &= !(1 << bit);
+                while let Some(req) = ch.pop_completed(now) {
+                    done(c, req);
                 }
-                if popped.is_some() {
-                    return popped;
+                if ch.is_idle() {
+                    *word &= !(1 << bit);
                 }
             }
         }
-        None
     }
 
     /// Whether every channel is idle.
@@ -197,10 +199,10 @@ mod tests {
                 issued += 1;
             }
             dev.tick(now);
-            while dev.pop_completed(now).is_some() {
+            dev.drain_completed(now, |_, _| {
                 completed += 1;
                 last_done = now;
-            }
+            });
             now += 1;
             assert!(now < 1_000_000, "deadlock at {completed}/{total_reqs}");
         }
@@ -235,9 +237,7 @@ mod tests {
                     issued += 1;
                 }
                 dev.tick(now);
-                while dev.pop_completed(now).is_some() {
-                    completed += 1;
-                }
+                dev.drain_completed(now, |_, _| completed += 1);
                 now += 1;
                 assert!(now < 10_000_000, "deadlock");
             }

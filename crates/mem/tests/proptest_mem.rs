@@ -30,10 +30,14 @@ proptest! {
                 }
             }
             dev.tick(now);
-            while let Some(c) = dev.pop_completed(now) {
-                prop_assert!(seen.insert(c.id), "duplicate completion {:?}", c.id);
+            let mut duplicate = None;
+            dev.drain_completed(now, |_, c| {
+                if !seen.insert(c.id) {
+                    duplicate = Some(c.id);
+                }
                 done += 1;
-            }
+            });
+            prop_assert!(duplicate.is_none(), "duplicate completion {:?}", duplicate);
             now += 1;
             prop_assert!(now < 2_000_000, "deadlock with {done}/{total}");
         }
