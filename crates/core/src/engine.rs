@@ -2434,6 +2434,17 @@ mod tests {
     }
 
     #[test]
+    fn set_bit_walk_crosses_mask_words_in_order() {
+        let mask = [1 | 1 << 63, 0, 1 << 5];
+        assert_eq!(set_bits(&mask).collect::<Vec<_>>(), [0, 63, 133]);
+        assert_eq!(next_set_bit(&mask, 1), Some(63));
+        assert_eq!(next_set_bit(&mask, 64), Some(133));
+        assert_eq!(next_set_bit(&mask, 134), None);
+        assert_eq!(next_set_bit(&mask, 1000), None);
+        assert_eq!(set_bits(&[]).count(), 0);
+    }
+
+    #[test]
     fn occupancy_metric_reports_active_contexts() {
         let mut engine = Engine::new(small_cfg());
         let mut mem = MainMemory::new();
