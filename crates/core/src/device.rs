@@ -109,8 +109,8 @@ struct MemSystem {
     /// slice's own pass once [`L2Slice::is_idle`]. So every slice with
     /// work has its bit set, and the per-cycle walks (`run_mem_system`,
     /// `maybe_fast_forward`, `run_until_idle`) visit set bits only, in
-    /// slice order — the slices they skip are those the old full walks did
-    /// nothing with. Derived bookkeeping: never fingerprinted.
+    /// slice order: a slice they skip has nothing for them to do. Derived
+    /// bookkeeping: never fingerprinted.
     active: Vec<u64>,
     dram: DramDevice,
     dram_origin: HashMap<ReqId, DramOrigin>,

@@ -268,9 +268,9 @@ struct Unit {
     /// that sub-core's own pass in `issue_all`, once both queues are
     /// empty. So every sub-core with a ready or wake entry has its bit
     /// set, and the per-cycle walks (`issue_all`, `tick_is_trivial`,
-    /// `next_wake`, `has_ready`) visit set bits only, in sub-core order —
-    /// the sub-cores they skip are those the old full walks did nothing
-    /// with. Derived bookkeeping: never fingerprinted.
+    /// `next_wake`, `has_ready`) visit set bits only, in sub-core order: a
+    /// sub-core they skip has nothing for them to do. Derived bookkeeping:
+    /// never fingerprinted.
     active: u64,
     regfile_free: u32,
     spad: Scratchpad,
