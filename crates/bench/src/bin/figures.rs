@@ -18,26 +18,11 @@
 //!   --check                gate the emitted ratios on the paper-anchored
 //!                          tolerance bands; nonzero exit on drift
 //!   --out DIR              output directory (default: target/figures)
-//!   --timing FILE          also write a wall-clock timing JSON (per-cell
-//!                          and per-figure wall seconds, the effective
-//!                          cell/fleet worker counts, and each cell's worker
-//!                          id — the perf-trajectory artifact; wall times
-//!                          never enter the result JSON)
-//!   --timing-append FILE   append this run to a committed perf-trajectory
-//!                          history (BENCH_TIMING.json): one entry per git
-//!                          revision (rev from $M2NDP_GIT_REV, else
-//!                          `git rev-parse --short HEAD`, else "unknown")
-//!                          with per-cell wall seconds and steps/sec;
-//!                          re-running on the same revision replaces its
-//!                          entry in place
-//!   --timing-gate FILE     perf-trajectory gate: compare this run's
-//!                          per-cell speed (simulated cycles per wall
-//!                          second; cells/sec for analytic cells) against
-//!                          the latest entry in FILE and exit nonzero when
-//!                          a cell drops below the file's committed
-//!                          `tolerance.min_speed_frac` — the wall-clock
-//!                          analogue of `--snapshot`. The tolerance is
-//!                          wide by design (catches blowups, not jitter)
+//!   --timing FILE          also write a wall-clock timing JSON (whole-sweep
+//!                          wall seconds, per-cell wall seconds and
+//!                          worker ids, per-figure sums of cell wall
+//!                          seconds, and the effective cell/fleet worker
+//!                          counts; wall times never enter the result JSON)
 //!   --trace DIR            also re-run every selected serving cell with
 //!                          the observability layer on and write one Chrome
 //!                          trace-event JSON per cell to DIR (load in
@@ -73,7 +58,6 @@ use m2ndp::sim::par;
 use m2ndp_bench::golden::{self, Verdict};
 use m2ndp_bench::json::Json;
 use m2ndp_bench::sweep::{self, CellOut, CellRun, FigId, JobBudget, Metric};
-use m2ndp_bench::timing;
 
 struct Options {
     only: Vec<FigId>,
@@ -83,8 +67,6 @@ struct Options {
     check: bool,
     out: String,
     timing: Option<String>,
-    timing_append: Option<String>,
-    timing_gate: Option<String>,
     trace: Option<String>,
     snapshot: Option<String>,
     scheduler: Option<SchedulerKind>,
@@ -95,8 +77,7 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: figures [--only fig10a,fig10c,...] [--fast] [--jobs N] [--fleet-jobs N] \
-         [--check] [--out DIR] [--timing FILE] [--timing-append FILE] [--timing-gate FILE] \
-         [--trace DIR] [--snapshot FILE] \
+         [--check] [--out DIR] [--timing FILE] [--trace DIR] [--snapshot FILE] \
          [--scheduler NAME] [--list] [--quiet]\nfigures: {}\nschedulers: {}",
         FigId::all().map(FigId::id).join(", "),
         SchedulerKind::all().map(SchedulerKind::name).join(", ")
@@ -115,8 +96,6 @@ fn parse_args() -> Options {
         check: false,
         out: "target/figures".to_string(),
         timing: None,
-        timing_append: None,
-        timing_gate: None,
         trace: None,
         snapshot: None,
         scheduler: None,
@@ -167,12 +146,6 @@ fn parse_args() -> Options {
             "--check" => opts.check = true,
             "--out" => opts.out = args.next().unwrap_or_else(|| usage()),
             "--timing" => opts.timing = Some(args.next().unwrap_or_else(|| usage())),
-            "--timing-append" => {
-                opts.timing_append = Some(args.next().unwrap_or_else(|| usage()));
-            }
-            "--timing-gate" => {
-                opts.timing_gate = Some(args.next().unwrap_or_else(|| usage()));
-            }
             "--trace" => opts.trace = Some(args.next().unwrap_or_else(|| usage())),
             "--snapshot" => opts.snapshot = Some(args.next().unwrap_or_else(|| usage())),
             "--scheduler" => {
@@ -216,16 +189,15 @@ fn list_figures(opts: &Options) {
     let _ = opts;
 }
 
-/// The `--timing` perf-trajectory artifact (schema v3): per-cell and
-/// per-figure wall seconds, the nested-parallelism budget actually in
-/// effect (requested `--jobs`, effective cell-level and fleet-level worker
-/// counts), the pool worker that ran each cell, and — new in v3 —
-/// per-cell simulated instructions per wall second
-/// (`sim_instrs_per_sec`, from the device's retired-instruction counter)
-/// so interpreter throughput wins are distinguishable from event-loop
-/// wins. Wall clock and worker assignment are inherently
-/// non-deterministic and therefore live in their own file, never in
-/// `BENCH_RESULTS.json`.
+/// The `--timing` artifact (schema v4): the sweep's wall seconds, each
+/// cell's wall seconds, pool worker and simulated instructions per wall
+/// second (`sim_instrs_per_sec`, from the device's retired-instruction
+/// counter), the nested-parallelism budget actually in effect (requested
+/// `--jobs`, effective cell-level and fleet-level worker counts), and per
+/// figure the sum of its cells' wall seconds (`cell_wall_seconds_sum`; with
+/// several cell workers it can exceed the sweep's wall time). Wall clock and
+/// worker assignment are inherently non-deterministic and therefore live in
+/// their own file, never in `BENCH_RESULTS.json`.
 fn timing_json(
     opts: &Options,
     budget: JobBudget,
@@ -244,7 +216,7 @@ fn timing_json(
         }
     }
     Json::Obj(vec![
-        ("schema_version".to_string(), Json::U64(3)),
+        ("schema_version".to_string(), Json::U64(4)),
         (
             "generator".to_string(),
             Json::Str("m2ndp_bench figures --timing".to_string()),
@@ -267,12 +239,12 @@ fn timing_json(
             Json::Obj(
                 per_fig
                     .into_iter()
-                    .map(|(fig, wall, n)| {
+                    .map(|(fig, sum, n)| {
                         (
                             fig.id().to_string(),
                             Json::Obj(vec![
                                 ("cells".to_string(), Json::U64(n)),
-                                ("wall_seconds".to_string(), Json::F64(wall)),
+                                ("cell_wall_seconds_sum".to_string(), Json::F64(sum)),
                             ]),
                         )
                     })
@@ -351,26 +323,6 @@ fn snapshot_mismatches(
     mismatches
 }
 
-/// The revision recorded in `BENCH_TIMING.json` entries: `$M2NDP_GIT_REV`
-/// when set (CI passes the exact commit under test), else the working
-/// tree's `git rev-parse --short HEAD`, else `"unknown"`.
-fn git_rev() -> String {
-    if let Ok(rev) = std::env::var("M2NDP_GIT_REV") {
-        if !rev.is_empty() {
-            return rev;
-        }
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 fn main() -> ExitCode {
     let opts = parse_args();
     if opts.list {
@@ -419,41 +371,6 @@ fn main() -> ExitCode {
         if let Err(e) = std::fs::write(path, json.pretty() + "\n") {
             eprintln!("cannot write {path}: {e}");
             return ExitCode::from(2);
-        }
-    }
-
-    let cell_timings = timing::cell_timings(&all_cells, &runs);
-    if let Some(path) = &opts.timing_append {
-        let entry = timing::entry_json(
-            &git_rev(),
-            opts.fast,
-            opts.jobs,
-            opts.fleet_jobs,
-            wall_total,
-            &cell_timings,
-        );
-        let history = match std::fs::read_to_string(path) {
-            Ok(text) => match Json::parse(&text) {
-                Ok(h) => match timing::append_entry(h, entry) {
-                    Ok(h) => h,
-                    Err(e) => {
-                        eprintln!("{path}: {e}");
-                        return ExitCode::from(2);
-                    }
-                },
-                Err(e) => {
-                    eprintln!("{path} is not valid JSON: {e}");
-                    return ExitCode::from(2);
-                }
-            },
-            Err(_) => timing::fresh_history(entry),
-        };
-        if let Err(e) = std::fs::write(path, history.pretty() + "\n") {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-        if !opts.quiet {
-            eprintln!("timing history updated: {path}");
         }
     }
 
@@ -563,50 +480,6 @@ fn main() -> ExitCode {
                  BENCH_RESULTS.json"
             );
             gate_failed = true;
-        }
-    }
-
-    if let Some(path) = &opts.timing_gate {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read timing history {path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let history = match Json::parse(&text) {
-            Ok(h) => h,
-            Err(e) => {
-                eprintln!("timing history {path} is not valid JSON: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        match timing::gate(&history, &cell_timings) {
-            Ok(report) => {
-                println!(
-                    "\ntiming gate against {path}: {} cell(s) compared, {} skipped, \
-                     {} regression(s) (tolerance: >= {:.0}% of baseline speed)",
-                    report.compared,
-                    report.skipped,
-                    report.regressions.len(),
-                    timing::min_speed_frac(&history) * 100.0
-                );
-                if !report.regressions.is_empty() {
-                    for r in &report.regressions {
-                        println!("  SLOW {r}");
-                    }
-                    eprintln!(
-                        "wall-clock trajectory regressed; if the slowdown is intended, \
-                         record a new baseline with `figures --timing-append {path}` \
-                         and commit it"
-                    );
-                    gate_failed = true;
-                }
-            }
-            Err(e) => {
-                eprintln!("timing gate: {e}");
-                return ExitCode::from(2);
-            }
         }
     }
 

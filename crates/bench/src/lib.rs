@@ -19,10 +19,7 @@
 //!   deterministic JSON value used for the emitted results (shared with the
 //!   `m2ndp-asm` and `m2ndp-trace` CLIs);
 //! * [`golden`] — paper-anchored tolerance bands and the regression gate
-//!   behind `figures --check`;
-//! * [`timing`] — the committed `BENCH_TIMING.json` perf-trajectory
-//!   history and the `figures --timing-gate` / `--timing-append`
-//!   regression check (the wall-clock analogue of `--snapshot`).
+//!   behind `figures --check`.
 
 #![warn(missing_docs)]
 
@@ -32,7 +29,6 @@ pub mod platforms;
 pub mod runner;
 pub mod sweep;
 pub mod table;
-pub mod timing;
 
 /// Geometric mean of a slice (0.0 for empty input).
 pub fn geomean(xs: &[f64]) -> f64 {

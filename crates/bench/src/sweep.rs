@@ -1303,8 +1303,8 @@ pub fn run_cells(cells: &[CellSpec], jobs: usize, verbose: bool) -> Vec<CellOut>
 
 /// [`run_cells`], additionally returning each cell's wall-clock time in
 /// seconds (same order as the outputs). The wall times feed the `--timing`
-/// perf-trajectory artifact and are inherently non-deterministic — they
-/// never enter the byte-stable result JSON.
+/// artifact and are inherently non-deterministic — they never enter the
+/// byte-stable result JSON.
 pub fn run_cells_timed(cells: &[CellSpec], jobs: usize, verbose: bool) -> (Vec<CellOut>, Vec<f64>) {
     let fleet_jobs = par::env_jobs("M2NDP_FLEET_JOBS").unwrap_or(1);
     run_cells_budget(cells, JobBudget::split(jobs.max(1), fleet_jobs), verbose)
