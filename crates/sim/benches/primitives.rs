@@ -1,12 +1,13 @@
 //! Micro-benchmarks of the hot simulator primitives, each paired with a
 //! naive reference implementing the representation the optimized structure
 //! replaced. The vendored criterion stub has no baseline comparison, so
-//! the speedup is read directly off adjacent lines. The event-queue churn
-//! and deep-queue DRAM pairs show the large (>1.5x) structural wins; the
-//! cache and `FEventQueue` pairs sit closer to parity in isolation — those
-//! refactors are motivated by allocation-free steady state and determinism,
-//! and their end-to-end effect is pinned by the perf-trajectory gate (see
-//! BENCH_TIMING.json and `figures --timing-gate`) rather than this file.
+//! the speedup is read directly off adjacent lines (median ns/iter with
+//! its quartiles). The event-queue churn and deep-queue DRAM pairs show
+//! the large (>1.5x) structural wins; the cache and `FEventQueue` pairs sit
+//! closer to parity in isolation — those refactors are motivated by
+//! allocation-free steady state and determinism, and their end-to-end
+//! effect is measured by the `simbench/` host-speed benchmark rather than
+//! this file.
 //!
 //! Covered, per the hot-path inventory in ARCHITECTURE.md:
 //!
