@@ -6,8 +6,8 @@
 //! link (64 GB/s), the device-internal DRAM (409.6 GB/s) and the
 //! architectural mechanisms, none of which scale with unit count as long as
 //! compute is not the bottleneck (these are memory-bound workloads by
-//! construction — Fig. 1a). EXPERIMENTS.md records the scaled and paper
-//! parameters side by side.
+//! construction — Fig. 1a). PAPER.md's "Model substitutions" section
+//! records the ÷4 scale.
 
 use m2ndp::core::CxlM2ndpDevice;
 use m2ndp::sim::Frequency;

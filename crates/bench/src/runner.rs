@@ -6,8 +6,7 @@ use m2ndp::workloads::{dlrm, graph, histo, opt, spmv};
 
 use crate::platforms::Platform;
 
-/// The GPU-baseline workload set of Fig. 10c (bench-scale parameters;
-/// EXPERIMENTS.md maps them to the paper's).
+/// The GPU-baseline workload set of Fig. 10c (bench-scale parameters).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GpuWorkload {
     /// HISTO with 256 bins.

@@ -4,8 +4,7 @@
 //! Every module follows the same shape:
 //!
 //! * a `*Config` with a `default_scaled()` (seconds-scale simulation) and,
-//!   where meaningful, the paper's full parameters (EXPERIMENTS.md records
-//!   both);
+//!   where meaningful, the paper's full parameters;
 //! * `generate(&cfg, &mut MainMemory) -> *Data` placing the inputs into the
 //!   functional memory at documented bases;
 //! * kernel builders returning [`m2ndp_core::KernelSpec`]s plus
