@@ -1,21 +1,38 @@
-//! A small discrete-event queue.
+//! The simulator's discrete-event queue: one `(time, seq)`-keyed binary heap
+//! over a payload slab, generic over the time key.
 //!
-//! Used by the open-loop request simulations (KVStore arrivals in Figs. 1b,
-//! 10b and 11a; DLRM request streams) where work arrives at irregular times
-//! rather than being generated by the cycle-stepped device loop.
+//! [`EventQueue`] (integer [`Cycle`] keys) holds the device's in-flight
+//! events: L2-slice inboxes, DRAM-channel completions, engine sub-core
+//! wakes, unit and host deliveries. [`FEventQueue`] (`f64` ns keys) is the
+//! serving runtime's arrival and completion clock. Both are [`KeyedQueue`],
+//! so they share one implementation and one order: time first, insertion
+//! order for ties.
+//!
+//! # Traffic
+//!
+//! The device loop polls its queues every simulated cycle: 36–50 polls per
+//! cycle on the simbench kernel workloads (histo, spmv, olap-q6; seed 1),
+//! and 80–92% of those polls find nothing due. So the common operation is
+//! an empty [`KeyedQueue::pop_due`], which here is one heap peek.
+//!
+//! An earlier design put a calendar of 64 one-cycle buckets in front of the
+//! heap. Its empty polls walked the buckets up to the next event, which
+//! made `pop_due` the largest self-time function on spmv, and its premise
+//! that events land near `now` did not hold: 36% of spmv's events (11–12%
+//! of histo's and olap-q6's) fell beyond its 64-cycle window, up to 2,685
+//! cycles past its start. `benches/primitives.rs` keeps a copy of that
+//! calendar and times both against each other (`event_queue_churn`,
+//! `event_queue_sparse_poll`).
 //!
 //! # Layout
 //!
-//! Both queues store payloads out-of-line in a slot arena so the ordering
-//! structures only ever move small `Copy` keys. [`EventQueue`] additionally
-//! keeps a calendar of `NEAR_WINDOW` one-cycle buckets in front of the
-//! `BinaryHeap`: events landing within the window are appended to a bucket
-//! (O(1)) and only far-future or past-window events pay the heap's
-//! `O(log n)`. Pops merge the two lanes on the full `(cycle, seq)` key, so
-//! the observable order is identical to a single heap keyed the same way.
+//! Payloads live out of line in a slot arena recycled through a freelist,
+//! so heap sifts move only `(key, seq, slot)` words and steady-state
+//! scheduling never allocates.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
+use std::marker::PhantomData;
 
 use crate::fingerprint::Fingerprint;
 use crate::time::Cycle;
@@ -28,11 +45,63 @@ fn key_word(at: u64, seq: u64) -> u64 {
     at.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(seq)
 }
 
-/// Number of one-cycle calendar buckets kept in front of the heap.
-const NEAR_WINDOW: usize = 64;
+/// A time type a [`KeyedQueue`] can be keyed by.
+///
+/// The heap orders plain `u64` keys; each time type maps onto them
+/// order-preservingly: [`Cycle`] as it is, `f64` in [`f64::total_cmp`]
+/// order.
+pub trait EventTime: Copy {
+    /// Order-preserving map onto the heap key.
+    ///
+    /// # Panics
+    /// Panics on a time the queue cannot order (a non-finite `f64`).
+    fn to_key(self) -> u64;
+    /// Inverse of [`EventTime::to_key`].
+    fn from_key(key: u64) -> Self;
+    /// The time's bit pattern, as [`KeyedQueue::fingerprint`] mixes it.
+    fn bits(self) -> u64;
+}
 
-/// Payload arena shared by both queue flavours: slots are recycled through a
-/// freelist so steady-state scheduling never allocates.
+impl EventTime for Cycle {
+    fn to_key(self) -> u64 {
+        self
+    }
+
+    fn from_key(key: u64) -> Self {
+        key
+    }
+
+    fn bits(self) -> u64 {
+        self
+    }
+}
+
+const SIGN: u64 = 1 << 63;
+
+impl EventTime for f64 {
+    /// Flips the sign bit of non-negative times and every bit of negative
+    /// ones, so unsigned key order is [`f64::total_cmp`] order.
+    fn to_key(self) -> u64 {
+        assert!(self.is_finite(), "event time must be finite: {self}");
+        let bits = self.to_bits();
+        if bits & SIGN == 0 {
+            bits | SIGN
+        } else {
+            !bits
+        }
+    }
+
+    fn from_key(key: u64) -> Self {
+        f64::from_bits(if key & SIGN != 0 { key ^ SIGN } else { !key })
+    }
+
+    fn bits(self) -> u64 {
+        self.to_bits()
+    }
+}
+
+/// Payload arena: slots are recycled through a freelist so steady-state
+/// scheduling never allocates.
 #[derive(Debug, Clone)]
 struct Slab<T> {
     slots: Vec<Option<T>>,
@@ -69,8 +138,20 @@ impl<T> Slab<T> {
     }
 }
 
-/// A min-queue of `(cycle, sequence, event)` delivering events in time order;
+/// A min-queue of `(time, sequence, event)` delivering events in time order;
 /// ties are broken by insertion order so the simulation stays deterministic.
+/// Use it through [`EventQueue`] or [`FEventQueue`].
+#[derive(Debug, Clone)]
+pub struct KeyedQueue<K, T> {
+    /// Min-heap on `(key, seq)`; the slot id rides along, but `(key, seq)`
+    /// is unique so it never decides a comparison.
+    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    slab: Slab<T>,
+    seq: u64,
+    time: PhantomData<K>,
+}
+
+/// The device's event queue, keyed by integer [`Cycle`]s.
 ///
 /// # Example
 ///
@@ -82,209 +163,16 @@ impl<T> Slab<T> {
 /// assert_eq!(q.pop(), Some((10, "a")));
 /// assert_eq!(q.pop(), Some((20, "b")));
 /// ```
-#[derive(Debug, Clone)]
-pub struct EventQueue<T> {
-    /// Far lane: keyed min-heap; the slot id rides along but `(cycle, seq)`
-    /// is unique so it never participates in comparisons that matter.
-    heap: BinaryHeap<Reverse<(Cycle, u64, u32)>>,
-    /// Near lane: `buckets[(c - base) % NEAR_WINDOW]` holds events due at
-    /// cycle `c` for `base <= c < base + NEAR_WINDOW`, in insertion order
-    /// (which is `seq` order, because `seq` is monotonic).
-    buckets: Vec<VecDeque<(u64, u32)>>,
-    /// Cycle owning `buckets[head]`.
-    base: Cycle,
-    /// Ring index of the `base` bucket.
-    head: usize,
-    /// Total events in the near lane.
-    near_len: usize,
-    slab: Slab<T>,
-    seq: u64,
-}
+pub type EventQueue<T> = KeyedQueue<Cycle, T>;
 
-impl<T> EventQueue<T> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-            buckets: (0..NEAR_WINDOW).map(|_| VecDeque::new()).collect(),
-            base: 0,
-            head: 0,
-            near_len: 0,
-            slab: Slab::new(),
-            seq: 0,
-        }
-    }
-
-    /// Schedules `event` at cycle `at`.
-    pub fn schedule(&mut self, at: Cycle, event: T) {
-        let slot = self.slab.insert(event);
-        let seq = self.seq;
-        self.seq += 1;
-        if self.near_len == 0 && (at < self.base || at >= self.base + NEAR_WINDOW as Cycle) {
-            // Empty calendar: re-center the window on the incoming event so
-            // the cheap lane stays useful as simulated time advances.
-            self.base = at;
-            self.head = 0;
-        }
-        if at >= self.base && at < self.base + NEAR_WINDOW as Cycle {
-            let idx = (self.head + (at - self.base) as usize) % NEAR_WINDOW;
-            self.buckets[idx].push_back((seq, slot));
-            self.near_len += 1;
-        } else {
-            self.heap.push(Reverse((at, seq, slot)));
-        }
-    }
-
-    /// Schedules a batch of events in one call.
-    ///
-    /// Equivalent to calling [`EventQueue::schedule`] per item (same
-    /// insertion-order tie-breaking), but far-future events are sifted into
-    /// the heap as one `extend`, which is cheaper than repeated pushes.
-    pub fn schedule_many(&mut self, events: impl IntoIterator<Item = (Cycle, T)>) {
-        let mut far: Vec<Reverse<(Cycle, u64, u32)>> = Vec::new();
-        for (at, event) in events {
-            let slot = self.slab.insert(event);
-            let seq = self.seq;
-            self.seq += 1;
-            if self.near_len == 0 && (at < self.base || at >= self.base + NEAR_WINDOW as Cycle) {
-                self.base = at;
-                self.head = 0;
-            }
-            if at >= self.base && at < self.base + NEAR_WINDOW as Cycle {
-                let idx = (self.head + (at - self.base) as usize) % NEAR_WINDOW;
-                self.buckets[idx].push_back((seq, slot));
-                self.near_len += 1;
-            } else {
-                far.push(Reverse((at, seq, slot)));
-            }
-        }
-        self.heap.extend(far);
-    }
-
-    /// First `(cycle, seq)` in the near lane, advancing `base`/`head` past
-    /// drained buckets so repeated pops stay amortized O(1).
-    fn near_peek_advance(&mut self) -> Option<(Cycle, u64)> {
-        if self.near_len == 0 {
-            return None;
-        }
-        while self.buckets[self.head].is_empty() {
-            self.head = (self.head + 1) % NEAR_WINDOW;
-            self.base += 1;
-        }
-        let &(seq, _) = self.buckets[self.head].front().expect("bucket nonempty");
-        Some((self.base, seq))
-    }
-
-    /// First `(cycle, seq)` in the near lane without mutating the cursor.
-    fn near_peek(&self) -> Option<(Cycle, u64)> {
-        if self.near_len == 0 {
-            return None;
-        }
-        let mut head = self.head;
-        let mut base = self.base;
-        while self.buckets[head].is_empty() {
-            head = (head + 1) % NEAR_WINDOW;
-            base += 1;
-        }
-        let &(seq, _) = self.buckets[head].front().expect("bucket nonempty");
-        Some((base, seq))
-    }
-
-    /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<(Cycle, T)> {
-        let near = self.near_peek_advance();
-        let far = self.heap.peek().map(|&Reverse((at, seq, _))| (at, seq));
-        let take_near = match (near, far) {
-            (Some(n), Some(f)) => n < f,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => return None,
-        };
-        if take_near {
-            let (at, _) = near.expect("near lane nonempty");
-            let (_, slot) = self.buckets[self.head]
-                .pop_front()
-                .expect("peeked bucket nonempty");
-            self.near_len -= 1;
-            Some((at, self.slab.remove(slot)))
-        } else {
-            let Reverse((at, _, slot)) = self.heap.pop().expect("heap nonempty");
-            Some((at, self.slab.remove(slot)))
-        }
-    }
-
-    /// The cycle of the earliest event without removing it.
-    pub fn next_cycle(&self) -> Option<Cycle> {
-        let near = self.near_peek();
-        let far = self.heap.peek().map(|&Reverse((at, seq, _))| (at, seq));
-        match (near, far) {
-            (Some(n), Some(f)) => Some(n.min(f).0),
-            (Some(n), None) => Some(n.0),
-            (None, Some(f)) => Some(f.0),
-            (None, None) => None,
-        }
-    }
-
-    /// Pops the earliest event only if it is due at or before `now`.
-    pub fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, T)> {
-        if self.next_cycle().is_some_and(|at| at <= now) {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len() + self.near_len
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Folds the queue's observable state into `fp`: depth, next due cycle,
-    /// and the full multiset of pending `(cycle, seq)` keys. Representation
-    /// details (which lane an event sits in, bucket cursor position, slot
-    /// ids) do not contribute, so any two queues that would pop the same
-    /// events in the same order fingerprint equal.
-    pub fn fingerprint(&self, fp: &mut Fingerprint) {
-        fp.mix(self.len() as u64);
-        match self.next_cycle() {
-            Some(c) => {
-                fp.mix(1);
-                fp.mix(c);
-            }
-            None => fp.mix(0),
-        }
-        for &Reverse((at, seq, _)) in &self.heap {
-            fp.mix_unordered(key_word(at, seq));
-        }
-        for off in 0..NEAR_WINDOW {
-            let cycle = self.base + off as Cycle;
-            for &(seq, _) in &self.buckets[(self.head + off) % NEAR_WINDOW] {
-                fp.mix_unordered(key_word(cycle, seq));
-            }
-        }
-    }
-}
-
-impl<T> Default for EventQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// An [`EventQueue`] variant keyed by `f64` time (nanoseconds).
+/// The serving runtime's event queue, keyed by `f64` time (nanoseconds).
 ///
 /// The open-loop serving simulations keep their clocks in `f64` ns end to
-/// end; rounding event times into integer cycles to fit the `u64`-keyed
-/// [`EventQueue`] quantizes slot-free times and biases queueing delay at
-/// high arrival rates. This queue orders events by `f64::total_cmp` with
-/// insertion-order tie-breaking, so it is exactly as deterministic as the
-/// integer queue. (No calendar lane here: fractional keys don't bucket into
-/// unit-cycle slots, so it keeps just the keyed heap + slot arena.)
+/// end; rounding event times into integer cycles to fit [`EventQueue`]
+/// would quantize slot-free times and bias queueing delay at high arrival
+/// rates. Times order by [`f64::total_cmp`] with insertion-order
+/// tie-breaking, so this queue is exactly as deterministic as the integer
+/// one. Non-finite times panic.
 ///
 /// # Example
 ///
@@ -296,78 +184,70 @@ impl<T> Default for EventQueue<T> {
 /// assert_eq!(q.pop(), Some((20.25, "a")));
 /// assert_eq!(q.pop(), Some((20.5, "b")));
 /// ```
-#[derive(Debug, Clone)]
-pub struct FEventQueue<T> {
-    heap: BinaryHeap<Reverse<(FTime, u64, u32)>>,
-    slab: Slab<T>,
-    seq: u64,
-}
+pub type FEventQueue<T> = KeyedQueue<f64, T>;
 
-/// Total-ordered `f64` key (finite times only).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct FTime(f64);
-
-impl Eq for FTime {}
-impl PartialOrd for FTime {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for FTime {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-impl<T> FEventQueue<T> {
+impl<K: EventTime, T> KeyedQueue<K, T> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         Self {
             heap: BinaryHeap::new(),
             slab: Slab::new(),
             seq: 0,
+            time: PhantomData,
         }
     }
 
-    /// Schedules `event` at time `at` (ns).
+    /// Schedules `event` at time `at`.
     ///
     /// # Panics
-    /// Panics on non-finite times.
-    pub fn schedule(&mut self, at: f64, event: T) {
-        assert!(at.is_finite(), "event time must be finite: {at}");
+    /// Panics on a time [`EventTime::to_key`] rejects.
+    pub fn schedule(&mut self, at: K, event: T) {
+        let key = at.to_key();
         let slot = self.slab.insert(event);
-        self.heap.push(Reverse((FTime(at), self.seq, slot)));
+        self.heap.push(Reverse((key, self.seq, slot)));
         self.seq += 1;
     }
 
-    /// Schedules a batch of events in one call; far cheaper than repeated
-    /// [`FEventQueue::schedule`] for large fan-outs because the heap is
-    /// rebuilt once via `extend`.
+    /// Schedules a batch of events in one call.
+    ///
+    /// Equivalent to calling [`KeyedQueue::schedule`] per item (same
+    /// insertion-order tie-breaking), but the heap is extended once, which
+    /// is cheaper than repeated pushes for large fan-outs.
     ///
     /// # Panics
-    /// Panics on non-finite times.
-    pub fn schedule_many(&mut self, events: impl IntoIterator<Item = (f64, T)>) {
+    /// Panics on a time [`EventTime::to_key`] rejects.
+    pub fn schedule_many(&mut self, events: impl IntoIterator<Item = (K, T)>) {
         let slab = &mut self.slab;
         let seq = &mut self.seq;
         self.heap.extend(events.into_iter().map(|(at, event)| {
-            assert!(at.is_finite(), "event time must be finite: {at}");
+            let key = at.to_key();
             let slot = slab.insert(event);
             let s = *seq;
             *seq += 1;
-            Reverse((FTime(at), s, slot))
+            Reverse((key, s, slot))
         }));
     }
 
     /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<(f64, T)> {
+    pub fn pop(&mut self) -> Option<(K, T)> {
         self.heap
             .pop()
-            .map(|Reverse((at, _, slot))| (at.0, self.slab.remove(slot)))
+            .map(|Reverse((key, _, slot))| (K::from_key(key), self.slab.remove(slot)))
+    }
+
+    /// Pops the earliest event only if it is due at or before `now`.
+    pub fn pop_due(&mut self, now: K) -> Option<(K, T)> {
+        match self.heap.peek() {
+            Some(&Reverse((key, _, _))) if key <= now.to_key() => self.pop(),
+            _ => None,
+        }
     }
 
     /// The time of the earliest event without removing it.
-    pub fn next_time(&self) -> Option<f64> {
-        self.heap.peek().map(|Reverse((at, _, _))| at.0)
+    pub fn next_time(&self) -> Option<K> {
+        self.heap
+            .peek()
+            .map(|&Reverse((key, _, _))| K::from_key(key))
     }
 
     /// Number of pending events.
@@ -381,24 +261,32 @@ impl<T> FEventQueue<T> {
     }
 
     /// Folds the queue's observable state into `fp`: depth, next due time,
-    /// and the multiset of pending `(time, seq)` keys (times by bit
-    /// pattern). See [`EventQueue::fingerprint`].
+    /// and the full multiset of pending `(time, seq)` keys, times by
+    /// [`EventTime::bits`]. Slot ids do not contribute, so any two queues
+    /// that would pop the same events in the same order fingerprint equal.
     pub fn fingerprint(&self, fp: &mut Fingerprint) {
         fp.mix(self.len() as u64);
         match self.next_time() {
             Some(t) => {
                 fp.mix(1);
-                fp.mix(t.to_bits());
+                fp.mix(t.bits());
             }
             None => fp.mix(0),
         }
-        for &Reverse((at, seq, _)) in &self.heap {
-            fp.mix_unordered(key_word(at.0.to_bits(), seq));
+        for &Reverse((key, seq, _)) in &self.heap {
+            fp.mix_unordered(key_word(K::from_key(key).bits(), seq));
         }
     }
 }
 
-impl<T> Default for FEventQueue<T> {
+impl<T> EventQueue<T> {
+    /// The cycle of the earliest event without removing it.
+    pub fn next_cycle(&self) -> Option<Cycle> {
+        self.next_time()
+    }
+}
+
+impl<K: EventTime, T> Default for KeyedQueue<K, T> {
     fn default() -> Self {
         Self::new()
     }
@@ -408,6 +296,8 @@ impl<T> Default for FEventQueue<T> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::cmp::Ordering;
+    use std::fmt::Debug;
 
     #[test]
     fn events_pop_in_time_order() {
@@ -432,9 +322,8 @@ mod tests {
 
     #[test]
     fn ties_break_by_insertion_order_across_lanes() {
-        // Force the same cycle into both lanes: schedule far-future first
-        // (heap), then drain the near lane so the window re-centers onto the
-        // same cycle and the second event lands in a bucket.
+        // Two events at the same far-future cycle, the first scheduled on
+        // an empty queue: they still pop in insertion order.
         let mut q = EventQueue::new();
         q.schedule(1_000_000, "heap-resident");
         q.schedule(1_000_000, "bucket-resident");
@@ -524,66 +413,169 @@ mod tests {
         assert_eq!(q.slab.slots.len(), 1);
     }
 
-    /// Naive reference: unsorted vec, pop = linear scan for min `(at, seq)`.
-    /// This is the semantic model both optimized queues must match.
-    struct NaiveQueue<T> {
-        items: Vec<(Cycle, u64, T)>,
+    /// Naive reference: unsorted vec, pop = linear scan for the minimum
+    /// `(time, seq)` under the time type's own comparison (`Ord` for
+    /// cycles, `total_cmp` for `f64`), never through [`EventTime::to_key`].
+    /// This is the semantic model both queues must match.
+    struct NaiveQueue<K, T> {
+        items: Vec<(K, u64, T)>,
         seq: u64,
+        cmp: fn(&K, &K) -> Ordering,
     }
 
-    impl<T> NaiveQueue<T> {
-        fn new() -> Self {
+    impl<K: EventTime, T> NaiveQueue<K, T> {
+        fn new(cmp: fn(&K, &K) -> Ordering) -> Self {
             Self {
                 items: Vec::new(),
                 seq: 0,
+                cmp,
             }
         }
 
-        fn schedule(&mut self, at: Cycle, event: T) {
+        fn schedule(&mut self, at: K, event: T) {
             self.items.push((at, self.seq, event));
             self.seq += 1;
         }
 
-        fn pop(&mut self) -> Option<(Cycle, T)> {
-            let idx = self
-                .items
+        fn earliest(&self) -> Option<usize> {
+            let cmp = self.cmp;
+            self.items
                 .iter()
                 .enumerate()
-                .min_by_key(|(_, &(at, seq, _))| (at, seq))
-                .map(|(i, _)| i)?;
-            let (at, _, event) = self.items.remove(idx);
+                .min_by(|(_, a), (_, b)| cmp(&a.0, &b.0).then(a.1.cmp(&b.1)))
+                .map(|(i, _)| i)
+        }
+
+        fn pop(&mut self) -> Option<(K, T)> {
+            let (at, _, event) = self.items.remove(self.earliest()?);
             Some((at, event))
         }
 
-        fn next_cycle(&self) -> Option<Cycle> {
-            self.items.iter().map(|&(at, _, _)| at).min()
+        fn next_time(&self) -> Option<K> {
+            self.earliest().map(|i| self.items[i].0)
         }
 
-        /// The naive model's fingerprint, computed the same way
-        /// [`EventQueue::fingerprint`] defines it: depth, next cycle, and
-        /// the unordered multiset of `(cycle, seq)` keys. Equality with the
-        /// optimized queue's fingerprint is the refactor-equivalence check.
+        fn pop_due(&mut self, now: K) -> Option<(K, T)> {
+            if self
+                .next_time()
+                .is_some_and(|at| (self.cmp)(&at, &now) != Ordering::Greater)
+            {
+                self.pop()
+            } else {
+                None
+            }
+        }
+
+        /// The naive model's fingerprint, computed the way
+        /// [`KeyedQueue::fingerprint`] defines it: depth, next time, and
+        /// the unordered multiset of `(time, seq)` keys. Equality with the
+        /// queue's fingerprint is the refactor-equivalence check.
         fn fingerprint(&self) -> u64 {
             let mut fp = Fingerprint::new();
             fp.mix(self.items.len() as u64);
-            match self.next_cycle() {
-                Some(c) => {
+            match self.next_time() {
+                Some(t) => {
                     fp.mix(1);
-                    fp.mix(c);
+                    fp.mix(t.bits());
                 }
                 None => fp.mix(0),
             }
             for &(at, seq, _) in &self.items {
-                fp.mix_unordered(key_word(at, seq));
+                fp.mix_unordered(key_word(at.bits(), seq));
             }
             fp.value()
         }
     }
 
-    fn queue_fingerprint<T>(q: &EventQueue<T>) -> u64 {
+    fn queue_fingerprint<K: EventTime, T>(q: &KeyedQueue<K, T>) -> u64 {
         let mut fp = Fingerprint::new();
         q.fingerprint(&mut fp);
         fp.value()
+    }
+
+    /// Device-loop traffic against the naive model: `now` only moves
+    /// forward; each step schedules 0–3 events at `now + d` and then drains
+    /// `pop_due(now)`. `time` maps a cycle onto the queue's time type.
+    /// Pop order, next time, depth and fingerprint are checked after every
+    /// operation, and the full remaining order at the end.
+    fn check_device_traffic<K: EventTime + PartialEq + Debug>(
+        steps: &[(u64, Vec<(bool, u64)>)],
+        time: fn(Cycle) -> K,
+        cmp: fn(&K, &K) -> Ordering,
+    ) {
+        fn agree<K: EventTime + PartialEq + Debug>(
+            opt: &KeyedQueue<K, u64>,
+            naive: &NaiveQueue<K, u64>,
+        ) {
+            assert_eq!(opt.next_time(), naive.next_time());
+            assert_eq!(opt.len(), naive.items.len());
+            assert_eq!(queue_fingerprint(opt), naive.fingerprint());
+        }
+        let mut opt = KeyedQueue::new();
+        let mut naive = NaiveQueue::new(cmp);
+        let (mut now, mut tag) = (0, 0u64);
+        for (advance, arrivals) in steps {
+            now += advance;
+            for &(far, d) in arrivals {
+                // Near events stay inside 64 cycles; far ones reach
+                // ~3,000, past the 2,685-cycle backlog measured on spmv.
+                let d = if far { d } else { d % 64 };
+                opt.schedule(time(now + d), tag);
+                naive.schedule(time(now + d), tag);
+                tag += 1;
+                agree(&opt, &naive);
+            }
+            loop {
+                let popped = opt.pop_due(time(now));
+                assert_eq!(popped, naive.pop_due(time(now)));
+                agree(&opt, &naive);
+                if popped.is_none() {
+                    break;
+                }
+            }
+        }
+        loop {
+            let (a, b) = (opt.pop(), naive.pop());
+            assert_eq!(a, b);
+            if a.is_none() {
+                break;
+            }
+        }
+    }
+
+    /// One device-loop step: how far `now` advances, then the arrivals as
+    /// `(far, delay)` pairs.
+    fn device_steps() -> impl Strategy<Value = Vec<(u64, Vec<(bool, u64)>)>> {
+        proptest::collection::vec(
+            (
+                0u64..8,
+                proptest::collection::vec((any::<bool>(), 0u64..3_001), 0..4),
+            ),
+            1..120,
+        )
+    }
+
+    #[test]
+    fn f64_keys_follow_total_cmp_order() {
+        let times = [
+            -1e300,
+            -2.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            0.25,
+            1.0,
+            2.5e9,
+            f64::MAX,
+        ];
+        for pair in times.windows(2) {
+            assert_eq!(pair[0].total_cmp(&pair[1]), Ordering::Less);
+            assert!(pair[0].to_key() < pair[1].to_key(), "{pair:?}");
+        }
+        for t in times {
+            assert_eq!(f64::from_key(t.to_key()).to_bits(), t.to_bits());
+        }
     }
 
     proptest! {
@@ -595,7 +587,7 @@ mod tests {
             ops in proptest::collection::vec((0u8..4, 0u64..300, 0u64..300, 0u64..300), 1..200),
         ) {
             let mut opt = EventQueue::new();
-            let mut naive = NaiveQueue::new();
+            let mut naive = NaiveQueue::new(u64::cmp);
             let mut tag = 0u64;
             for (kind, at, at2, at3) in ops {
                 match kind {
@@ -623,7 +615,7 @@ mod tests {
                     }
                     _ => {
                         let now = at;
-                        let expected = if naive.next_cycle().is_some_and(|c| c <= now) {
+                        let expected = if naive.next_time().is_some_and(|c| c <= now) {
                             naive.pop()
                         } else {
                             None
@@ -631,7 +623,7 @@ mod tests {
                         prop_assert_eq!(opt.pop_due(now), expected);
                     }
                 }
-                prop_assert_eq!(opt.next_cycle(), naive.next_cycle());
+                prop_assert_eq!(opt.next_cycle(), naive.next_time());
                 prop_assert_eq!(opt.len(), naive.items.len());
                 prop_assert_eq!(queue_fingerprint(&opt), naive.fingerprint());
             }
@@ -650,7 +642,7 @@ mod tests {
             ops in proptest::collection::vec((0u8..3, 0u32..300), 1..200),
         ) {
             let mut opt = FEventQueue::new();
-            let mut naive: Vec<(FTime, u64, u64)> = Vec::new();
+            let mut naive = NaiveQueue::new(f64::total_cmp);
             let mut seq = 0u64;
             for (kind, raw) in ops {
                 match kind {
@@ -658,40 +650,28 @@ mod tests {
                     0 | 1 => {
                         let at = raw as f64 * 0.25;
                         opt.schedule(at, seq);
-                        naive.push((FTime(at), seq, seq));
+                        naive.schedule(at, seq);
                         seq += 1;
                     }
                     _ => {
-                        let idx = naive
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(_, &(at, s, _))| (at, s))
-                            .map(|(i, _)| i);
-                        let expected = idx.map(|i| {
-                            let (at, _, v) = naive.remove(i);
-                            (at.0, v)
-                        });
-                        prop_assert_eq!(opt.pop(), expected);
+                        prop_assert_eq!(opt.pop(), naive.pop());
                     }
                 }
-                prop_assert_eq!(opt.len(), naive.len());
+                prop_assert_eq!(opt.len(), naive.items.len());
                 // Fingerprint equivalence against the naive vec model.
-                let mut want = Fingerprint::new();
-                want.mix(naive.len() as u64);
-                match naive.iter().map(|&(at, s, _)| (at, s)).min() {
-                    Some((at, _)) => {
-                        want.mix(1);
-                        want.mix(at.0.to_bits());
-                    }
-                    None => want.mix(0),
-                }
-                for &(at, s, _) in &naive {
-                    want.mix_unordered(key_word(at.0.to_bits(), s));
-                }
-                let mut got = Fingerprint::new();
-                opt.fingerprint(&mut got);
-                prop_assert_eq!(got.value(), want.value());
+                prop_assert_eq!(queue_fingerprint(&opt), naive.fingerprint());
             }
+        }
+
+        #[test]
+        fn event_queue_matches_naive_reference_under_device_traffic(steps in device_steps()) {
+            check_device_traffic(&steps, |c| c, u64::cmp);
+        }
+
+        #[test]
+        fn f64_queue_matches_naive_reference_under_device_traffic(steps in device_steps()) {
+            // Cycles become ns at 2 GHz, so half-ns times and ties occur.
+            check_device_traffic(&steps, |c| c as f64 * 0.5, f64::total_cmp);
         }
     }
 }

@@ -13,9 +13,11 @@
 //! * [`stats`] — counters and sample histograms (P50/P95/P99 queries),
 //! * [`rng`] — seeded random sources plus the Zipfian and exponential
 //!   samplers used by the workload generators,
-//! * [`EventQueue`] / [`FEventQueue`] — small discrete-event heaps (integer
-//!   cycles / `f64` nanoseconds) used by open-loop request-arrival
-//!   simulations (e.g. the KVStore tail-latency and serving experiments),
+//! * [`EventQueue`] / [`FEventQueue`] — one `(time, seq)`-keyed event heap,
+//!   [`event::KeyedQueue`], under integer cycles and `f64` nanoseconds: the
+//!   device's in-flight events (L2-slice inboxes, DRAM completions,
+//!   sub-core wakes, deliveries), polled every simulated cycle, and the
+//!   serving runtime's arrival and completion clock,
 //! * [`fingerprint`] — rolling state fingerprints asserting that optimized
 //!   hot-path structures stay observably identical to naive references,
 //! * [`par`] — deterministic, ordered, scoped fan-out
