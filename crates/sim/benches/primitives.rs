@@ -1,26 +1,34 @@
 //! Micro-benchmarks of the hot simulator primitives, each paired with a
-//! naive reference implementing the representation the optimized structure
+//! reference implementing the representation the current structure
 //! replaced. The vendored criterion stub has no baseline comparison, so
-//! the speedup is read directly off adjacent lines (median ns/iter with
-//! its quartiles). The event-queue churn and deep-queue DRAM pairs show
-//! the large (>1.5x) structural wins; the cache and `FEventQueue` pairs sit
-//! closer to parity in isolation — those refactors are motivated by
-//! allocation-free steady state and determinism, and their end-to-end
-//! effect is measured by the `simbench/` host-speed benchmark rather than
-//! this file.
+//! the difference is read directly off adjacent lines (median ns/iter with
+//! its quartiles); a pair differs only when the medians are further apart
+//! than the quartile spreads. End-to-end effect is measured by the
+//! `simbench/` host-speed benchmark, not by this file.
 //!
 //! Covered, per the hot-path inventory in ARCHITECTURE.md:
 //!
-//! * event-queue push/pop churn (`EventQueue` calendar lane + keyed heap
-//!   vs. a plain `BinaryHeap`), including the batched `schedule_many` path
-//!   and the `FEventQueue` wall-clock variant;
+//! * the event queue (`EventQueue`, a `(Cycle, seq)`-keyed heap) against
+//!   the 64-bucket calendar-plus-heap it replaced. Two pairs bracket the
+//!   trade-off. `event_queue_churn` keeps 64 events in flight on one
+//!   queue, each re-scheduled 1–16 cycles out, so nearly every poll pops
+//!   and the calendar's O(1) bucket appends beat the heap's sifts (7–10 ms
+//!   against 30–33 ms on a 2-vCPU VM). `event_queue_sparse_poll` polls
+//!   32 queues every cycle, each holding one event 40–60 cycles out, so
+//!   nearly every poll is empty; each empty calendar poll walks the buckets
+//!   up to its event, and the heap's one peek wins (55–62 ms against
+//!   1.7–1.9 ms, 32×). The device's traffic is the sparse kind: 80–92% of
+//!   its polls find nothing due, and 36% of spmv's events fell beyond the
+//!   calendar's window anyway. `event_queue_batch` times `schedule_many`
+//!   against the calendar's per-event appends, and the `FEventQueue` pair
+//!   times the wall-clock variant against a payload-inline heap;
 //! * sectored-cache hit/miss/evict streams (flat line array +
 //!   hash-indexed MSHRs vs. nested `Vec`s + linear MSHR scan);
 //! * DRAM-channel transaction loops (slot-arena request queue vs. an
 //!   insertion-ordered `Vec` with `remove`-based dequeue).
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use m2ndp_cache::{Access, CacheConfig, CacheResult, SectoredCache, WritePolicy};
@@ -43,94 +51,220 @@ impl Lcg {
 
 // ---------------------------------------------------------------- events
 
-/// The pre-refactor event queue: one `BinaryHeap` over `(at, seq)` keys,
-/// no near-future lane, no batch insertion.
-struct NaiveHeapQueue<T> {
-    heap: BinaryHeap<Reverse<(Cycle, u64)>>,
-    payloads: Vec<Option<T>>,
-    slots: Vec<usize>,
+/// Number of one-cycle calendar buckets kept in front of the heap.
+const NEAR_WINDOW: usize = 64;
+
+/// The replaced event queue: a calendar of `NEAR_WINDOW` one-cycle buckets
+/// in front of a `(Cycle, seq)`-keyed heap, payloads in a slot arena. Pops
+/// merge the two lanes on the full key. `pop_due` peeks the calendar
+/// without moving its cursor, so every empty poll walks the empty buckets
+/// between the cursor and the next event.
+struct CalendarQueue<T> {
+    heap: BinaryHeap<Reverse<(Cycle, u64, u32)>>,
+    /// `buckets[(c - base) % NEAR_WINDOW]` holds the `(seq, slot)`s due at
+    /// cycle `c` for `base <= c < base + NEAR_WINDOW`, in `seq` order.
+    buckets: Vec<VecDeque<(u64, u32)>>,
+    base: Cycle,
+    head: usize,
+    near_len: usize,
+    slots: Vec<Option<T>>,
+    free: Vec<u32>,
     seq: u64,
 }
 
-impl<T> NaiveHeapQueue<T> {
+impl<T> CalendarQueue<T> {
     fn new() -> Self {
         Self {
             heap: BinaryHeap::new(),
-            payloads: Vec::new(),
+            buckets: (0..NEAR_WINDOW).map(|_| VecDeque::new()).collect(),
+            base: 0,
+            head: 0,
+            near_len: 0,
             slots: Vec::new(),
+            free: Vec::new(),
             seq: 0,
         }
     }
 
     fn schedule(&mut self, at: Cycle, event: T) {
-        let seq = self.seq;
-        self.seq += 1;
-        // Payload lives in a side table keyed by seq (the old `OrdIgnored`
-        // wrapper kept it inline; a side table is if anything cheaper).
-        let idx = match self.slots.pop() {
-            Some(i) => {
-                self.payloads[i] = Some(event);
-                i
+        let slot = match self.free.pop() {
+            Some(idx) => {
+                self.slots[idx as usize] = Some(event);
+                idx
             }
             None => {
-                self.payloads.push(Some(event));
-                self.payloads.len() - 1
+                self.slots.push(Some(event));
+                (self.slots.len() - 1) as u32
             }
         };
-        self.heap.push(Reverse((at, (seq << 20) | idx as u64)));
+        let seq = self.seq;
+        self.seq += 1;
+        if self.near_len == 0 && (at < self.base || at >= self.base + NEAR_WINDOW as Cycle) {
+            // Empty calendar: re-center the window on the incoming event.
+            self.base = at;
+            self.head = 0;
+        }
+        if at >= self.base && at < self.base + NEAR_WINDOW as Cycle {
+            let idx = (self.head + (at - self.base) as usize) % NEAR_WINDOW;
+            self.buckets[idx].push_back((seq, slot));
+            self.near_len += 1;
+        } else {
+            self.heap.push(Reverse((at, seq, slot)));
+        }
+    }
+
+    /// First `(cycle, seq)` in the near lane, advancing the cursor past
+    /// drained buckets.
+    fn near_peek_advance(&mut self) -> Option<(Cycle, u64)> {
+        if self.near_len == 0 {
+            return None;
+        }
+        while self.buckets[self.head].is_empty() {
+            self.head = (self.head + 1) % NEAR_WINDOW;
+            self.base += 1;
+        }
+        let &(seq, _) = self.buckets[self.head].front().expect("bucket nonempty");
+        Some((self.base, seq))
+    }
+
+    /// First `(cycle, seq)` in the near lane without moving the cursor.
+    fn near_peek(&self) -> Option<(Cycle, u64)> {
+        if self.near_len == 0 {
+            return None;
+        }
+        let mut head = self.head;
+        let mut base = self.base;
+        while self.buckets[head].is_empty() {
+            head = (head + 1) % NEAR_WINDOW;
+            base += 1;
+        }
+        let &(seq, _) = self.buckets[head].front().expect("bucket nonempty");
+        Some((base, seq))
+    }
+
+    fn pop(&mut self) -> Option<(Cycle, T)> {
+        let near = self.near_peek_advance();
+        let far = self.heap.peek().map(|&Reverse((at, seq, _))| (at, seq));
+        let take_near = match (near, far) {
+            (Some(n), Some(f)) => n < f,
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (None, None) => return None,
+        };
+        let (at, slot) = if take_near {
+            let (_, slot) = self.buckets[self.head]
+                .pop_front()
+                .expect("peeked bucket nonempty");
+            self.near_len -= 1;
+            (near.expect("near lane nonempty").0, slot)
+        } else {
+            let Reverse((at, _, slot)) = self.heap.pop().expect("heap nonempty");
+            (at, slot)
+        };
+        let event = self.slots[slot as usize].take().expect("live payload");
+        self.free.push(slot);
+        Some((at, event))
     }
 
     fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, T)> {
-        match self.heap.peek() {
-            Some(Reverse((at, _))) if *at <= now => {
-                let Reverse((at, key)) = self.heap.pop().expect("peeked");
-                let idx = (key & 0xfffff) as usize;
-                let ev = self.payloads[idx].take().expect("live payload");
-                self.slots.push(idx);
-                Some((at, ev))
-            }
-            _ => None,
+        let near = self.near_peek().map(|(at, _)| at);
+        let far = self.heap.peek().map(|&Reverse((at, _, _))| at);
+        let next = match (near, far) {
+            (Some(n), Some(f)) => Some(n.min(f)),
+            (n, f) => n.or(f),
+        };
+        if next.is_some_and(|at| at <= now) {
+            self.pop()
+        } else {
+            None
         }
     }
 }
 
-/// Near-future churn: the steady state of a device tick loop, where almost
-/// every scheduled event lands within a few cycles of `now`.
-fn bench_event_queue(c: &mut Criterion) {
+/// The two queues the event benches compare, behind one interface.
+trait CycleQueue: Default {
+    fn schedule(&mut self, at: Cycle, event: u64);
+    fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, u64)>;
+}
+
+impl CycleQueue for EventQueue<u64> {
+    fn schedule(&mut self, at: Cycle, event: u64) {
+        EventQueue::schedule(self, at, event)
+    }
+    fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, u64)> {
+        EventQueue::pop_due(self, now)
+    }
+}
+
+impl<T> Default for CalendarQueue<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl CycleQueue for CalendarQueue<u64> {
+    fn schedule(&mut self, at: Cycle, event: u64) {
+        CalendarQueue::schedule(self, at, event)
+    }
+    fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, u64)> {
+        CalendarQueue::pop_due(self, now)
+    }
+}
+
+/// Dense churn: 64 events in flight, each re-scheduled 1–16 cycles out as
+/// soon as it pops, one queue polled every cycle.
+fn churn<Q: CycleQueue>() -> u64 {
     const STEPS: u64 = 50_000;
-    c.bench_function("event_queue_churn/optimized", |b| {
-        b.iter(|| {
-            let mut q: EventQueue<u64> = EventQueue::new();
-            let mut rng = Lcg(7);
-            let mut acc = 0u64;
-            for i in 0..64 {
-                q.schedule(i % 8, i);
+    let mut q = Q::default();
+    let mut rng = Lcg(7);
+    let mut acc = 0u64;
+    for i in 0..64 {
+        q.schedule(i % 8, i);
+    }
+    for now in 0..STEPS {
+        while let Some((_, ev)) = q.pop_due(now) {
+            acc = acc.wrapping_add(ev);
+            q.schedule(now + 1 + (rng.next() & 15), ev);
+        }
+    }
+    acc
+}
+
+/// Sparse polls, the device loop's pattern: 32 queues, each holding one
+/// event 40–60 cycles out, all polled every cycle; most polls find nothing
+/// due.
+fn sparse_poll<Q: CycleQueue>() -> u64 {
+    const QUEUES: u64 = 32;
+    const CYCLES: u64 = 20_000;
+    let mut rng = Lcg(13);
+    let mut queues: Vec<Q> = (0..QUEUES).map(|_| Q::default()).collect();
+    for (i, q) in queues.iter_mut().enumerate() {
+        q.schedule(40 + rng.next() % 21, i as u64);
+    }
+    let mut acc = 0u64;
+    for now in 0..CYCLES {
+        for q in &mut queues {
+            while let Some((_, ev)) = q.pop_due(now) {
+                acc = acc.wrapping_add(ev);
+                q.schedule(now + 40 + rng.next() % 21, ev);
             }
-            for now in 0..STEPS {
-                while let Some((_, ev)) = q.pop_due(now) {
-                    acc = acc.wrapping_add(ev);
-                    q.schedule(now + 1 + (rng.next() & 15), ev);
-                }
-            }
-            black_box(acc)
-        })
+        }
+    }
+    acc
+}
+
+fn bench_event_queue(c: &mut Criterion) {
+    c.bench_function("event_queue_churn/heap", |b| {
+        b.iter(|| black_box(churn::<EventQueue<u64>>()))
     });
-    c.bench_function("event_queue_churn/naive_heap", |b| {
-        b.iter(|| {
-            let mut q: NaiveHeapQueue<u64> = NaiveHeapQueue::new();
-            let mut rng = Lcg(7);
-            let mut acc = 0u64;
-            for i in 0..64 {
-                q.schedule(i % 8, i);
-            }
-            for now in 0..STEPS {
-                while let Some((_, ev)) = q.pop_due(now) {
-                    acc = acc.wrapping_add(ev);
-                    q.schedule(now + 1 + (rng.next() & 15), ev);
-                }
-            }
-            black_box(acc)
-        })
+    c.bench_function("event_queue_churn/calendar", |b| {
+        b.iter(|| black_box(churn::<CalendarQueue<u64>>()))
+    });
+    c.bench_function("event_queue_sparse_poll/heap", |b| {
+        b.iter(|| black_box(sparse_poll::<EventQueue<u64>>()))
+    });
+    c.bench_function("event_queue_sparse_poll/calendar", |b| {
+        b.iter(|| black_box(sparse_poll::<CalendarQueue<u64>>()))
     });
     // Batched insertion: one fill + drain round per iteration.
     const BATCH: u64 = 4096;
@@ -145,9 +279,9 @@ fn bench_event_queue(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    c.bench_function("event_queue_batch/naive_loop", |b| {
+    c.bench_function("event_queue_batch/calendar_loop", |b| {
         b.iter(|| {
-            let mut q: NaiveHeapQueue<u64> = NaiveHeapQueue::new();
+            let mut q: CalendarQueue<u64> = CalendarQueue::new();
             for i in 0..BATCH {
                 q.schedule(i & 63, i);
             }
