@@ -3,8 +3,11 @@
 //! replaced. The vendored criterion stub has no baseline comparison, so
 //! the difference is read directly off adjacent lines (median ns/iter with
 //! its quartiles); a pair differs only when the medians are further apart
-//! than the quartile spreads. End-to-end effect is measured by the
-//! `simbench/` host-speed benchmark, not by this file.
+//! than the quartile spreads. The deep-queue DRAM pair shows a large
+//! structural win; the cache and `FEventQueue` pairs sit closer to parity
+//! in isolation — those refactors are motivated by allocation-free steady
+//! state and determinism. End-to-end effect is measured by the `simbench/`
+//! host-speed benchmark, not by this file.
 //!
 //! Covered, per the hot-path inventory in ARCHITECTURE.md:
 //!

@@ -15,14 +15,13 @@
 //! and 80–92% of those polls find nothing due. So the common operation is
 //! an empty [`KeyedQueue::pop_due`], which here is one heap peek.
 //!
-//! An earlier design put a calendar of 64 one-cycle buckets in front of the
-//! heap. Its empty polls walked the buckets up to the next event, which
-//! made `pop_due` the largest self-time function on spmv, and its premise
-//! that events land near `now` did not hold: 36% of spmv's events (11–12%
-//! of histo's and olap-q6's) fell beyond its 64-cycle window, up to 2,685
-//! cycles past its start. `benches/primitives.rs` keeps a copy of that
-//! calendar and times both against each other (`event_queue_churn`,
-//! `event_queue_sparse_poll`).
+//! No calendar of one-cycle buckets sits in front of the heap, although it
+//! would make near-future pushes O(1): each empty poll would walk the empty
+//! buckets up to the next event, and the events are not near anyway. With
+//! a 64-cycle window, 36% of spmv's events (11–12% of histo's and
+//! olap-q6's) fall outside it, up to 2,685 cycles past its start.
+//! `benches/primitives.rs` times such a calendar against the heap
+//! (`event_queue_churn`, `event_queue_sparse_poll`).
 //!
 //! # Layout
 //!
