@@ -6,23 +6,18 @@
 //!
 //!   --only fig10a,fig10c   run a subset of figures (default: all)
 //!   --fast                 the documented fast subset of each figure's grid
-//!   --jobs N               total worker budget (default: $M2NDP_JOBS, else
-//!                          available cores)
-//!   --fleet-jobs N         workers advancing the devices inside each
-//!                          fleet/serving cell (default: $M2NDP_FLEET_JOBS,
-//!                          else 1 = fleet parallelism off); the remaining
-//!                          budget (--jobs / --fleet-jobs, at least 1) runs
-//!                          whole cells concurrently. Not clamped to --jobs:
-//!                          an oversized fleet share keeps cells serial but
-//!                          still fans each fleet out
+//!   --jobs N               workers running whole cells concurrently
+//!                          (default: $M2NDP_JOBS, else available cores);
+//!                          a fleet inside a cell runs its devices one
+//!                          after another
 //!   --check                gate the emitted ratios on the paper-anchored
 //!                          tolerance bands; nonzero exit on drift
 //!   --out DIR              output directory (default: target/figures)
 //!   --timing FILE          also write a wall-clock timing JSON (whole-sweep
 //!                          wall seconds, per-cell wall seconds and
 //!                          worker ids, per-figure sums of cell wall
-//!                          seconds, and the effective cell/fleet worker
-//!                          counts; wall times never enter the result JSON)
+//!                          seconds, and --jobs; wall times never enter
+//!                          the result JSON)
 //!   --trace DIR            also re-run every selected serving cell with
 //!                          the observability layer on and write one Chrome
 //!                          trace-event JSON per cell to DIR (load in
@@ -57,13 +52,12 @@ use m2ndp::host::serve::SchedulerKind;
 use m2ndp::sim::par;
 use m2ndp_bench::golden::{self, Verdict};
 use m2ndp_bench::json::Json;
-use m2ndp_bench::sweep::{self, CellOut, CellRun, FigId, JobBudget, Metric};
+use m2ndp_bench::sweep::{self, CellOut, CellRun, FigId, Metric};
 
 struct Options {
     only: Vec<FigId>,
     fast: bool,
     jobs: usize,
-    fleet_jobs: usize,
     check: bool,
     out: String,
     timing: Option<String>,
@@ -76,8 +70,8 @@ struct Options {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: figures [--only fig10a,fig10c,...] [--fast] [--jobs N] [--fleet-jobs N] \
-         [--check] [--out DIR] [--timing FILE] [--trace DIR] [--snapshot FILE] \
+        "usage: figures [--only fig10a,fig10c,...] [--fast] [--jobs N] [--check] \
+         [--out DIR] [--timing FILE] [--trace DIR] [--snapshot FILE] \
          [--scheduler NAME] [--list] [--quiet]\nfigures: {}\nschedulers: {}",
         FigId::all().map(FigId::id).join(", "),
         SchedulerKind::all().map(SchedulerKind::name).join(", ")
@@ -92,7 +86,6 @@ fn parse_args() -> Options {
         jobs: par::env_jobs("M2NDP_JOBS").unwrap_or_else(|| {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         }),
-        fleet_jobs: par::env_jobs("M2NDP_FLEET_JOBS").unwrap_or(1),
         check: false,
         out: "target/figures".to_string(),
         timing: None,
@@ -129,17 +122,6 @@ fn parse_args() -> Options {
                 });
                 if opts.jobs == 0 {
                     eprintln!("--jobs must be >= 1");
-                    usage();
-                }
-            }
-            "--fleet-jobs" => {
-                let n = args.next().unwrap_or_else(|| usage());
-                opts.fleet_jobs = n.parse().unwrap_or_else(|_| {
-                    eprintln!("--fleet-jobs expects a positive integer, got `{n}`");
-                    usage()
-                });
-                if opts.fleet_jobs == 0 {
-                    eprintln!("--fleet-jobs must be >= 1");
                     usage();
                 }
             }
@@ -189,18 +171,16 @@ fn list_figures(opts: &Options) {
     let _ = opts;
 }
 
-/// The `--timing` artifact (schema v4): the sweep's wall seconds, each
+/// The `--timing` artifact (schema v5): the sweep's wall seconds, each
 /// cell's wall seconds, pool worker and simulated instructions per wall
 /// second (`sim_instrs_per_sec`, from the device's retired-instruction
-/// counter), the nested-parallelism budget actually in effect (requested
-/// `--jobs`, effective cell-level and fleet-level worker counts), and per
-/// figure the sum of its cells' wall seconds (`cell_wall_seconds_sum`; with
-/// several cell workers it can exceed the sweep's wall time). Wall clock and
-/// worker assignment are inherently non-deterministic and therefore live in
-/// their own file, never in `BENCH_RESULTS.json`.
+/// counter), the `--jobs` worker count, and per figure the sum of its
+/// cells' wall seconds (`cell_wall_seconds_sum`; with several workers it
+/// can exceed the sweep's wall time). Wall clock and worker assignment are
+/// inherently non-deterministic and therefore live in their own file, never
+/// in `BENCH_RESULTS.json`.
 fn timing_json(
     opts: &Options,
-    budget: JobBudget,
     cells: &[sweep::CellSpec],
     runs: &[CellRun],
     wall_total: f64,
@@ -216,18 +196,13 @@ fn timing_json(
         }
     }
     Json::Obj(vec![
-        ("schema_version".to_string(), Json::U64(4)),
+        ("schema_version".to_string(), Json::U64(5)),
         (
             "generator".to_string(),
             Json::Str("m2ndp_bench figures --timing".to_string()),
         ),
         ("fast".to_string(), Json::Bool(opts.fast)),
         ("jobs".to_string(), Json::U64(opts.jobs as u64)),
-        ("cell_jobs".to_string(), Json::U64(budget.cell_jobs as u64)),
-        (
-            "fleet_jobs".to_string(),
-            Json::U64(budget.fleet_jobs as u64),
-        ),
         ("cells".to_string(), Json::U64(cells.len() as u64)),
         ("wall_seconds".to_string(), Json::F64(wall_total)),
         (
@@ -342,21 +317,17 @@ fn main() -> ExitCode {
         spans.push((fig, all_cells.len()..all_cells.len() + specs.len()));
         all_cells.extend(specs);
     }
-    let budget = JobBudget::split(opts.jobs, opts.fleet_jobs);
     if !opts.quiet {
         eprintln!(
-            "running {} cells across {} figure(s) with {} job(s) \
-             ({} cell-level x {} fleet-level){}",
+            "running {} cells across {} figure(s) with {} job(s){}",
             all_cells.len(),
             spans.len(),
             opts.jobs,
-            budget.cell_jobs,
-            budget.fleet_jobs,
             if opts.fast { " (fast grid)" } else { "" }
         );
     }
     let t0 = std::time::Instant::now();
-    let runs = sweep::run_cells_budget(&all_cells, budget, !opts.quiet);
+    let runs = sweep::run_cells_timed(&all_cells, opts.jobs, !opts.quiet);
     let wall_total = t0.elapsed().as_secs_f64();
     let outs: Vec<CellOut> = runs.iter().map(|r| r.out.clone()).collect();
     if !opts.quiet {
@@ -364,7 +335,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &opts.timing {
-        let json = timing_json(&opts, budget, &all_cells, &runs, wall_total);
+        let json = timing_json(&opts, &all_cells, &runs, wall_total);
         if let Some(dir) = std::path::Path::new(path).parent() {
             let _ = std::fs::create_dir_all(dir);
         }

@@ -7,17 +7,16 @@
 //! to completion without touching shared state, so a sweep executed with
 //! `--jobs 8` produces byte-identical results to a serial run (the
 //! simulator is deterministic; the only parallelism is across independent
-//! devices). [`run_cells`] fans cells out on the shared deterministic pool
+//! cells). [`run_cells`] fans cells out on the shared deterministic pool
 //! ([`m2ndp::sim::par`]), [`derive()`] turns raw cell outputs into the
 //! ratios the paper reports (speedups, P95 improvements, scaling factors),
 //! and [`figure_json`] / [`consolidated_json`] serialize everything through
 //! [`crate::json`].
 //!
-//! Parallelism is a **nested budget** ([`JobBudget`]): `cell_jobs` workers
-//! run whole cells concurrently while `fleet_jobs` workers advance the
-//! devices *inside* each fleet cell ([`Fleet::set_parallelism`]).
-//! `M2NDP_JOBS` / `M2NDP_FLEET_JOBS` set the defaults so the CLI, benches,
-//! examples, and tests share one knob; every combination emits
+//! Cells are the only parallel unit: `jobs` workers run whole cells
+//! concurrently, and a fleet inside a cell runs its devices one after
+//! another. `M2NDP_JOBS` sets the default worker count for the `figures`
+//! CLI and the fig benches ([`run_figure`]); every value emits
 //! byte-identical JSON — only wall-clock changes.
 //!
 //! Both the per-figure bench targets (`benches/fig*.rs`) and the `figures`
@@ -27,7 +26,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use m2ndp::core::fleet::{Fleet, FleetConfig, SwitchNdp};
-use m2ndp::core::LaunchArgs;
 use m2ndp::core::{CxlM2ndpDevice, DeviceStats, M2ndpConfig, StatValue};
 use m2ndp::cxl::SwitchConfig;
 use m2ndp::host::cpu::{DataHome, HostCpu, HostCpuConfig};
@@ -689,76 +687,12 @@ fn sweep_workloads(fast: bool) -> Vec<GpuWorkload> {
 // Cell execution
 // ---------------------------------------------------------------------------
 
-/// The sweep's nested-parallelism budget: how many whole cells run
-/// concurrently (`cell_jobs`) and how many workers advance the devices
-/// *inside* each fleet-backed cell (`fleet_jobs`, 1 = fleet parallelism
-/// off). Both axes only reorder *when* work executes — the emitted JSON is
-/// byte-identical at every combination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JobBudget {
-    /// Concurrent cells (the historical `--jobs` axis).
-    pub cell_jobs: usize,
-    /// Workers per fleet cell ([`Fleet::set_parallelism`]).
-    pub fleet_jobs: usize,
-}
-
-impl JobBudget {
-    /// Everything serial — the bit-stability reference configuration.
-    pub fn serial() -> Self {
-        Self {
-            cell_jobs: 1,
-            fleet_jobs: 1,
-        }
-    }
-
-    /// Splits a total worker budget: `fleet_jobs` workers go to each
-    /// fleet's shards, the rest (`total / fleet_jobs` rounded down, at
-    /// least 1) to concurrent cells — so `--jobs 8 --fleet-jobs 4` runs 2
-    /// cells at a time with 4 device workers each. `fleet_jobs` is its own
-    /// axis and is **not** clamped to `total`: `split(1, 4)` keeps cells
-    /// serial while still running 4 shard workers inside each fleet cell
-    /// (how CI toggles fleet parallelism independently of cell
-    /// parallelism), so the peak thread count is `cell_jobs × fleet_jobs`,
-    /// which exceeds `total` when `fleet_jobs` does.
-    pub fn split(total: usize, fleet_jobs: usize) -> Self {
-        let fleet_jobs = fleet_jobs.max(1);
-        Self {
-            cell_jobs: (total / fleet_jobs).max(1),
-            fleet_jobs,
-        }
-    }
-
-    /// [`Self::split`] with environment defaults: `M2NDP_JOBS` overrides
-    /// the total budget and `M2NDP_FLEET_JOBS` the fleet share (default 1),
-    /// so benches, examples, and tests get the CLI's knobs without
-    /// plumbing flags.
-    pub fn from_env(total: usize) -> Self {
-        let total = par::env_jobs("M2NDP_JOBS").unwrap_or(total);
-        let fleet_jobs = par::env_jobs("M2NDP_FLEET_JOBS").unwrap_or(1);
-        Self::split(total, fleet_jobs)
-    }
-}
-
-/// Runs one cell to completion (building its own device), verifying
-/// functional results where the workload defines a check. Fleet-backed
-/// cells take their shard worker count from `M2NDP_FLEET_JOBS` (default
-/// serial); [`run_cell_with`] sets it explicitly.
+/// Runs one cell to completion (building its own device or fleet),
+/// verifying functional results where the workload defines a check.
 ///
 /// # Panics
 /// Panics if a device produces functionally incorrect results.
 pub fn run_cell(spec: &CellSpec) -> CellOut {
-    run_cell_with(spec, par::env_jobs("M2NDP_FLEET_JOBS").unwrap_or(1))
-}
-
-/// [`run_cell`] with an explicit fleet-level worker count for the cells
-/// that simulate a multi-device fleet (fig14a, fig11c, and fig14b's
-/// per-device-NDP reference cells; fig14b's in-switch cells drive a single
-/// device and ignore it, as do all other cells). Results are bit-identical
-/// at every `fleet_jobs`.
-///
-/// # Panics
-/// Panics if a device produces functionally incorrect results.
-pub fn run_cell_with(spec: &CellSpec, fleet_jobs: usize) -> CellOut {
     let out =
         |cycles: u64, ns: f64, stats: Option<DeviceStats>, extra: Vec<(&'static str, f64)>| {
             CellOut {
@@ -925,7 +859,6 @@ pub fn run_cell_with(spec: &CellSpec, fleet_jobs: usize) -> CellOut {
                 switch: SwitchConfig::default(),
                 hdm_bytes_per_device: 1 << 30,
             });
-            fleet.set_parallelism(fleet_jobs);
             let shards = dlrm::shard(fleet_dlrm_cfg(), n);
             let mut datas = Vec::new();
             for (d, cfg) in shards.iter().enumerate() {
@@ -958,13 +891,9 @@ pub fn run_cell_with(spec: &CellSpec, fleet_jobs: usize) -> CellOut {
                 switch: SwitchConfig::default(),
                 hdm_bytes_per_device: 1 << 30,
             });
-            fleet.set_parallelism(fleet_jobs);
             let base = fleet_opt_cfg();
-            // Serial per-device setup (generation + kernel registration),
-            // then the dependent decode-step sequences simulate
-            // shard-parallel on the fleet pool.
-            let mut datas = Vec::new();
-            let mut seqs: Vec<(u64, Vec<LaunchArgs>)> = Vec::new();
+            // Each device gets its shard and kernels, then runs its
+            // dependent decode-step launches back to back.
             for (d, cfg) in opt::tensor_parallel(base, n).iter().enumerate() {
                 let data = opt::generate(*cfg, fleet.device_mut(d).memory_mut());
                 let dev = fleet.device_mut(d);
@@ -975,18 +904,13 @@ pub fn run_cell_with(spec: &CellSpec, fleet_jobs: usize) -> CellOut {
                     wsum: dev.register_kernel(opt::weighted_sum_kernel()),
                 };
                 let units = dev.config().engine.units;
-                let launches = opt::decode_step_launches(&data, &kernels, units)
-                    .into_iter()
-                    .map(|(_k, launch)| launch)
-                    .collect();
-                seqs.push((fleet.shard_base(d), launches));
-                datas.push(data);
-            }
-            fleet
-                .launch_routed_sequences(seqs)
-                .expect("offloads route to their shards");
-            for (d, data) in datas.iter().enumerate() {
-                opt::verify(data, fleet.device(d).memory()).expect("opt shard verifies");
+                let pool = fleet.shard_base(d);
+                for (_k, launch) in opt::decode_step_launches(&data, &kernels, units) {
+                    fleet
+                        .launch_routed_and_run(pool, launch)
+                        .expect("offload routes to its shard");
+                }
+                opt::verify(&data, fleet.device(d).memory()).expect("opt shard verifies");
             }
             let compute_done = fleet.completion();
             let allreduce = if n > 1 {
@@ -1084,8 +1008,7 @@ pub fn run_cell_with(spec: &CellSpec, fleet_jobs: usize) -> CellOut {
 }
 
 /// Builds the fig11c/fig15 fleet backend (`devices` real device sims behind
-/// the switch). Serving runs on one serial admission loop, so the fleet's
-/// shard parallelism does not apply.
+/// the switch).
 fn serve_fleet_backend(devices: usize) -> serve::ServeBackend {
     serve::ServeBackend::Fleet(Box::new(Fleet::new(FleetConfig {
         devices,
@@ -1249,15 +1172,27 @@ pub struct CellRun {
     pub out: CellOut,
     /// Wall-clock seconds the cell took.
     pub wall_s: f64,
-    /// Cell-level pool worker id (`0..cell_jobs`) that executed the cell.
+    /// Pool worker id (`0..jobs`) that executed the cell.
     pub worker: usize,
 }
 
-/// Executes `cells` under a [`JobBudget`] — `budget.cell_jobs` concurrent
-/// cells, `budget.fleet_jobs` device workers inside each fleet cell — and
-/// returns outputs **in cell order** (independent of completion order) via
-/// [`m2ndp::sim::par::map_ordered_with`]. Every budget produces identical
-/// [`CellOut`]s; only `wall_s`/`worker` vary.
+/// Executes `cells` on up to `jobs` workers and returns outputs **in cell
+/// order** (independent of completion order). Identical output for any job
+/// count.
+///
+/// # Panics
+/// Propagates a panic from any cell (e.g. a workload verification failure).
+pub fn run_cells(cells: &[CellSpec], jobs: usize, verbose: bool) -> Vec<CellOut> {
+    run_cells_timed(cells, jobs, verbose)
+        .into_iter()
+        .map(|run| run.out)
+        .collect()
+}
+
+/// [`run_cells`], additionally returning each cell's wall-clock seconds and
+/// the pool worker that ran it (via [`m2ndp::sim::par::map_ordered_with`]).
+/// Every job count produces identical [`CellOut`]s; only `wall_s`/`worker`
+/// vary, and they never enter the byte-stable result JSON.
 ///
 /// `verbose` prints per-cell progress (with wall time) to stderr; stdout
 /// and the emitted JSON stay byte-stable.
@@ -1265,11 +1200,11 @@ pub struct CellRun {
 /// # Panics
 /// Propagates a panic from any cell (e.g. a workload verification
 /// failure); the pool drains without deadlocking first.
-pub fn run_cells_budget(cells: &[CellSpec], budget: JobBudget, verbose: bool) -> Vec<CellRun> {
+pub fn run_cells_timed(cells: &[CellSpec], jobs: usize, verbose: bool) -> Vec<CellRun> {
     let done = AtomicUsize::new(0);
-    par::map_ordered_with(cells, budget.cell_jobs, |worker, cell| {
+    par::map_ordered_with(cells, jobs, |worker, cell| {
         let t0 = std::time::Instant::now();
-        let out = run_cell_with(cell, budget.fleet_jobs);
+        let out = run_cell(cell);
         let wall_s = t0.elapsed().as_secs_f64();
         if verbose {
             let n = done.fetch_add(1, Ordering::Relaxed) + 1;
@@ -1290,33 +1225,9 @@ pub fn run_cells_budget(cells: &[CellSpec], budget: JobBudget, verbose: bool) ->
     })
 }
 
-/// Executes `cells` on up to `jobs` cell-level workers and returns outputs
-/// **in cell order**. Thin wrapper over [`run_cells_budget`]; fleet-level
-/// parallelism comes from `M2NDP_FLEET_JOBS` (default serial). Identical
-/// output for any job count.
-///
-/// # Panics
-/// Propagates a panic from any cell (e.g. a workload verification failure).
-pub fn run_cells(cells: &[CellSpec], jobs: usize, verbose: bool) -> Vec<CellOut> {
-    run_cells_timed(cells, jobs, verbose).0
-}
-
-/// [`run_cells`], additionally returning each cell's wall-clock time in
-/// seconds (same order as the outputs). The wall times feed the `--timing`
-/// artifact and are inherently non-deterministic — they never enter the
-/// byte-stable result JSON.
-pub fn run_cells_timed(cells: &[CellSpec], jobs: usize, verbose: bool) -> (Vec<CellOut>, Vec<f64>) {
-    let fleet_jobs = par::env_jobs("M2NDP_FLEET_JOBS").unwrap_or(1);
-    run_cells_budget(cells, JobBudget::split(jobs.max(1), fleet_jobs), verbose)
-        .into_iter()
-        .map(|run| (run.out, run.wall_s))
-        .unzip()
-}
-
 /// Runs one figure end to end: grid → (parallel) execution → derived
-/// metrics. The budget resolves through [`JobBudget::from_env`], so
-/// `M2NDP_JOBS`/`M2NDP_FLEET_JOBS` reach the fig benches and examples
-/// without new flags.
+/// metrics. `M2NDP_JOBS`, when set, overrides `jobs`, so it reaches the
+/// fig benches without new flags.
 pub fn run_figure(
     fig: FigId,
     fast: bool,
@@ -1324,10 +1235,8 @@ pub fn run_figure(
     verbose: bool,
 ) -> (Vec<CellOut>, Vec<Metric>) {
     let specs = cells(fig, fast);
-    let outs: Vec<CellOut> = run_cells_budget(&specs, JobBudget::from_env(jobs), verbose)
-        .into_iter()
-        .map(|run| run.out)
-        .collect();
+    let jobs = par::env_jobs("M2NDP_JOBS").unwrap_or(jobs);
+    let outs = run_cells(&specs, jobs, verbose);
     let metrics = derive(fig, &outs);
     (outs, metrics)
 }

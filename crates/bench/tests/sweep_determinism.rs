@@ -9,8 +9,8 @@
 //! job).
 
 use m2ndp_bench::sweep::{
-    consolidated_json, consolidated_metrics, derive, figure_json, run_cells, run_cells_budget,
-    CellSpec, FigId, JobBudget,
+    consolidated_json, consolidated_metrics, derive, figure_json, run_cells, run_cells_timed,
+    CellSpec, FigId,
 };
 
 fn specs() -> Vec<CellSpec> {
@@ -50,55 +50,18 @@ fn jobs1_and_jobs4_sweeps_emit_byte_identical_json() {
 
 #[test]
 fn every_job_budget_emits_identical_cell_outputs() {
-    // The nested budget (cell-level × fleet-level workers) may only change
-    // wall-clock and worker assignment, never the outputs. Worker ids must
-    // stay inside the cell-level pool.
+    // The worker count may only change wall-clock and worker assignment,
+    // never the outputs. Worker ids must stay inside the pool.
     let cells = specs();
-    let reference = run_cells_budget(&cells, JobBudget::serial(), false);
-    for budget in [
-        JobBudget::split(4, 1),
-        JobBudget::split(4, 4),
-        JobBudget::split(8, 2),
-    ] {
-        let runs = run_cells_budget(&cells, budget, false);
+    let reference = run_cells_timed(&cells, 1, false);
+    for jobs in [2, 4, 8] {
+        let runs = run_cells_timed(&cells, jobs, false);
         for (a, b) in reference.iter().zip(&runs) {
-            assert_eq!(a.out.key, b.out.key, "{budget:?}");
+            assert_eq!(a.out.key, b.out.key, "jobs={jobs}");
             assert_eq!(a.out.ns.to_bits(), b.out.ns.to_bits(), "{}", b.out.key);
-            assert!(b.worker < budget.cell_jobs, "{budget:?}");
+            assert!(b.worker < jobs, "jobs={jobs}");
         }
     }
-}
-
-#[test]
-fn split_budget_reserves_fleet_share() {
-    assert_eq!(
-        JobBudget::split(8, 4),
-        JobBudget {
-            cell_jobs: 2,
-            fleet_jobs: 4
-        }
-    );
-    assert_eq!(
-        JobBudget::split(1, 4),
-        JobBudget {
-            cell_jobs: 1,
-            fleet_jobs: 4
-        }
-    );
-    assert_eq!(
-        JobBudget::split(6, 0),
-        JobBudget {
-            cell_jobs: 6,
-            fleet_jobs: 1
-        }
-    );
-    assert_eq!(
-        JobBudget::serial(),
-        JobBudget {
-            cell_jobs: 1,
-            fleet_jobs: 1
-        }
-    );
 }
 
 #[test]

@@ -28,7 +28,18 @@ fn timing_json_reports_wall_seconds_and_consistent_cell_sums() {
     let text = std::fs::read_to_string(&timing).expect("--timing file written");
     let json = Json::parse(&text).expect("--timing file is JSON");
 
-    assert_eq!(json.get("schema_version"), Some(&Json::U64(4)));
+    assert_eq!(json.get("schema_version"), Some(&Json::U64(5)));
+    assert_eq!(json.get("jobs"), Some(&Json::U64(1)));
+    let Json::Obj(fields) = &json else {
+        panic!("--timing file is not an object");
+    };
+    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        keys.join(" "),
+        "schema_version generator fast jobs cells wall_seconds cell_wall_seconds_sum figures \
+         cell_timing",
+        "schema 5 records one worker count, `jobs`"
+    );
     let wall = json.get("wall_seconds").and_then(Json::as_f64);
     assert!(
         wall.is_some_and(|w| w.is_finite() && w >= 0.0),

@@ -15,19 +15,15 @@
 //! DLRM/OPT), one kernel launch per device, and the fleet runtime is the
 //! slowest shard plus any cross-device combining step.
 //!
-//! Everything is deterministic: each shard's simulation is self-contained
-//! (its own device plus its own switch-port lane), so the fleet advances
-//! independent devices **concurrently** on the shard-parallel pool
-//! ([`m2ndp_sim::par`]) and merges results in index order — bit-identical
-//! to the historical sequential execution at any [`Fleet::parallelism`]
-//! setting, and reproducible regardless of how many sweep cells run
-//! concurrently around it. The `M2NDP_FLEET_JOBS` environment variable
-//! sets the default worker count (1 = serial) for every fleet built by
-//! benches, examples, and tests; [`Fleet::set_parallelism`] overrides it.
+//! Everything is deterministic: each device's simulation is self-contained
+//! (its own device plus its own switch port), and the fleet advances its
+//! devices one after another in index order on the calling thread, so a
+//! run is reproducible regardless of how many sweep cells run concurrently
+//! around it.
 
-use m2ndp_cxl::{CxlSwitch, HdmRouter, HostLane, SwitchConfig};
+use m2ndp_cxl::{CxlSwitch, HdmRouter, SwitchConfig};
 use m2ndp_sim::trace::{EventKind, Lane, TraceEvent, TraceSink};
-use m2ndp_sim::{par, Cycle, Frequency};
+use m2ndp_sim::{Cycle, Frequency};
 
 use crate::config::M2ndpConfig;
 use crate::device::{CxlM2ndpDevice, DeviceStats, MetricSet};
@@ -38,17 +34,6 @@ use crate::NdpApiError;
 /// switch (a 64 B CXL.mem RwD flit plus header, as in
 /// [`m2ndp_cxl::CxlMemPacket`] accounting).
 pub const M2FUNC_OFFLOAD_BYTES: u32 = 80;
-
-// Shard-parallel execution moves whole device simulators (and shards of
-// the switch) across pool workers; this pins the `Send` invariant at
-// compile time so a future substrate type can't silently serialize the
-// fleet again.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<CxlM2ndpDevice>();
-    assert_send::<Fleet>();
-    assert_send::<FleetShard<'_>>();
-};
 
 /// Fleet parameters.
 #[derive(Debug, Clone)]
@@ -206,8 +191,6 @@ pub struct Fleet {
     /// Fleet cycle at which each device last became free (advanced by
     /// [`Self::launch_routed_and_run`] and [`Self::run_launched`]).
     device_done: Vec<Cycle>,
-    /// Worker threads the shard-parallel run paths may use (1 = serial).
-    parallelism: usize,
 }
 
 impl Fleet {
@@ -235,22 +218,15 @@ impl Fleet {
             offload_arrival: vec![0; cfg.devices],
             last_instance: vec![None; cfg.devices],
             device_done: vec![0; cfg.devices],
-            parallelism: par::env_jobs("M2NDP_FLEET_JOBS").unwrap_or(1),
         }
     }
 
-    /// Worker threads the shard-parallel run paths use (1 = serial). The
-    /// default comes from the `M2NDP_FLEET_JOBS` environment variable so
-    /// benches, examples, and tests share one knob; results are
-    /// bit-identical at every setting — only wall-clock changes.
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
-    }
-
-    /// Overrides the fleet-level worker count (clamped to at least 1).
-    pub fn set_parallelism(&mut self, jobs: usize) {
-        self.parallelism = jobs.max(1);
-    }
+    /// Does nothing: a fleet always runs its devices one after another on
+    /// the calling thread, and the sweep's cell pool is the only
+    /// parallelism. Kept only because the host-speed benchmark
+    /// (`simbench`) still calls it; it goes with the next change to that
+    /// benchmark.
+    pub fn set_parallelism(&mut self, _jobs: usize) {}
 
     /// Number of devices.
     pub fn len(&self) -> usize {
@@ -285,13 +261,6 @@ impl Fleet {
     /// The devices' clock domain.
     pub fn clock(&self) -> Frequency {
         self.clock
-    }
-
-    /// Fleet cycle at which device `i`'s *latest* offload store arrived
-    /// through the switch (what [`Self::launch_routed`] charged; open-loop
-    /// serving reads this back as the per-launch switch skew).
-    pub fn offload_arrival(&self, i: usize) -> Cycle {
-        self.offload_arrival[i]
     }
 
     /// Registers `spec` on every device, returning the per-device ids.
@@ -434,18 +403,26 @@ impl Fleet {
         Ok((inst, arrival))
     }
 
-    /// Runs every device until its most recently launched instance
-    /// finishes — shards advance concurrently on up to
-    /// [`Self::parallelism`] workers (each owns its device and its switch
-    /// port lane; results merge in index order, bit-identical to a serial
-    /// run) — and returns per-device completion in fleet cycles: the
-    /// offload delivery skew plus the device's simulated kernel cycles.
-    /// Devices with no launch complete at cycle 0.
+    /// Runs every device, in index order, until its most recently launched
+    /// instance finishes, and returns per-device completion in fleet
+    /// cycles: the offload delivery skew plus the device's simulated kernel
+    /// cycles. Devices with no launch complete at cycle 0.
     pub fn run_launched(&mut self) -> FleetRun {
-        let jobs = self.parallelism;
-        let (kernel_cycles, per_device): (Vec<Cycle>, Vec<Cycle>) = self
-            .with_shards(jobs, |shard| shard.finish_launched())
-            .into_iter()
+        let (kernel_cycles, per_device): (Vec<Cycle>, Vec<Cycle>) = (0..self.devices.len())
+            .map(|i| {
+                let device = &mut self.devices[i];
+                let kernel = self.last_instance[i].map_or(0, |inst| {
+                    let start = device.now();
+                    device.run_until_finished(inst) - start
+                });
+                let done = if kernel == 0 {
+                    0
+                } else {
+                    self.offload_arrival[i] + kernel
+                };
+                self.device_done[i] = self.device_done[i].max(done);
+                (kernel, done)
+            })
             .unzip();
         let compute_done = per_device.iter().copied().max().unwrap_or(0);
         FleetRun {
@@ -453,88 +430,6 @@ impl Fleet {
             per_device,
             compute_done,
         }
-    }
-
-    /// The shard-parallel execution core: splits the fleet into
-    /// per-device [`FleetShard`]s (device simulator + switch-port lane +
-    /// per-device bookkeeping — no shared mutable state) and runs `f` once
-    /// per shard on up to `jobs` pool workers
-    /// ([`m2ndp_sim::par::map_ordered_mut`]). Results return in device
-    /// index order regardless of completion order, and shard-local switch
-    /// transfer counts are folded back into the shared counters afterwards
-    /// (addition commutes), so any `jobs` value is bit-identical to serial
-    /// execution.
-    pub fn with_shards<R: Send>(
-        &mut self,
-        jobs: usize,
-        f: impl Fn(&mut FleetShard<'_>) -> R + Sync,
-    ) -> Vec<R> {
-        let lanes = self.switch.host_lanes();
-        let mut shards: Vec<FleetShard<'_>> = self
-            .devices
-            .iter_mut()
-            .zip(lanes)
-            .zip(self.offload_arrival.iter_mut())
-            .zip(self.last_instance.iter_mut())
-            .zip(self.device_done.iter_mut())
-            .enumerate()
-            .map(
-                |(index, ((((device, lane), offload_arrival), last_instance), device_done))| {
-                    FleetShard {
-                        index,
-                        device,
-                        lane,
-                        offload_arrival,
-                        last_instance,
-                        device_done,
-                    }
-                },
-            )
-            .collect();
-        let out = par::map_ordered_mut(&mut shards, jobs, |_, shard| f(shard));
-        let transfers: u64 = shards.iter().map(|s| s.lane.transfers()).sum();
-        drop(shards);
-        self.switch.absorb_host_transfers(transfers);
-        out
-    }
-
-    /// Routes each `(pool_base, launches)` sequence to its owning device
-    /// and replays it with [`Self::launch_routed_and_run`] semantics —
-    /// launches within one sequence stay dependent (each offload issues
-    /// the moment the device finished its previous kernel), while
-    /// different devices' sequences simulate concurrently on the shard
-    /// pool. When every launch succeeds this is bit-identical to calling
-    /// [`Self::launch_routed_and_run`] for every launch in sequence order.
-    /// Returns each device's completion cycle (its previous
-    /// [`Self::completion`] contribution if it received no work).
-    ///
-    /// # Errors
-    /// [`NdpApiError::BadArguments`] when any `pool_base` routes to no
-    /// device (checked before anything runs). A launch rejection surfaces
-    /// as the lowest-indexed device's error; unlike the serial loop,
-    /// sibling shards still run their sequences to completion first (their
-    /// device state, `device_done`, and switch counters reflect that
-    /// work), so on error the fleet is *valid* but not serially
-    /// bit-identical — callers treating launch errors as fatal (the sweep
-    /// does) are unaffected.
-    pub fn launch_routed_sequences(
-        &mut self,
-        seqs: Vec<(u64, Vec<LaunchArgs>)>,
-    ) -> Result<Vec<Cycle>, NdpApiError> {
-        let mut per_device: Vec<Vec<LaunchArgs>> =
-            (0..self.devices.len()).map(|_| Vec::new()).collect();
-        for (pool_base, launches) in seqs {
-            per_device[self.owner(pool_base)?].extend(launches);
-        }
-        let jobs = self.parallelism;
-        self.with_shards(jobs, |shard| {
-            for args in &per_device[shard.index()] {
-                shard.launch_and_run(args.clone())?;
-            }
-            Ok(shard.device_done())
-        })
-        .into_iter()
-        .collect()
     }
 
     /// Routes one offload like [`Self::launch_routed`] and immediately runs
@@ -612,10 +507,9 @@ impl Fleet {
     }
 
     /// Attaches one trace sink per device (`make(i)` builds device `i`'s
-    /// sink); events are stamped with the fleet device index. Per-device
-    /// sinks are what keeps shard-parallel tracing deterministic: each
-    /// shard buffers privately and [`Self::take_traces`] merges in device
-    /// index order.
+    /// sink); events are stamped with the fleet device index. Each device
+    /// buffers its own events and [`Self::take_traces`] merges them in
+    /// device index order.
     pub fn set_tracers(&mut self, make: impl Fn(usize) -> Box<dyn TraceSink>) {
         for (i, d) in self.devices.iter_mut().enumerate() {
             d.set_tracer(i as u32, make(i));
@@ -623,7 +517,7 @@ impl Fleet {
     }
 
     /// Detaches every device's sink and returns all recorded events merged
-    /// in device index order (deterministic at any parallelism).
+    /// in device index order.
     pub fn take_traces(&mut self) -> Vec<TraceEvent> {
         let mut out = Vec::new();
         for d in &mut self.devices {
@@ -639,82 +533,6 @@ impl Fleet {
             .first()
             .map(CxlM2ndpDevice::kernel_disassembly)
             .unwrap_or_default()
-    }
-}
-
-/// One device's slice of the fleet, handed to [`Fleet::with_shards`]
-/// workers: the device simulator, the device's host→device switch lane
-/// ([`m2ndp_cxl::HostLane`] — per-port state only), and the per-device
-/// bookkeeping slots. A shard shares **no** mutable state with its
-/// siblings, which is exactly why shard execution order cannot affect
-/// results.
-#[derive(Debug)]
-pub struct FleetShard<'a> {
-    index: usize,
-    device: &'a mut CxlM2ndpDevice,
-    lane: HostLane<'a>,
-    offload_arrival: &'a mut Cycle,
-    last_instance: &'a mut Option<KernelInstanceId>,
-    device_done: &'a mut Cycle,
-}
-
-impl FleetShard<'_> {
-    /// This shard's device index in the fleet.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// The shard's device, immutably.
-    pub fn device(&self) -> &CxlM2ndpDevice {
-        self.device
-    }
-
-    /// The shard's device, mutably.
-    pub fn device_mut(&mut self) -> &mut CxlM2ndpDevice {
-        self.device
-    }
-
-    /// Fleet cycle at which this device last became free.
-    pub fn device_done(&self) -> Cycle {
-        *self.device_done
-    }
-
-    /// [`Fleet::launch_routed_and_run`] for this shard: the offload issues
-    /// when the device finished its previous work, the store crosses the
-    /// lane, and the kernel runs to completion.
-    ///
-    /// # Errors
-    /// Whatever the device's launch returns.
-    pub fn launch_and_run(&mut self, args: LaunchArgs) -> Result<Cycle, NdpApiError> {
-        let issue = *self.device_done;
-        let arrival = self
-            .lane
-            .host_to_device_unordered(issue, M2FUNC_OFFLOAD_BYTES);
-        let inst = self.device.launch(args)?;
-        let start = self.device.now();
-        let kernel = self.device.run_until_finished(inst) - start;
-        *self.device_done = arrival + kernel;
-        Ok(*self.device_done)
-    }
-
-    /// This shard's half of [`Fleet::run_launched`]: runs the most recent
-    /// launch (if any) to completion and returns `(kernel_cycles,
-    /// per_device_completion)`.
-    fn finish_launched(&mut self) -> (Cycle, Cycle) {
-        let kernel = match *self.last_instance {
-            Some(inst) => {
-                let start = self.device.now();
-                self.device.run_until_finished(inst) - start
-            }
-            None => 0,
-        };
-        let per_device = if kernel == 0 {
-            0
-        } else {
-            *self.offload_arrival + kernel
-        };
-        *self.device_done = (*self.device_done).max(per_device);
-        (kernel, per_device)
     }
 }
 
@@ -914,82 +732,6 @@ mod tests {
         let run = f.run_launched();
         assert!(run.kernel_cycles[1] > 0);
         assert_eq!(f.device(1).memory().read_u32(base), 42);
-    }
-
-    #[test]
-    fn parallel_run_launched_is_bit_identical_to_serial() {
-        let run_with = |jobs: usize| {
-            let mut f = fleet(4);
-            f.set_parallelism(jobs);
-            let run = run_sharded(&mut f, 2048);
-            (run, f.switch().host_transfers.get())
-        };
-        let (serial, serial_transfers) = run_with(1);
-        for jobs in [2, 4, 16] {
-            let (par, transfers) = run_with(jobs);
-            assert_eq!(serial.kernel_cycles, par.kernel_cycles, "jobs={jobs}");
-            assert_eq!(serial.per_device, par.per_device, "jobs={jobs}");
-            assert_eq!(serial.compute_done, par.compute_done, "jobs={jobs}");
-            assert_eq!(serial_transfers, transfers, "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn routed_sequences_match_serial_launch_routed_and_run() {
-        let elems = 1024u64;
-        let base = 0x40_0000u64;
-        let build = |f: &mut Fleet| -> Vec<(u64, Vec<LaunchArgs>)> {
-            let kids = f.register_kernel_all(&vec_double());
-            (0..f.len())
-                .map(|d| {
-                    for i in 0..elems {
-                        f.device_mut(d)
-                            .memory_mut()
-                            .write_u32(base + i * 4, i as u32);
-                    }
-                    // Two dependent launches per device: the second doubles
-                    // the first's output.
-                    let args = LaunchArgs::new(kids[d], base, base + elems * 4);
-                    (f.shard_base(d), vec![args.clone(), args])
-                })
-                .collect()
-        };
-
-        // Reference: the serial one-call-at-a-time API.
-        let mut serial = fleet(4);
-        let seqs = build(&mut serial);
-        for (pool, launches) in &seqs {
-            for args in launches {
-                serial
-                    .launch_routed_and_run(*pool, args.clone())
-                    .expect("routes");
-            }
-        }
-
-        // Shard-parallel sequences, forced wide.
-        let mut par = fleet(4);
-        let seqs = build(&mut par);
-        par.set_parallelism(4);
-        let done = par.launch_routed_sequences(seqs).expect("routes");
-
-        assert_eq!(par.completion(), serial.completion());
-        for (d, &done_at) in done.iter().enumerate() {
-            assert_eq!(
-                par.device(d).memory().read_u32(base),
-                0,
-                "element 0 is 0 * 4"
-            );
-            assert_eq!(
-                par.device(d).memory().read_u32(base + 4),
-                4,
-                "element 1 doubled twice"
-            );
-            assert!(done_at > 0, "device {d} ran");
-        }
-        assert_eq!(
-            par.switch().host_transfers.get(),
-            serial.switch().host_transfers.get()
-        );
     }
 
     #[test]

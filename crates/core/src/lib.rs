@@ -23,8 +23,7 @@
 //! * [`kernel`] — NDP kernel specifications and the registration-time
 //!   resource accounting (Table II arguments);
 //! * [`multi`] — analytic cost model for scaling across multiple
-//!   CXL-M²NDP devices through a CXL switch (§III-I) and the NDP-in-switch
-//!   configuration (§III-J);
+//!   CXL-M²NDP devices through a CXL switch (§III-I);
 //! * [`fleet`] — the *simulated* counterpart of [`multi`]: N real device
 //!   simulators behind a switch, offloads routed through the HDM page
 //!   router, the all-reduce as actual P2P switch traffic, and the

@@ -1,5 +1,5 @@
-//! Scaling across multiple CXL-M²NDP devices (§III-I) and the
-//! M²NDP-in-switch configuration (§III-J).
+//! Analytic cost model for scaling across multiple CXL-M²NDP devices
+//! (§III-I).
 //!
 //! As in the paper's methodology, data is partitioned across devices by
 //! software (model parallelism for DLRM/OPT, §IV-D) and one kernel is
@@ -46,31 +46,6 @@ impl MultiDeviceRun {
     /// Speedup over a single-device run taking `single_device_cycles`.
     pub fn speedup_over(&self, single_device_cycles: Cycle) -> f64 {
         single_device_cycles as f64 / self.total_cycles() as f64
-    }
-}
-
-/// The M²NDP-in-switch configuration (Fig. 9): NDP units inside the switch
-/// process data pulled from `n` passive CXL memories. Aggregate pull
-/// bandwidth scales with the number of populated switch ports until the NDP
-/// throughput itself saturates.
-#[derive(Debug, Clone, Copy)]
-pub struct SwitchNdpModel {
-    /// Per-port CXL bandwidth (bytes/s).
-    pub port_bw: f64,
-    /// NDP units' aggregate processing bandwidth demand (bytes/s) when
-    /// unconstrained — i.e. the single-device internal-DRAM throughput.
-    pub ndp_bw: f64,
-}
-
-impl SwitchNdpModel {
-    /// Achieved throughput with `memories` passive CXL memories attached.
-    pub fn throughput(&self, memories: u32) -> f64 {
-        (self.port_bw * memories as f64).min(self.ndp_bw)
-    }
-
-    /// Speedup relative to one memory.
-    pub fn speedup(&self, memories: u32) -> f64 {
-        self.throughput(memories) / self.throughput(1)
     }
 }
 
@@ -132,17 +107,5 @@ mod tests {
             small < big,
             "small model {small} should scale worse than {big}"
         );
-    }
-
-    #[test]
-    fn switch_ndp_saturates_at_ndp_bandwidth() {
-        let m = SwitchNdpModel {
-            port_bw: 64e9,
-            ndp_bw: 409.6e9,
-        };
-        assert!((m.speedup(1) - 1.0).abs() < 1e-9);
-        assert!(m.speedup(4) > 3.9);
-        // 8 ports would be 512 GB/s but NDP caps at 409.6 → 6.4x.
-        assert!((m.speedup(8) - 6.4).abs() < 0.01);
     }
 }

@@ -32,4 +32,4 @@ pub use filter::{FilterEntry, PacketFilter};
 pub use io::CxlIoModel;
 pub use link::{CxlLink, CxlLinkConfig};
 pub use packet::{CxlMemPacket, PacketKind};
-pub use switch::{CxlSwitch, HdmRouter, HostLane, SwitchConfig, HDM_PAGE_BYTES};
+pub use switch::{CxlSwitch, HdmRouter, SwitchConfig, HDM_PAGE_BYTES};

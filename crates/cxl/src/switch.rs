@@ -173,39 +173,10 @@ impl CxlSwitch {
     /// earlier-timestamped send is not spuriously queued behind a
     /// later-timestamped one.
     pub fn host_to_device_unordered(&mut self, now: Cycle, dst: usize, bytes: u32) -> Cycle {
-        let hbpc = self.host_port.0.bytes_per_cycle();
-        let t = unordered_host_hop(&mut self.ports[dst].0, hbpc, self.traversal, now, bytes);
+        let ser = (f64::from(bytes) / self.host_port.0.bytes_per_cycle()).ceil() as Cycle;
+        let t = self.ports[dst].0.send(now + ser, bytes as u64);
         self.host_transfers.inc();
-        t
-    }
-
-    /// Splits the switch into per-device host→device lanes so independent
-    /// shard simulations can charge their own launch stores concurrently
-    /// (the fleet's shard-parallel execution core). Each [`HostLane`] owns
-    /// its port's `to_device` gate exclusively and counts its transfers
-    /// locally; fold the counts back with
-    /// [`Self::absorb_host_transfers`] once the lanes are dropped. One lane
-    /// per device port, in port order.
-    pub fn host_lanes(&mut self) -> Vec<HostLane<'_>> {
-        let host_bytes_per_cycle = self.host_port.0.bytes_per_cycle();
-        let traversal = self.traversal;
-        self.ports
-            .iter_mut()
-            .map(|(to_device, _)| HostLane {
-                to_device,
-                host_bytes_per_cycle,
-                traversal,
-                transfers: 0,
-            })
-            .collect()
-    }
-
-    /// Folds shard-local lane transfer counts (see [`Self::host_lanes`])
-    /// back into the shared `host_transfers` counter. Addition commutes, so
-    /// the fold is order-independent and the merged counter matches a
-    /// serial run exactly.
-    pub fn absorb_host_transfers(&mut self, transfers: u64) {
-        self.host_transfers.add(transfers);
+        t + self.traversal
     }
 
     /// Forwards `bytes` from device port `src` to the host; returns the
@@ -284,58 +255,6 @@ impl CxlSwitch {
     }
 }
 
-/// The unordered host→device hop shared by [`CxlSwitch::host_to_device_unordered`]
-/// and [`HostLane::host_to_device_unordered`]: the host port contributes
-/// its serialization *delay* without advancing the shared gate clock, the
-/// destination port's gate is charged for real, and one traversal is added.
-fn unordered_host_hop(
-    to_device: &mut BandwidthGate,
-    host_bytes_per_cycle: f64,
-    traversal: Cycle,
-    now: Cycle,
-    bytes: u32,
-) -> Cycle {
-    let ser = (f64::from(bytes) / host_bytes_per_cycle).ceil() as Cycle;
-    to_device.send(now + ser, bytes as u64) + traversal
-}
-
-/// One device port's host→device lane, split out of the switch with
-/// [`CxlSwitch::host_lanes`] so per-device shard simulations can run
-/// concurrently: the lane owns the port's `to_device` [`BandwidthGate`]
-/// exclusively (per-port state — no cross-device coupling) and accumulates
-/// its transfer count locally instead of touching the switch's shared
-/// counters.
-#[derive(Debug)]
-pub struct HostLane<'a> {
-    to_device: &'a mut BandwidthGate,
-    host_bytes_per_cycle: f64,
-    traversal: Cycle,
-    transfers: u64,
-}
-
-impl HostLane<'_> {
-    /// [`CxlSwitch::host_to_device_unordered`] for this lane's port: same
-    /// math, same result cycle, but safe to call from the shard that owns
-    /// the lane while sibling shards charge theirs.
-    pub fn host_to_device_unordered(&mut self, now: Cycle, bytes: u32) -> Cycle {
-        let t = unordered_host_hop(
-            self.to_device,
-            self.host_bytes_per_cycle,
-            self.traversal,
-            now,
-            bytes,
-        );
-        self.transfers += 1;
-        t
-    }
-
-    /// Host transfers charged through this lane so far (what
-    /// [`CxlSwitch::absorb_host_transfers`] expects back).
-    pub fn transfers(&self) -> u64 {
-        self.transfers
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,30 +293,30 @@ mod tests {
     }
 
     #[test]
-    fn host_lanes_match_the_unordered_switch_path() {
-        // The same stream of unordered launch stores, once through the
-        // switch method and once through split lanes, must produce
-        // identical delivery cycles, gate state, and transfer counts.
-        let mut reference = switch();
-        let mut split = switch();
-        let stream = [(0usize, 5u64, 80u32), (1, 9, 80), (0, 40, 256), (2, 7, 64)];
-        let expected: Vec<Cycle> = stream
-            .iter()
-            .map(|&(dst, now, bytes)| reference.host_to_device_unordered(now, dst, bytes))
-            .collect();
-        let mut got = Vec::new();
-        let mut lanes = split.host_lanes();
-        for &(dst, now, bytes) in &stream {
-            got.push(lanes[dst].host_to_device_unordered(now, bytes));
-        }
-        let transfers: u64 = lanes.iter().map(HostLane::transfers).sum();
-        drop(lanes);
-        split.absorb_host_transfers(transfers);
-        assert_eq!(got, expected);
-        assert_eq!(split.host_transfers.get(), reference.host_transfers.get());
-        for p in 0..3 {
-            assert_eq!(split.port_bytes(p), reference.port_bytes(p), "port {p}");
-        }
+    fn unordered_stores_skip_the_host_port_queue_but_not_their_own_port() {
+        // A fleet simulates its devices one after another, so a store
+        // stamped at cycle 5 for port 1 can be issued after a store
+        // stamped at cycle 40 for port 0. Default switch: 32 B/cycle per
+        // gate, 140-cycle traversal.
+        let mut unordered = switch();
+        let mut ordered = switch();
+        // 4,096 B: 128 cycles on the host port, 128 on port 0.
+        let big = unordered.host_to_device_unordered(40, 0, 4096);
+        assert_eq!(big, 40 + 128 + 128 + 140);
+        assert_eq!(ordered.host_to_device(40, 0, 4096), big);
+        // The unordered hop charges only the 80 B store's own serialization
+        // on the host port; the ordered one queues it behind the 4,096 B
+        // store, whose host-port serialization ends at cycle 168.
+        assert_eq!(unordered.host_to_device_unordered(5, 1, 80), 151);
+        assert_eq!(ordered.host_to_device(5, 1, 80), 314);
+        // A store to port 0 still waits for that port's gate to drain the
+        // 4,096 B store.
+        let behind = unordered.host_to_device_unordered(5, 0, 80);
+        assert_eq!(behind, 439);
+        assert!(behind > big);
+        assert_eq!(unordered.host_transfers.get(), 3);
+        assert_eq!(unordered.port_bytes(0), (4096 + 80, 0));
+        assert_eq!(unordered.port_bytes(1), (80, 0));
     }
 
     #[test]

@@ -561,8 +561,7 @@ impl ServeBackend {
 /// kernel *on the device simulator* to obtain the real service time, and
 /// is observed by the host `post_ns` after kernel completion. Every
 /// scheduler and autoscaled run shares this one serial loop
-/// ([`scheduler`]), so the report does not depend on
-/// [`Fleet::parallelism`].
+/// ([`scheduler`]).
 ///
 /// # Panics
 /// Panics on malformed tenant specs (empty trace, non-positive rate), on

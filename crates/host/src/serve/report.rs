@@ -180,7 +180,7 @@ impl ServeReport {
     /// `chrome://tracing`). The kernel disassembly rides along under
     /// `otherData.kernels` so viewers and the `m2ndp-trace` CLI can
     /// annotate kernel spans at instruction level. Deterministic: the same
-    /// run produces byte-identical JSON at any shard parallelism.
+    /// run produces byte-identical JSON at any `--jobs`.
     pub fn chrome_trace(&self) -> Json {
         let kernels = Json::Arr(
             self.trace_kernels

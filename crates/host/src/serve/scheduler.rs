@@ -9,8 +9,7 @@
 //! queued on its device, and admitted when that device has a free kernel
 //! slot. Static placement ([`SchedulerKind::StaticFifo`]) is simply a
 //! scheduler whose `route` returns the key's home device. The loop never
-//! reads `--jobs` or `--fleet-jobs`, so a run is deterministic at every
-//! setting of those knobs.
+//! reads `--jobs`, so a run is deterministic at every setting of it.
 //!
 //! # Determinism rules for scheduler implementations
 //!

@@ -21,8 +21,8 @@
 //! * [`fingerprint`] — rolling state fingerprints asserting that optimized
 //!   hot-path structures stay observably identical to naive references,
 //! * [`par`] — deterministic, ordered, scoped fan-out
-//!   ([`par::map_ordered`]) shared by the figure sweep, the fleet, and the
-//!   serving runtime,
+//!   ([`par::map_ordered`]), the worker pool that runs the figure sweep's
+//!   cells,
 //! * [`json`] — the dependency-free, deterministic JSON value shared by the
 //!   figure sweep, the trace exporter, and the CLI diagnostics,
 //! * [`trace`] — the opt-in observability layer: typed timeline events, the

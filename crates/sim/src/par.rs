@@ -1,6 +1,5 @@
-//! Deterministic, ordered, scoped fan-out — the shard-parallel execution
-//! core shared by the figure sweep, the multi-device fleet, and the serving
-//! runtime.
+//! Deterministic, ordered, scoped fan-out — the worker pool that runs the
+//! figure sweep's cells.
 //!
 //! The model is intentionally tiny: a fixed set of `jobs` scoped worker
 //! threads pull item indices from an atomic counter and write results into
@@ -11,10 +10,9 @@
 //!
 //! Determinism contract: the pool never changes *what* is computed, only
 //! *when*. As long as each item's computation is self-contained (every cell
-//! builds its own device; every fleet shard owns its device and switch-port
-//! lane), the returned vector is bit-identical for any `jobs` value — the
-//! invariant the sweep's byte-stable JSON and the fleet's cycle-exact
-//! parity gates rely on.
+//! builds its own device or fleet), the returned vector is bit-identical
+//! for any `jobs` value — the invariant the sweep's byte-stable JSON relies
+//! on.
 //!
 //! Panic behaviour: a panicking item **cannot deadlock the pool**. The
 //! panicking worker raises a bail flag on its way out, the remaining
@@ -25,9 +23,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Parses a positive worker count from the environment variable `var`
-/// (e.g. `M2NDP_JOBS`, `M2NDP_FLEET_JOBS`). Returns `None` when the
-/// variable is unset, unparsable, or zero, so callers fall back to their
-/// own default.
+/// (e.g. `M2NDP_JOBS`). Returns `None` when the variable is unset,
+/// unparsable, or zero, so callers fall back to their own default.
 pub fn env_jobs(var: &str) -> Option<usize> {
     std::env::var(var)
         .ok()?
@@ -141,31 +138,6 @@ where
     run_indexed(items.len(), jobs, |worker, i| f(worker, &items[i]))
 }
 
-/// Mutable fan-out: runs `f` once on every item with exclusive access,
-/// returning the results in input order. Each item is handed to exactly
-/// one worker (the fleet uses this to advance N device simulators
-/// concurrently, each worker owning one shard).
-///
-/// # Panics
-/// Propagates the first item panic once the pool has drained.
-pub fn map_ordered_mut<T, R, F>(items: &mut [T], jobs: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let handoff: Vec<Mutex<Option<&mut T>>> =
-        items.iter_mut().map(|t| Mutex::new(Some(t))).collect();
-    run_indexed(handoff.len(), jobs, |worker, i| {
-        let item = handoff[i]
-            .lock()
-            .expect("item handoff lock")
-            .take()
-            .expect("each item is taken exactly once");
-        f(worker, item)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,17 +149,6 @@ mod tests {
             let out = map_ordered(&items, jobs, |&x| x * 3);
             assert_eq!(out, items.iter().map(|x| x * 3).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn map_ordered_mut_gives_each_item_to_exactly_one_worker() {
-        let mut items = vec![0u32; 100];
-        let out = map_ordered_mut(&mut items, 4, |_, item| {
-            *item += 1;
-            *item
-        });
-        assert_eq!(out, vec![1; 100]);
-        assert_eq!(items, vec![1; 100]);
     }
 
     #[test]

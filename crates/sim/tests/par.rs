@@ -1,10 +1,9 @@
-//! Property tests for the deterministic shard-parallel pool
-//! (`m2ndp_sim::par`): ordered results at any worker count, seed-stable
-//! outputs across `jobs = 1, 2, 8`, exclusive per-item mutation, and the
-//! panic contract — a panicking item propagates instead of deadlocking the
-//! pool.
+//! Property tests for the deterministic worker pool (`m2ndp_sim::par`):
+//! ordered results at any worker count, seed-stable outputs across
+//! `jobs = 1, 2, 8`, and the panic contract — a panicking item propagates
+//! instead of deadlocking the pool.
 
-use m2ndp_sim::par::{map_ordered, map_ordered_mut, map_ordered_with};
+use m2ndp_sim::par::{map_ordered, map_ordered_with};
 use m2ndp_sim::rng::{exponential, seeded};
 use proptest::prelude::*;
 
@@ -48,22 +47,6 @@ proptest! {
             let par = map_ordered(&seeds, jobs, |&s| seeded_work(s));
             prop_assert_eq!(&par, &serial, "jobs={}", jobs);
         }
-    }
-
-    /// Mutable fan-out touches every item exactly once and keeps result
-    /// order, at any worker count.
-    #[test]
-    fn map_ordered_mut_visits_each_item_once(
-        len in 0usize..120,
-        jobs in 1usize..10,
-    ) {
-        let mut items = vec![0u64; len];
-        let out = map_ordered_mut(&mut items, jobs, |_, item| {
-            *item += 1;
-            *item
-        });
-        prop_assert_eq!(out, vec![1u64; len]);
-        prop_assert_eq!(items, vec![1u64; len]);
     }
 }
 

@@ -7,12 +7,7 @@
 //!
 //! ```text
 //! cargo run --release --example fleet_scaling
-//! M2NDP_FLEET_JOBS=8 cargo run --release --example fleet_scaling   # shard-parallel
 //! ```
-//!
-//! `M2NDP_FLEET_JOBS` sets how many workers advance the fleet's devices
-//! concurrently (`Fleet::parallelism`); results are bit-identical at every
-//! setting — only wall-clock changes.
 
 use m2ndp::core::fleet::{Fleet, FleetConfig, SwitchNdp};
 use m2ndp::core::M2ndpConfig;

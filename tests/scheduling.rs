@@ -1,9 +1,9 @@
 //! Gates for the pluggable serving scheduler and the elastic fleet
 //! (§III-J, paper Fig. 15 methodology): every [`SchedulerKind`] must be
-//! byte-identical across fleet shard-parallelism, autoscaled runs must be
-//! deterministic with well-formed lifecycle transitions, and a traced
-//! elastic run must carry the scale/route events and phase spans the
-//! `fig15` sweep cell is built from.
+//! byte-identical whatever value `Fleet::set_parallelism` is given,
+//! autoscaled runs must be deterministic with well-formed lifecycle
+//! transitions, and a traced elastic run must carry the scale/route events
+//! and phase spans the `fig15` sweep cell is built from.
 //!
 //! Request budgets are kept small so the suite stays fast in debug
 //! builds; the full-size elastic runs are exercised by the `fig15` sweep
@@ -65,8 +65,8 @@ fn autoscale_cfg() -> AutoscaleConfig {
         .cooldown_ticks(1)
 }
 
-/// Runs the shared tenant mix under `kind` on a 4-device fleet at the
-/// given shard-parallelism. Dynamic schedulers (and any autoscaled run)
+/// Runs the shared tenant mix under `kind` on a 4-device fleet given
+/// `set_parallelism(jobs)`. Dynamic schedulers (and any autoscaled run)
 /// need every device to hold the full store, so those take the
 /// replicated workload; static kinds use the sharded one.
 fn run_kind(
@@ -134,9 +134,9 @@ fn fingerprint(
 }
 
 /// The redesigned-API determinism gate: each scheduler kind must produce
-/// byte-identical reports no matter how many shard-runner threads the
-/// fleet uses. Every kind runs on the one serial admission loop, which
-/// must ignore the parallelism knob entirely.
+/// byte-identical reports whatever value `Fleet::set_parallelism` is
+/// given. The host-speed benchmark still makes that call, and it must
+/// change nothing: every kind runs on the one serial admission loop.
 #[test]
 fn every_scheduler_kind_is_bit_identical_across_fleet_parallelism() {
     for kind in SchedulerKind::all() {
@@ -152,7 +152,8 @@ fn every_scheduler_kind_is_bit_identical_across_fleet_parallelism() {
     }
 }
 
-/// Autoscaled runs are deterministic too, and their lifecycle stream is
+/// Autoscaled runs are deterministic too (equal at every
+/// `Fleet::set_parallelism` value), and their lifecycle stream is
 /// well-formed: the controller must actually scale above the 1-device
 /// floor under the saturating load, active counts stay within
 /// `[min, max]`, and every drain-start is eventually matched by a
