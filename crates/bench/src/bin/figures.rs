@@ -150,7 +150,7 @@ fn parse_args() -> Options {
     opts
 }
 
-fn list_figures(opts: &Options) {
+fn list_figures() {
     println!("figures (cells full/fast):");
     for fig in FigId::all() {
         println!(
@@ -168,7 +168,6 @@ fn list_figures(opts: &Options) {
             band.metric, band.lo, band.hi, band.paper
         );
     }
-    let _ = opts;
 }
 
 /// The `--timing` artifact (schema v5): the sweep's wall seconds, each
@@ -301,7 +300,7 @@ fn snapshot_mismatches(
 fn main() -> ExitCode {
     let opts = parse_args();
     if opts.list {
-        list_figures(&opts);
+        list_figures();
         return ExitCode::SUCCESS;
     }
 

@@ -1499,17 +1499,14 @@ impl Engine {
             };
             (slot.instance, slot.phase, spad_unit)
         };
-        // One Arc clone per *issue* (not per scanned slot) keeps the spec
-        // alive across the disjoint unit/instance borrows below.
-        let spec = self.inst(inst_idx).spec.clone();
-        let prog = match phase {
-            Phase::Init => spec.init.as_ref().expect("init"),
-            Phase::Body => &spec.body,
-            Phase::Fini => spec.fini.as_ref().expect("fini"),
-        };
-
         let mut scratch = std::mem::take(&mut self.scratch);
         let group = {
+            let spec = &self.instances[inst_idx - self.base].spec;
+            let prog = match phase {
+                Phase::Init => spec.init.as_ref().expect("init"),
+                Phase::Body => &spec.body,
+                Phase::Fini => spec.fini.as_ref().expect("fini"),
+            };
             let slot = &mut self.units[unit_idx].subcores[sc_idx].slots[slot_idx as usize];
             let mut iface = EngineMemIface { mem, spad_unit };
             step_group(

@@ -50,17 +50,6 @@ pub struct HdmRouter {
 }
 
 impl HdmRouter {
-    /// Splits `total_bytes` of HDM evenly across `devices`, starting at
-    /// `base`.
-    pub fn even(base: u64, total_bytes: u64, devices: usize) -> Self {
-        assert!(devices > 0);
-        let per = total_bytes / devices as u64;
-        let device_spans = (0..devices as u64)
-            .map(|d| (base + d * per, base + (d + 1) * per))
-            .collect();
-        Self { device_spans }
-    }
-
     /// Splits HDM across `devices` at [`HDM_PAGE_BYTES`] granularity:
     /// `bytes_per_device` is rounded **up** to a whole number of 2 MB pages
     /// so every span is page-aligned and every page lives wholly in one
@@ -89,36 +78,9 @@ impl HdmRouter {
             .position(|(b, e)| (*b..*e).contains(&addr))
     }
 
-    /// The owning device plus the address's offset within that device's
-    /// span (how a fleet-global HDM address rebases into device-local
-    /// memory).
-    pub fn local_offset(&self, addr: u64) -> Option<(usize, u64)> {
-        let d = self.device_of(addr)?;
-        Some((d, addr - self.device_spans[d].0))
-    }
-
-    /// The global 2 MB page index of an address inside the routed HDM.
-    pub fn page_of(&self, addr: u64) -> Option<u64> {
-        let (first, _) = *self.device_spans.first()?;
-        self.device_of(addr)
-            .map(|_| (addr - first) / HDM_PAGE_BYTES)
-    }
-
-    /// The full `[base, bound)` span the router covers.
-    pub fn total_span(&self) -> (u64, u64) {
-        let first = self.device_spans.first().map_or(0, |s| s.0);
-        let last = self.device_spans.last().map_or(0, |s| s.1);
-        (first, last)
-    }
-
     /// The address span of one device.
     pub fn span(&self, device: usize) -> (u64, u64) {
         self.device_spans[device]
-    }
-
-    /// Number of devices.
-    pub fn devices(&self) -> usize {
-        self.device_spans.len()
     }
 }
 
@@ -321,8 +283,7 @@ mod tests {
 
     #[test]
     fn router_partitions_evenly() {
-        let r = HdmRouter::even(0x1_0000_0000, 8 << 30, 8);
-        assert_eq!(r.devices(), 8);
+        let r = HdmRouter::even_pages(0x1_0000_0000, 1 << 30, 8);
         assert_eq!(r.device_of(0x1_0000_0000), Some(0));
         assert_eq!(r.device_of(0x1_0000_0000 + (1 << 30)), Some(1));
         assert_eq!(r.device_of(0x1_0000_0000 + (8u64 << 30) - 1), Some(7));
@@ -369,18 +330,16 @@ mod tests {
             assert_eq!(b % HDM_PAGE_BYTES, 0);
             assert_eq!(e - b, 4 << 20);
         }
-        assert_eq!(r.local_offset(5 << 20), Some((1, 1 << 20)));
-        assert_eq!(r.page_of(5 << 20), Some(2));
-        assert_eq!(r.total_span(), (0, 16 << 20));
-        assert_eq!(r.local_offset(16 << 20), None);
+        assert_eq!(r.device_of(5 << 20), Some(1));
+        assert_eq!(r.device_of(16 << 20), None);
     }
 
     #[test]
     fn router_spans_are_contiguous() {
-        let r = HdmRouter::even(0, 4096, 4);
+        let r = HdmRouter::even_pages(0, HDM_PAGE_BYTES, 4);
         for d in 0..4 {
             let (b, e) = r.span(d);
-            assert_eq!(e - b, 1024);
+            assert_eq!(e - b, HDM_PAGE_BYTES);
             assert_eq!(r.device_of(b), Some(d));
             assert_eq!(r.device_of(e - 1), Some(d));
         }

@@ -3,18 +3,47 @@
 //! `MainMemory` is a sparse, page-granular byte store. Host models, the NDP
 //! executor and workload generators all read and write the same instance, so
 //! functional results are exact regardless of which timing model ran the
-//! code. Atomic read-modify-write helpers back the RISC-V AMO instructions
-//! and the scratchpad/L2 atomic units.
+//! code. Every fixed-width access inside one page costs one page-map probe:
+//! reads, writes, and the read-modify-write [`MainMemory::update_u32`] /
+//! [`MainMemory::update_u64`] that back the RISC-V AMO instructions (through
+//! `m2ndp_riscv::exec::amo_on_memory`).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
+const PAGE_MASK: u64 = PAGE_SIZE as u64 - 1;
+
+/// Deterministic hasher for page numbers (Fibonacci multiplicative hash).
+///
+/// The product's high half is folded into its low half: the table picks a
+/// bucket from the low bits, and the workload data, the per-unit
+/// scratchpad backing and the DRAM-TLB regions start at page numbers that
+/// differ only in high bits. Keys are simulated addresses, so std's seeded
+/// SipHash, which resists crafted collisions, buys nothing here.
+#[derive(Debug, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("page numbers hash through write_u64");
+    }
+
+    fn write_u64(&mut self, page: u64) {
+        let h = page.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+}
 
 /// Sparse functional byte store with 4 KiB pages.
 ///
 /// Reads of never-written memory return zeros, matching freshly-allocated
-/// device memory.
+/// device memory. A page is created by the first write that touches it.
 ///
 /// # Example
 ///
@@ -24,10 +53,12 @@ const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 /// m.write_u64(0x1000, 0xdead_beef);
 /// assert_eq!(m.read_u64(0x1000), 0xdead_beef);
 /// assert_eq!(m.read_u32(0x2000), 0); // untouched memory reads zero
+/// assert_eq!(m.update_u32(0x1000, |v| v + 1), 0xdead_beef); // returns old
+/// assert_eq!(m.read_u32(0x1000), 0xdead_bef0);
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct MainMemory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>, BuildHasherDefault<PageHasher>>,
 }
 
 impl MainMemory {
@@ -42,12 +73,19 @@ impl MainMemory {
             .or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
     }
 
+    /// Offset of `addr` in its page when `N` bytes from it stay inside
+    /// that page.
+    fn in_page<const N: usize>(addr: u64) -> Option<usize> {
+        let off = (addr & PAGE_MASK) as usize;
+        (off + N <= PAGE_SIZE).then_some(off)
+    }
+
     /// Reads `buf.len()` bytes starting at `addr`.
     pub fn read_bytes(&self, addr: u64, buf: &mut [u8]) {
         let mut done = 0usize;
         while done < buf.len() {
             let cur = addr + done as u64;
-            let off = (cur & (PAGE_SIZE as u64 - 1)) as usize;
+            let off = (cur & PAGE_MASK) as usize;
             let n = (PAGE_SIZE - off).min(buf.len() - done);
             match self.pages.get(&(cur >> PAGE_SHIFT)) {
                 Some(p) => buf[done..done + n].copy_from_slice(&p[off..off + n]),
@@ -62,39 +100,79 @@ impl MainMemory {
         let mut done = 0usize;
         while done < data.len() {
             let cur = addr + done as u64;
-            let off = (cur & (PAGE_SIZE as u64 - 1)) as usize;
+            let off = (cur & PAGE_MASK) as usize;
             let n = (PAGE_SIZE - off).min(data.len() - done);
             self.page_mut(cur)[off..off + n].copy_from_slice(&data[done..done + n]);
             done += n;
         }
     }
 
+    /// Reads `N` bytes: one probe when they stay inside a page.
+    #[inline]
+    fn read_array<const N: usize>(&self, addr: u64) -> [u8; N] {
+        let mut b = [0u8; N];
+        match Self::in_page::<N>(addr) {
+            Some(off) => {
+                if let Some(p) = self.pages.get(&(addr >> PAGE_SHIFT)) {
+                    b.copy_from_slice(&p[off..off + N]);
+                }
+            }
+            None => self.read_bytes(addr, &mut b),
+        }
+        b
+    }
+
+    /// Writes `N` bytes: one probe when they stay inside a page.
+    #[inline]
+    fn write_array<const N: usize>(&mut self, addr: u64, b: [u8; N]) {
+        match Self::in_page::<N>(addr) {
+            Some(off) => self.page_mut(addr)[off..off + N].copy_from_slice(&b),
+            None => self.write_bytes(addr, &b),
+        }
+    }
+
+    /// Replaces the `N` bytes at `addr` with `f(old)` and returns `old`:
+    /// one probe when they stay inside a page.
+    #[inline]
+    fn update_array<const N: usize>(
+        &mut self,
+        addr: u64,
+        f: impl FnOnce([u8; N]) -> [u8; N],
+    ) -> [u8; N] {
+        match Self::in_page::<N>(addr) {
+            Some(off) => {
+                let bytes = &mut self.page_mut(addr)[off..off + N];
+                let mut old = [0u8; N];
+                old.copy_from_slice(bytes);
+                bytes.copy_from_slice(&f(old));
+                old
+            }
+            None => {
+                let old = self.read_array(addr);
+                self.write_array(addr, f(old));
+                old
+            }
+        }
+    }
+
     /// Reads one byte.
     pub fn read_u8(&self, addr: u64) -> u8 {
-        let mut b = [0u8; 1];
-        self.read_bytes(addr, &mut b);
-        b[0]
+        u8::from_le_bytes(self.read_array(addr))
     }
 
     /// Reads a little-endian u16.
     pub fn read_u16(&self, addr: u64) -> u16 {
-        let mut b = [0u8; 2];
-        self.read_bytes(addr, &mut b);
-        u16::from_le_bytes(b)
+        u16::from_le_bytes(self.read_array(addr))
     }
 
     /// Reads a little-endian u32.
     pub fn read_u32(&self, addr: u64) -> u32 {
-        let mut b = [0u8; 4];
-        self.read_bytes(addr, &mut b);
-        u32::from_le_bytes(b)
+        u32::from_le_bytes(self.read_array(addr))
     }
 
     /// Reads a little-endian u64.
     pub fn read_u64(&self, addr: u64) -> u64 {
-        let mut b = [0u8; 8];
-        self.read_bytes(addr, &mut b);
-        u64::from_le_bytes(b)
+        u64::from_le_bytes(self.read_array(addr))
     }
 
     /// Reads an f32.
@@ -109,22 +187,22 @@ impl MainMemory {
 
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u64, v: u8) {
-        self.write_bytes(addr, &[v]);
+        self.write_array(addr, v.to_le_bytes());
     }
 
     /// Writes a little-endian u16.
     pub fn write_u16(&mut self, addr: u64, v: u16) {
-        self.write_bytes(addr, &v.to_le_bytes());
+        self.write_array(addr, v.to_le_bytes());
     }
 
     /// Writes a little-endian u32.
     pub fn write_u32(&mut self, addr: u64, v: u32) {
-        self.write_bytes(addr, &v.to_le_bytes());
+        self.write_array(addr, v.to_le_bytes());
     }
 
     /// Writes a little-endian u64.
     pub fn write_u64(&mut self, addr: u64, v: u64) {
-        self.write_bytes(addr, &v.to_le_bytes());
+        self.write_array(addr, v.to_le_bytes());
     }
 
     /// Writes an f32.
@@ -137,53 +215,16 @@ impl MainMemory {
         self.write_u64(addr, v.to_bits());
     }
 
-    /// Atomic 32-bit add; returns the old value.
-    pub fn amo_add_u32(&mut self, addr: u64, v: u32) -> u32 {
-        let old = self.read_u32(addr);
-        self.write_u32(addr, old.wrapping_add(v));
-        old
+    /// Read-modify-write of a little-endian u32: stores `f(old)` and
+    /// returns `old`.
+    pub fn update_u32(&mut self, addr: u64, f: impl FnOnce(u32) -> u32) -> u32 {
+        u32::from_le_bytes(self.update_array(addr, |b| f(u32::from_le_bytes(b)).to_le_bytes()))
     }
 
-    /// Atomic 64-bit add; returns the old value.
-    pub fn amo_add_u64(&mut self, addr: u64, v: u64) -> u64 {
-        let old = self.read_u64(addr);
-        self.write_u64(addr, old.wrapping_add(v));
-        old
-    }
-
-    /// Atomic 64-bit signed min; returns the old value.
-    pub fn amo_min_i64(&mut self, addr: u64, v: i64) -> i64 {
-        let old = self.read_u64(addr) as i64;
-        self.write_u64(addr, old.min(v) as u64);
-        old
-    }
-
-    /// Atomic 32-bit signed min; returns the old value.
-    pub fn amo_min_i32(&mut self, addr: u64, v: i32) -> i32 {
-        let old = self.read_u32(addr) as i32;
-        self.write_u32(addr, old.min(v) as u32);
-        old
-    }
-
-    /// Atomic f32 add (used by SLS/PageRank accumulations); returns old.
-    pub fn amo_add_f32(&mut self, addr: u64, v: f32) -> f32 {
-        let old = self.read_f32(addr);
-        self.write_f32(addr, old + v);
-        old
-    }
-
-    /// Atomic f64 add; returns old.
-    pub fn amo_add_f64(&mut self, addr: u64, v: f64) -> f64 {
-        let old = self.read_f64(addr);
-        self.write_f64(addr, old + v);
-        old
-    }
-
-    /// Atomic 64-bit swap; returns the old value.
-    pub fn amo_swap_u64(&mut self, addr: u64, v: u64) -> u64 {
-        let old = self.read_u64(addr);
-        self.write_u64(addr, v);
-        old
+    /// Read-modify-write of a little-endian u64: stores `f(old)` and
+    /// returns `old`.
+    pub fn update_u64(&mut self, addr: u64, f: impl FnOnce(u64) -> u64) -> u64 {
+        u64::from_le_bytes(self.update_array(addr, |b| f(u64::from_le_bytes(b)).to_le_bytes()))
     }
 
     /// Number of touched pages (memory footprint of the simulation itself).
@@ -233,7 +274,7 @@ mod tests {
     fn amo_add_returns_old() {
         let mut m = MainMemory::new();
         m.write_u64(0, 10);
-        assert_eq!(m.amo_add_u64(0, 5), 10);
+        assert_eq!(m.update_u64(0, |v| v.wrapping_add(5)), 10);
         assert_eq!(m.read_u64(0), 15);
     }
 
@@ -241,18 +282,11 @@ mod tests {
     fn amo_min_keeps_smaller() {
         let mut m = MainMemory::new();
         m.write_u64(0, 100u64);
-        m.amo_min_i64(0, 42);
+        let min = |rhs: i64| move |v: u64| (v as i64).min(rhs) as u64;
+        m.update_u64(0, min(42));
         assert_eq!(m.read_u64(0), 42);
-        m.amo_min_i64(0, 99);
+        m.update_u64(0, min(99));
         assert_eq!(m.read_u64(0), 42);
-    }
-
-    #[test]
-    fn amo_f32_accumulates() {
-        let mut m = MainMemory::new();
-        m.write_f32(0, 1.0);
-        m.amo_add_f32(0, 2.5);
-        assert_eq!(m.read_f32(0), 3.5);
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! Property tests: DRAM controller liveness and conservation, address
-//! mapping balance, functional-memory round trips.
+//! mapping balance, functional-memory round trips, and the functional
+//! memory's fixed-width and read-modify-write paths against a byte model.
+
+use std::collections::{HashMap, HashSet};
 
 use m2ndp_mem::{AddressMapping, DramConfig, DramDevice, MainMemory, MemReq, ReqId, ReqSource};
 use m2ndp_sim::Frequency;
@@ -90,8 +93,140 @@ proptest! {
     fn amo_adds_accumulate(vals in prop::collection::vec(0u64..(1 << 32), 1..50)) {
         let mut mem = MainMemory::new();
         for v in &vals {
-            mem.amo_add_u64(0x100, *v);
+            mem.update_u64(0x100, |old| old.wrapping_add(*v));
         }
         prop_assert_eq!(mem.read_u64(0x100), vals.iter().sum::<u64>());
+    }
+}
+
+const PAGE: u64 = 4096;
+
+/// Region bases whose page numbers differ only in high bits, so a page map
+/// that buckets by low bits alone would pile them into the same chains.
+/// `m2ndp_mem` sits below the crates that define them, so they are copied:
+/// `m2ndp_workloads::DATA_BASE`, two units' scratchpad backing
+/// (`m2ndp_cache::scratchpad::spad_backing_addr`, a 16 MiB stride) and
+/// `m2ndp_core::tlb::DRAM_TLB_BASE`.
+const REGION_BASES: [u64; 4] = [
+    0x1_0000_0000,
+    0x0100_0000_0000 + 0x100_0000,
+    0x0100_0000_0000 + 2 * 0x100_0000,
+    0x00F0_0000_0000,
+];
+
+/// An address within 16 B of a page edge in one of [`REGION_BASES`].
+fn edge_addr(region: usize, page: u64, delta: i64) -> u64 {
+    (REGION_BASES[region] + page * PAGE).wrapping_add_signed(delta)
+}
+
+/// The reference: one entry per written byte, absent bytes read zero.
+#[derive(Default)]
+struct ByteModel {
+    bytes: HashMap<u64, u8>,
+    pages: HashSet<u64>,
+}
+
+impl ByteModel {
+    fn read(&self, addr: u64, len: usize) -> Vec<u8> {
+        (0..len as u64)
+            .map(|i| self.bytes.get(&(addr + i)).copied().unwrap_or(0))
+            .collect()
+    }
+
+    fn write(&mut self, addr: u64, data: &[u8]) {
+        for (i, b) in data.iter().enumerate() {
+            let a = addr + i as u64;
+            self.bytes.insert(a, *b);
+            self.pages.insert(a / PAGE);
+        }
+    }
+}
+
+/// The little-endian value of up to 8 bytes.
+fn le(bytes: &[u8]) -> u64 {
+    bytes.iter().rev().fold(0, |v, b| v << 8 | u64::from(*b))
+}
+
+/// `mem`'s fixed-width read at `width` bytes.
+fn read_width(mem: &MainMemory, addr: u64, width: usize) -> u64 {
+    match width {
+        1 => u64::from(mem.read_u8(addr)),
+        2 => u64::from(mem.read_u16(addr)),
+        4 => u64::from(mem.read_u32(addr)),
+        _ => mem.read_u64(addr),
+    }
+}
+
+/// `mem`'s fixed-width write of the low `width` bytes of `v`.
+fn write_width(mem: &mut MainMemory, addr: u64, width: usize, v: u64) {
+    match width {
+        1 => mem.write_u8(addr, v as u8),
+        2 => mem.write_u16(addr, v as u16),
+        4 => mem.write_u32(addr, v as u32),
+        _ => mem.write_u64(addr, v),
+    }
+}
+
+proptest! {
+    /// Random fixed-width reads, writes and updates, and byte spans up to
+    /// 64 B, at addresses near page edges in regions whose page numbers
+    /// differ only in high bits, match a byte-per-entry model: same values,
+    /// same old values from updates, and a page exists exactly when a write
+    /// or update touched it.
+    #[test]
+    fn fixed_width_and_update_paths_match_a_byte_model(
+        ops in prop::collection::vec(
+            (
+                (0usize..4, 1u64..4, -16i64..16),
+                0u8..5,
+                0u32..4,
+                (any::<u64>(), 1usize..=64),
+            ),
+            1..64,
+        ),
+    ) {
+        let mut mem = MainMemory::new();
+        let mut model = ByteModel::default();
+        for ((region, page, delta), kind, width_sel, (value, span)) in ops {
+            let addr = edge_addr(region, page, delta);
+            let width = 1usize << width_sel;
+            match kind {
+                0 => {
+                    let want = le(&model.read(addr, width));
+                    prop_assert_eq!(read_width(&mem, addr, width), want, "read_u{} at {:#x}", width * 8, addr);
+                }
+                1 => {
+                    write_width(&mut mem, addr, width, value);
+                    model.write(addr, &value.to_le_bytes()[..width]);
+                }
+                2 => {
+                    let mut got = vec![0u8; span];
+                    mem.read_bytes(addr, &mut got);
+                    prop_assert_eq!(got, model.read(addr, span), "read_bytes({}) at {:#x}", span, addr);
+                }
+                3 => {
+                    let data: Vec<u8> = (0..span as u64).map(|i| (value >> (i % 8 * 8)) as u8 ^ i as u8).collect();
+                    mem.write_bytes(addr, &data);
+                    model.write(addr, &data);
+                }
+                _ => {
+                    // Update at 4 or 8 bytes: add `value`, return the old.
+                    let width = if width_sel < 2 { 4 } else { 8 };
+                    let old = le(&model.read(addr, width));
+                    let got = if width == 4 {
+                        u64::from(mem.update_u32(addr, |v| v.wrapping_add(value as u32)))
+                    } else {
+                        mem.update_u64(addr, |v| v.wrapping_add(value))
+                    };
+                    prop_assert_eq!(got, old, "update_u{} old value at {:#x}", width * 8, addr);
+                    let new = old.wrapping_add(value).to_le_bytes();
+                    model.write(addr, &new[..width]);
+                }
+            }
+            prop_assert_eq!(mem.resident_pages(), model.pages.len());
+        }
+        for (&addr, &b) in &model.bytes {
+            prop_assert_eq!(mem.read_u8(addr), b, "byte at {:#x}", addr);
+        }
     }
 }

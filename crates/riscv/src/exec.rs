@@ -247,7 +247,9 @@ impl<'a> MainMemoryIface<'a> {
 }
 
 /// Performs a functional AMO against a [`MainMemory`]; shared by every
-/// iface implementation (device scratchpads, memory-side L2 atomics).
+/// iface implementation (device scratchpads, memory-side L2 atomics). One
+/// page probe per lane: the old value is read and the new one written in
+/// place.
 pub fn amo_on_memory(
     mem: &mut MainMemory,
     op: AmoOp,
@@ -257,9 +259,8 @@ pub fn amo_on_memory(
 ) -> u64 {
     match width {
         Width::W => {
-            let old = mem.read_u32(addr);
             let rhs = operand as u32;
-            let new = match op {
+            let old = mem.update_u32(addr, |old| match op {
                 AmoOp::Add => old.wrapping_add(rhs),
                 AmoOp::Swap => rhs,
                 AmoOp::Min => (old as i32).min(rhs as i32) as u32,
@@ -267,24 +268,18 @@ pub fn amo_on_memory(
                 AmoOp::And => old & rhs,
                 AmoOp::Or => old | rhs,
                 AmoOp::Xor => old ^ rhs,
-            };
-            mem.write_u32(addr, new);
+            });
             old as i32 as i64 as u64
         }
-        Width::D => {
-            let old = mem.read_u64(addr);
-            let new = match op {
-                AmoOp::Add => old.wrapping_add(operand),
-                AmoOp::Swap => operand,
-                AmoOp::Min => (old as i64).min(operand as i64) as u64,
-                AmoOp::Max => (old as i64).max(operand as i64) as u64,
-                AmoOp::And => old & operand,
-                AmoOp::Or => old | operand,
-                AmoOp::Xor => old ^ operand,
-            };
-            mem.write_u64(addr, new);
-            old
-        }
+        Width::D => mem.update_u64(addr, |old| match op {
+            AmoOp::Add => old.wrapping_add(operand),
+            AmoOp::Swap => operand,
+            AmoOp::Min => (old as i64).min(operand as i64) as u64,
+            AmoOp::Max => (old as i64).max(operand as i64) as u64,
+            AmoOp::And => old & operand,
+            AmoOp::Or => old | operand,
+            AmoOp::Xor => old ^ operand,
+        }),
         _ => unreachable!("AMO widths are W or D"),
     }
 }

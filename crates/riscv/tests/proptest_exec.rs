@@ -1,9 +1,11 @@
 //! Property tests: the vector executor agrees with scalar reference loops,
-//! and the assembler is total over generated programs.
+//! the assembler is total over generated programs, and functional AMOs
+//! agree with a read → compute → write reference.
 
 use m2ndp_mem::MainMemory;
 use m2ndp_riscv::assemble;
-use m2ndp_riscv::exec::{step, EffectBuf, MainMemoryIface, ThreadCtx};
+use m2ndp_riscv::exec::{amo_on_memory, step, EffectBuf, MainMemoryIface, ThreadCtx};
+use m2ndp_riscv::instr::{AmoOp, Width};
 use proptest::prelude::*;
 
 fn run_to_halt(
@@ -163,5 +165,85 @@ proptest! {
             |_, _| {},
         );
         prop_assert_eq!(ctx.x[5], v);
+    }
+}
+
+const AMO_OPS: [AmoOp; 7] = [
+    AmoOp::Add,
+    AmoOp::Swap,
+    AmoOp::Min,
+    AmoOp::Max,
+    AmoOp::And,
+    AmoOp::Or,
+    AmoOp::Xor,
+];
+
+/// The AMO reference: separate read, compute and write, computed on the
+/// sign-extended value so W's returned old value is sign-extended too.
+fn read_compute_write(
+    mem: &mut MainMemory,
+    op: AmoOp,
+    width: Width,
+    addr: u64,
+    operand: u64,
+) -> u64 {
+    let (old, rhs) = match width {
+        Width::W => (
+            mem.read_u32(addr) as i32 as i64,
+            operand as u32 as i32 as i64,
+        ),
+        _ => (mem.read_u64(addr) as i64, operand as i64),
+    };
+    let new = match op {
+        AmoOp::Add => old.wrapping_add(rhs),
+        AmoOp::Swap => rhs,
+        AmoOp::Min => old.min(rhs),
+        AmoOp::Max => old.max(rhs),
+        AmoOp::And => old & rhs,
+        AmoOp::Or => old | rhs,
+        AmoOp::Xor => old ^ rhs,
+    };
+    match width {
+        Width::W => mem.write_u32(addr, new as u32),
+        _ => mem.write_u64(addr, new as u64),
+    }
+    old as u64
+}
+
+proptest! {
+    /// Every AMO op at W and D width, at an in-page address and at one
+    /// whose bytes straddle a page edge, returns the reference's old value
+    /// and leaves the same bytes and the same pages behind, whether or not
+    /// the target was written before.
+    #[test]
+    fn amo_on_memory_matches_read_compute_write(
+        old in any::<u64>(),
+        operand in any::<u64>(),
+        in_page_off in 0u64..4088,
+        straddle_back in 1u64..8,
+        written in any::<bool>(),
+    ) {
+        const PAGE_EDGE: u64 = 0x1_0000_1000;
+        for width in [Width::W, Width::D] {
+            let bytes = if width == Width::W { 4 } else { 8 };
+            let straddling = PAGE_EDGE - (1 + (straddle_back - 1) % (bytes - 1));
+            for addr in [PAGE_EDGE + in_page_off, straddling] {
+                for op in AMO_OPS {
+                    let mut mem = MainMemory::new();
+                    let mut reference = MainMemory::new();
+                    if written {
+                        mem.write_u64(addr, old);
+                        reference.write_u64(addr, old);
+                    }
+                    let got = amo_on_memory(&mut mem, op, width, addr, operand);
+                    let want = read_compute_write(&mut reference, op, width, addr, operand);
+                    prop_assert_eq!(got, want, "{:?}.{:?} old value at {:#x}", op, width, addr);
+                    for a in (addr - 8)..(addr + 16) {
+                        prop_assert_eq!(mem.read_u8(a), reference.read_u8(a), "{:?}.{:?} byte {:#x}", op, width, a);
+                    }
+                    prop_assert_eq!(mem.resident_pages(), reference.resident_pages());
+                }
+            }
+        }
     }
 }
