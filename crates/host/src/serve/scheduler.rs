@@ -28,6 +28,7 @@
 //! front with a panic rather than letting functional verification fail
 //! halfway through a run.
 
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 
 use m2ndp_core::{DeviceLifecycle, DeviceView, FleetView};
@@ -105,6 +106,102 @@ impl SchedulerKind {
             SchedulerKind::PrioritySlo => Box::new(PrioritySlo),
         }
     }
+
+    /// The device `req` queues on at arrival: its home device, or the
+    /// least-loaded active one. A home pick may be parked, draining, or
+    /// out of range; the loop re-routes such picks.
+    #[cfg_attr(not(test), allow(dead_code))]
+    fn route(self, req: &ReqView, devs: &[Dev]) -> usize {
+        match self {
+            SchedulerKind::StaticFifo => req.home,
+            SchedulerKind::ShortestQueue | SchedulerKind::PrioritySlo => shortest_active(devs),
+        }
+    }
+
+    /// The position in `queue` (whose entries index into `views`) that a
+    /// device admits next: the FIFO front, or for
+    /// [`SchedulerKind::PrioritySlo`] the lowest `(priority, arrival +
+    /// slo)`, ties to the earlier position.
+    #[cfg_attr(not(test), allow(dead_code))]
+    fn select(self, queue: &VecDeque<usize>, views: &[ReqView]) -> usize {
+        match self {
+            SchedulerKind::StaticFifo | SchedulerKind::ShortestQueue => 0,
+            SchedulerKind::PrioritySlo => (0..queue.len())
+                .min_by(|&a, &b| {
+                    let (a, b) = (&views[queue[a]], &views[queue[b]]);
+                    a.priority
+                        .cmp(&b.priority)
+                        .then((a.arrival_ns + a.slo_ns).total_cmp(&(b.arrival_ns + b.slo_ns)))
+                })
+                .unwrap_or(0),
+        }
+    }
+
+    /// The device an active device with a free slot and an empty queue
+    /// steals one queued request from: for [`SchedulerKind::PrioritySlo`]
+    /// the longest active queue, for the other kinds none.
+    #[cfg_attr(not(test), allow(dead_code))]
+    fn steal(self, devs: &[Dev]) -> Option<usize> {
+        match self {
+            SchedulerKind::PrioritySlo => longest_active_queue(devs),
+            SchedulerKind::StaticFifo | SchedulerKind::ShortestQueue => None,
+        }
+    }
+}
+
+/// One device's admission state in the loop.
+#[allow(dead_code)]
+#[derive(Debug, Clone)]
+struct Dev {
+    /// Queued requests (indices into the run's requests), oldest first.
+    queue: VecDeque<usize>,
+    /// Kernel slots currently free.
+    free: u32,
+    /// Kernels in flight.
+    outstanding: u32,
+    /// Peak of `outstanding` over the run.
+    max_outstanding: u32,
+    lifecycle: DeviceLifecycle,
+    /// Start of the current active interval (`None` = parked).
+    active_since: Option<f64>,
+}
+
+#[cfg_attr(not(test), allow(dead_code))]
+impl Dev {
+    fn is_active(&self) -> bool {
+        self.lifecycle == DeviceLifecycle::Active
+    }
+
+    /// Queued plus in-flight requests: the load least-loaded routing
+    /// balances.
+    fn load(&self) -> usize {
+        self.queue.len() + self.outstanding as usize
+    }
+}
+
+/// The active device with the least load, ties to the lowest index.
+///
+/// # Panics
+/// Panics if no device is active; the autoscaler never drains below one.
+#[cfg_attr(not(test), allow(dead_code))]
+fn shortest_active(devs: &[Dev]) -> usize {
+    devs.iter()
+        .enumerate()
+        .filter(|(_, d)| d.is_active())
+        .min_by_key(|&(i, d)| (d.load(), i))
+        .map(|(i, _)| i)
+        .expect("fleet has at least one active device")
+}
+
+/// The active device with the longest non-empty queue, ties to the lowest
+/// index.
+#[cfg_attr(not(test), allow(dead_code))]
+fn longest_active_queue(devs: &[Dev]) -> Option<usize> {
+    devs.iter()
+        .enumerate()
+        .filter(|(_, d)| d.is_active() && !d.queue.is_empty())
+        .max_by_key(|&(i, d)| (d.queue.len(), Reverse(i)))
+        .map(|(i, _)| i)
 }
 
 /// The scheduler-facing view of one request: everything a routing or
@@ -722,5 +819,58 @@ mod tests {
         // Nothing queued anywhere: no steal.
         let v = view(&[(0, 0, 2, Active), (0, 1, 0, Active)]);
         assert_eq!(s.steal(0, &v), None);
+    }
+
+    /// A loop device record with a `queue_len`-entry queue.
+    fn dev(queue_len: usize, outstanding: u32, free: u32, lifecycle: DeviceLifecycle) -> Dev {
+        Dev {
+            queue: (0..queue_len).collect(),
+            free,
+            outstanding,
+            max_outstanding: outstanding,
+            lifecycle,
+            active_since: None,
+        }
+    }
+
+    proptest::proptest! {
+        /// Each `SchedulerKind` method decides exactly as the trait object
+        /// of the same kind does, given a `FleetView` of the same device
+        /// state. The ranges are small so that loads, queue lengths,
+        /// priorities and deadlines tie often.
+        #[test]
+        fn kind_methods_match_the_trait_objects(
+            states in proptest::collection::vec((0usize..4, 0u32..4, 0u32..3, 0u8..3), 1..7),
+            reqs in proptest::collection::vec((0u8..3, 0u32..4, 0u32..3), 1..9),
+            home in 0usize..8,
+            idle in 0usize..7,
+        ) {
+            use DeviceLifecycle::*;
+            let devs: Vec<Dev> = states
+                .iter()
+                .map(|&(q, out, free, life)| dev(q, out, free, [Active, Draining, Drained][life as usize]))
+                .collect();
+            let fleet = view(
+                &devs
+                    .iter()
+                    .map(|d| (d.queue.len(), d.outstanding, d.free, d.lifecycle))
+                    .collect::<Vec<_>>(),
+            );
+            let views: Vec<ReqView> = reqs
+                .iter()
+                .map(|&(prio, arrival, slo)| rv(0, f64::from(arrival) * 100.0, f64::from(slo) * 100.0, prio))
+                .collect();
+            // Queue positions differ from view indices.
+            let queue: VecDeque<usize> = (0..views.len()).rev().collect();
+            let req = ReqView { home, ..views[0] };
+            for kind in SchedulerKind::all() {
+                let mut old = kind.instantiate();
+                if devs.iter().any(Dev::is_active) {
+                    proptest::prop_assert_eq!(kind.route(&req, &devs), old.route(&req, &fleet), "{}", kind.name());
+                }
+                proptest::prop_assert_eq!(kind.select(&queue, &views), old.select(idle, &queue, &views, 0.0), "{}", kind.name());
+                proptest::prop_assert_eq!(kind.steal(&devs), old.steal(idle, &fleet), "{}", kind.name());
+            }
+        }
     }
 }
