@@ -61,108 +61,6 @@ impl FleetConfig {
     }
 }
 
-/// Where a device sits in the elastic add/drain lifecycle.
-///
-/// The fleet is built at its maximum size; elasticity is a *policy* layer
-/// (the serving runtime's autoscaler) that owns these states. Launch APIs
-/// stay mechanical, and the admission policy (never route new work to a
-/// non-[`DeviceLifecycle::Active`] device) is enforced by the scheduler
-/// reading a [`FleetView`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeviceLifecycle {
-    /// Accepting new work.
-    Active,
-    /// Stopped admitting; in-flight kernels are finishing.
-    Draining,
-    /// Idle and parked: no queue, no outstanding work. A drained device
-    /// keeps its memory contents and statistics (they fold into
-    /// [`Fleet::stats`] in index order like every other device's) and can
-    /// be re-activated later.
-    Drained,
-}
-
-/// A point-in-time, policy-facing snapshot of one device: what a serving
-/// scheduler (`m2ndp_host::serve::Scheduler`) is allowed to know when
-/// routing a request.
-#[derive(Debug, Clone, Copy)]
-pub struct DeviceView {
-    /// Requests queued (admission backlog) on the device.
-    pub queue_len: usize,
-    /// Kernels currently in flight on the device.
-    pub outstanding: u32,
-    /// Kernel slots currently free.
-    pub free_slots: u32,
-    /// Lifecycle state.
-    pub lifecycle: DeviceLifecycle,
-}
-
-impl DeviceView {
-    /// Total pending work: backlog plus in-flight kernels (the
-    /// shortest-queue routing load signal).
-    pub fn load(&self) -> usize {
-        self.queue_len + self.outstanding as usize
-    }
-}
-
-/// A point-in-time snapshot of the whole fleet, handed to schedulers and
-/// the autoscaler. Plain data: building one never perturbs the simulation,
-/// and routing decisions derived from it are deterministic functions of
-/// its contents.
-#[derive(Debug, Clone)]
-pub struct FleetView {
-    /// One entry per device, in fleet index order.
-    pub devices: Vec<DeviceView>,
-}
-
-impl FleetView {
-    /// Number of devices (active or not).
-    pub fn len(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// Whether the view is empty (never true for a built fleet).
-    pub fn is_empty(&self) -> bool {
-        self.devices.is_empty()
-    }
-
-    /// Whether device `i` may be routed new work.
-    pub fn is_admissible(&self, i: usize) -> bool {
-        self.devices[i].lifecycle == DeviceLifecycle::Active
-    }
-
-    /// Number of devices currently accepting work.
-    pub fn active_count(&self) -> usize {
-        self.devices
-            .iter()
-            .filter(|d| d.lifecycle == DeviceLifecycle::Active)
-            .count()
-    }
-
-    /// The active device with the least pending work (ties break toward
-    /// the lowest index, keeping the choice deterministic). `None` only if
-    /// no device is active.
-    pub fn shortest_active(&self) -> Option<usize> {
-        self.devices
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.lifecycle == DeviceLifecycle::Active)
-            .min_by_key(|(i, d)| (d.load(), *i))
-            .map(|(i, _)| i)
-    }
-
-    /// The active device with the largest admission backlog, if any device
-    /// has one (the work-stealing victim). Ties break toward the lowest
-    /// index.
-    pub fn longest_active_queue(&self) -> Option<usize> {
-        self.devices
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.lifecycle == DeviceLifecycle::Active && d.queue_len > 0)
-            .max_by_key(|(i, d)| (d.queue_len, usize::MAX - *i))
-            .map(|(i, _)| i)
-    }
-}
-
 /// Outcome of running every launched shard to completion.
 #[derive(Debug, Clone)]
 pub struct FleetRun {

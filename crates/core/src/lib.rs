@@ -43,6 +43,6 @@ pub mod tlb;
 pub use config::{EngineConfig, M2ndpConfig};
 pub use device::{CxlM2ndpDevice, DeviceStats, MetricSet, StatValue};
 pub use engine::Engine;
-pub use fleet::{DeviceLifecycle, DeviceView, Fleet, FleetConfig, FleetRun, FleetView, SwitchNdp};
+pub use fleet::{Fleet, FleetConfig, FleetRun, SwitchNdp};
 pub use kernel::{KernelId, KernelInstanceId, KernelSpec, LaunchArgs};
 pub use m2func::{M2Func, NdpApiError};

@@ -15,12 +15,12 @@
 //! * **Tenants** ([`TenantSpec`]) — independent open-loop arrival streams
 //!   (Poisson, bursty Poisson, or a cycled trace of inter-arrival gaps),
 //!   each with its own seed, request budget, SLO threshold, and priority.
-//! * **Scheduling** ([`Scheduler`], [`SchedulerKind`]) — a pluggable
-//!   routing/admission policy decides which device serves each request:
+//! * **Scheduling** ([`SchedulerKind`]) — one of three built-in
+//!   routing/admission policies decides which device serves each request:
 //!   the default [`SchedulerKind::StaticFifo`] reproduces the historical
-//!   home-routed FIFO bit-for-bit, while load-aware policies route
-//!   against the live [`m2ndp_core::FleetView`]. Every policy runs on the
-//!   same admission loop (see
+//!   home-routed FIFO bit-for-bit, while the load-aware kinds route
+//!   against the admission loop's live per-device queues. Every kind runs
+//!   on the same admission loop (see
 //!   [`scheduler`](self::scheduler#the-admission-loop) for the loop and
 //!   its determinism rules).
 //! * **Autoscaling** ([`AutoscaleConfig`]) — an optional control loop
@@ -63,7 +63,7 @@ pub mod scheduler;
 
 pub use autoscale::{AutoscaleConfig, ScaleEvent};
 pub use report::{ReqRecord, ServeReport, TenantReport};
-pub use scheduler::{ReqView, Scheduler, SchedulerKind};
+pub use scheduler::SchedulerKind;
 
 /// How a tenant's requests arrive.
 #[derive(Debug, Clone)]

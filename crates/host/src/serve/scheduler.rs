@@ -1,23 +1,26 @@
-//! Pluggable request scheduling for the serving runtime, plus the one
-//! admission loop every serving run executes on.
+//! Request scheduling for the serving runtime, and the one admission loop
+//! every serving run executes on.
 //!
 //! # The admission loop
 //!
 //! Every run, whatever its scheduler and whether or not it autoscales,
 //! goes through one serial event loop (`serve_loop`): each request is
-//! routed when it *arrives*, against the fleet's live admission state,
+//! routed when it *arrives*, against the loop's live per-device state,
 //! queued on its device, and admitted when that device has a free kernel
-//! slot. Static placement ([`SchedulerKind::StaticFifo`]) is simply a
-//! scheduler whose `route` returns the key's home device. The loop never
-//! reads `--jobs`, so a run is deterministic at every setting of it.
+//! slot. Static placement ([`SchedulerKind::StaticFifo`]) routes every
+//! request to its key's home device. The loop never reads `--jobs`, so a
+//! run is deterministic at every setting of it.
 //!
-//! # Determinism rules for scheduler implementations
+//! # What a scheduler kind decides
 //!
-//! A [`Scheduler`] must be a deterministic function of its inputs: the
-//! request views, the [`FleetView`] snapshots it is handed, and its own
-//! state evolved through the callbacks. No randomness, no ambient state,
-//! no reliance on map iteration order. All tie-breaks must be explicit
-//! (the built-ins break ties by lowest device index / queue position).
+//! A [`SchedulerKind`] makes three decisions: the device an arrival
+//! queues on, the queued request a device with a free slot admits next,
+//! and the device an idle device steals one queued request from. Each is
+//! a function of the request's home device, priority and deadline and of
+//! the loop's per-device queues, slot counts and lifecycle states, and
+//! nothing else: no randomness, no clock, no map iteration order. Every
+//! tie breaks explicitly, toward the lowest device index or the earliest
+//! queue position.
 //!
 //! # Data-placement requirement
 //!
@@ -31,7 +34,6 @@
 use std::cmp::Reverse;
 use std::collections::VecDeque;
 
-use m2ndp_core::{DeviceLifecycle, DeviceView, FleetView};
 use m2ndp_sim::{FEventQueue, Frequency};
 
 use crate::offload::OffloadMechanism;
@@ -98,19 +100,9 @@ impl SchedulerKind {
         )
     }
 
-    /// Builds the policy's runtime state.
-    pub(super) fn instantiate(self) -> Box<dyn Scheduler> {
-        match self {
-            SchedulerKind::StaticFifo => Box::new(StaticFifo),
-            SchedulerKind::ShortestQueue => Box::new(ShortestQueue),
-            SchedulerKind::PrioritySlo => Box::new(PrioritySlo),
-        }
-    }
-
     /// The device `req` queues on at arrival: its home device, or the
     /// least-loaded active one. A home pick may be parked, draining, or
-    /// out of range; the loop re-routes such picks.
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// out of range; [`ServeLoop::route`] re-routes such picks.
     fn route(self, req: &ReqView, devs: &[Dev]) -> usize {
         match self {
             SchedulerKind::StaticFifo => req.home,
@@ -120,9 +112,8 @@ impl SchedulerKind {
 
     /// The position in `queue` (whose entries index into `views`) that a
     /// device admits next: the FIFO front, or for
-    /// [`SchedulerKind::PrioritySlo`] the lowest `(priority, arrival +
-    /// slo)`, ties to the earlier position.
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// [`SchedulerKind::PrioritySlo`] the lowest `(priority, deadline)`,
+    /// ties to the earlier position.
     fn select(self, queue: &VecDeque<usize>, views: &[ReqView]) -> usize {
         match self {
             SchedulerKind::StaticFifo | SchedulerKind::ShortestQueue => 0,
@@ -131,7 +122,7 @@ impl SchedulerKind {
                     let (a, b) = (&views[queue[a]], &views[queue[b]]);
                     a.priority
                         .cmp(&b.priority)
-                        .then((a.arrival_ns + a.slo_ns).total_cmp(&(b.arrival_ns + b.slo_ns)))
+                        .then(a.deadline_ns.total_cmp(&b.deadline_ns))
                 })
                 .unwrap_or(0),
         }
@@ -140,7 +131,6 @@ impl SchedulerKind {
     /// The device an active device with a free slot and an empty queue
     /// steals one queued request from: for [`SchedulerKind::PrioritySlo`]
     /// the longest active queue, for the other kinds none.
-    #[cfg_attr(not(test), allow(dead_code))]
     fn steal(self, devs: &[Dev]) -> Option<usize> {
         match self {
             SchedulerKind::PrioritySlo => longest_active_queue(devs),
@@ -149,8 +139,31 @@ impl SchedulerKind {
     }
 }
 
+/// What the policy reads of one request. Built once per run from the
+/// generated [`Request`]s and the tenant specs.
+#[derive(Debug, Clone, Copy)]
+struct ReqView {
+    /// The key's home device (where the `HdmRouter` would place it).
+    home: usize,
+    /// The tenant's priority (0 = highest).
+    priority: u8,
+    /// Arrival time plus the tenant's latency SLO (ns).
+    deadline_ns: f64,
+}
+
+/// Where a device sits in the autoscaler's add/drain lifecycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DeviceLifecycle {
+    /// Accepting new work.
+    Active,
+    /// Stopped admitting; in-flight kernels are finishing.
+    Draining,
+    /// Parked: no queue, no outstanding work. A later scale-up may
+    /// re-activate it.
+    Drained,
+}
+
 /// One device's admission state in the loop.
-#[allow(dead_code)]
 #[derive(Debug, Clone)]
 struct Dev {
     /// Queued requests (indices into the run's requests), oldest first.
@@ -166,7 +179,6 @@ struct Dev {
     active_since: Option<f64>,
 }
 
-#[cfg_attr(not(test), allow(dead_code))]
 impl Dev {
     fn is_active(&self) -> bool {
         self.lifecycle == DeviceLifecycle::Active
@@ -183,7 +195,6 @@ impl Dev {
 ///
 /// # Panics
 /// Panics if no device is active; the autoscaler never drains below one.
-#[cfg_attr(not(test), allow(dead_code))]
 fn shortest_active(devs: &[Dev]) -> usize {
     devs.iter()
         .enumerate()
@@ -195,7 +206,6 @@ fn shortest_active(devs: &[Dev]) -> usize {
 
 /// The active device with the longest non-empty queue, ties to the lowest
 /// index.
-#[cfg_attr(not(test), allow(dead_code))]
 fn longest_active_queue(devs: &[Dev]) -> Option<usize> {
     devs.iter()
         .enumerate()
@@ -204,141 +214,15 @@ fn longest_active_queue(devs: &[Dev]) -> Option<usize> {
         .map(|(i, _)| i)
 }
 
-/// The scheduler-facing view of one request: everything a routing or
-/// admission decision may depend on. Built once per run from the
-/// generated [`Request`]s and the tenant specs.
-#[derive(Debug, Clone, Copy)]
-pub struct ReqView {
-    /// Issuing tenant.
-    pub tenant: u16,
-    /// Per-tenant sequence number.
-    pub seq: u64,
-    /// Arrival time (ns).
-    pub arrival_ns: f64,
-    /// Workload key.
-    pub key: u64,
-    /// The key's home device (where the `HdmRouter` would place it).
-    pub home: usize,
-    /// The tenant's latency SLO (ns); `arrival_ns + slo_ns` is the
-    /// request's deadline.
-    pub slo_ns: f64,
-    /// The tenant's priority (0 = highest).
-    pub priority: u8,
-}
-
-/// A pluggable routing/admission policy for the serving runtime.
-///
-/// Only [`Scheduler::route`] is required; the remaining hooks default to
-/// FIFO admission, no stealing, and no state updates. Implementations
-/// must follow the determinism rules in the [module docs](self).
-pub trait Scheduler {
-    /// Picks the device for a request at its arrival. Returning a device
-    /// that is not currently [`DeviceLifecycle::Active`] (or is out of
-    /// range) is tolerated: the runtime falls back to the least-loaded
-    /// active device, so policies like home routing stay total under
-    /// autoscaling.
-    fn route(&mut self, req: &ReqView, view: &FleetView) -> usize;
-
-    /// Picks which queued request device `dev` admits next, as a position
-    /// into `queue` (whose entries index into `views`). Default: `0`, the
-    /// FIFO front.
-    fn select(
-        &mut self,
-        dev: usize,
-        queue: &VecDeque<usize>,
-        views: &[ReqView],
-        now_ns: f64,
-    ) -> usize {
-        let _ = (dev, queue, views, now_ns);
-        0
-    }
-
-    /// Called when device `idle` has a free slot and an empty queue:
-    /// return a victim device to steal one queued request from (the
-    /// runtime takes the newest). Default: no stealing.
-    fn steal(&mut self, idle: usize, view: &FleetView) -> Option<usize> {
-        let _ = (idle, view);
-        None
-    }
-
-    /// Observes a completion: `req` finished on `dev` with the given
-    /// end-to-end latency. Default: no-op.
-    fn on_complete(&mut self, dev: usize, req: &ReqView, latency_ns: f64) {
-        let _ = (dev, req, latency_ns);
-    }
-
-    /// Observes an autoscaler evaluation tick. Default: no-op.
-    fn on_tick(&mut self, now_ns: f64, view: &FleetView) {
-        let _ = (now_ns, view);
-    }
-}
-
-/// [`SchedulerKind::StaticFifo`] — home routing, FIFO admission.
-struct StaticFifo;
-
-impl Scheduler for StaticFifo {
-    fn route(&mut self, req: &ReqView, _view: &FleetView) -> usize {
-        req.home
-    }
-}
-
-/// [`SchedulerKind::ShortestQueue`] — least-loaded routing.
-struct ShortestQueue;
-
-impl Scheduler for ShortestQueue {
-    fn route(&mut self, _req: &ReqView, view: &FleetView) -> usize {
-        view.shortest_active()
-            .expect("fleet has at least one active device")
-    }
-}
-
-/// [`SchedulerKind::PrioritySlo`] — least-loaded routing, priority +
-/// SLO-deadline admission, bounded work stealing.
-struct PrioritySlo;
-
-impl Scheduler for PrioritySlo {
-    fn route(&mut self, _req: &ReqView, view: &FleetView) -> usize {
-        view.shortest_active()
-            .expect("fleet has at least one active device")
-    }
-
-    fn select(
-        &mut self,
-        _dev: usize,
-        queue: &VecDeque<usize>,
-        views: &[ReqView],
-        _now_ns: f64,
-    ) -> usize {
-        let mut best = 0usize;
-        for pos in 1..queue.len() {
-            let (b, c) = (&views[queue[best]], &views[queue[pos]]);
-            let b_key = (b.priority, b.arrival_ns + b.slo_ns);
-            let c_key = (c.priority, c.arrival_ns + c.slo_ns);
-            if c_key.0 < b_key.0 || (c_key.0 == b_key.0 && c_key.1.total_cmp(&b_key.1).is_lt()) {
-                best = pos;
-            }
-        }
-        best
-    }
-
-    fn steal(&mut self, _idle: usize, view: &FleetView) -> Option<usize> {
-        view.longest_active_queue()
-    }
-}
-
 /// Events of the admission loop. Arrivals are all pre-scheduled before
 /// the loop starts, so at equal times arrivals come before completions,
 /// and each kind keeps its insertion order.
 enum Ev {
     /// Request `i` (global arrival index) arrives.
     Arrive(usize),
-    /// A kernel slot frees on a device; carries the finished request and
-    /// its end-to-end latency for the completion callbacks.
-    SlotFree {
-        dev: usize,
-        idx: usize,
-        latency_ns: f64,
-    },
+    /// A kernel slot frees on a device; carries the finished request's
+    /// end-to-end latency for the autoscaler.
+    SlotFree { dev: usize, latency_ns: f64 },
     /// Autoscaler evaluation tick.
     Tick,
 }
@@ -356,16 +240,10 @@ struct ServeLoop<'a, W: ?Sized> {
     post: f64,
     direct: bool,
     slots: u32,
-    sched: Box<dyn Scheduler>,
+    kind: SchedulerKind,
     auto: Option<Autoscaler>,
-    queues: Vec<VecDeque<usize>>,
-    free: Vec<u32>,
-    outstanding: Vec<u32>,
-    max_outstanding: Vec<u32>,
-    lifecycle: Vec<DeviceLifecycle>,
+    devs: Vec<Dev>,
     active_count: usize,
-    /// Start of each device's current active interval (`None` = parked).
-    active_since: Vec<Option<f64>>,
     /// Closed active intervals, integrated (ns).
     device_time_ns: f64,
     launches: u64,
@@ -374,45 +252,109 @@ struct ServeLoop<'a, W: ?Sized> {
     scale_events: Vec<ScaleEvent>,
 }
 
-impl<W: ServeWorkload + ?Sized> ServeLoop<'_, W> {
-    fn view(&self) -> FleetView {
-        FleetView {
-            devices: (0..self.queues.len())
-                .map(|d| DeviceView {
-                    queue_len: self.queues[d].len(),
-                    outstanding: self.outstanding[d],
-                    free_slots: self.free[d],
-                    lifecycle: self.lifecycle[d],
-                })
-                .collect(),
+impl<'a, W: ServeWorkload + ?Sized> ServeLoop<'a, W> {
+    /// The loop's state before its first event: each request's home
+    /// device, and every device idle. An autoscaled fleet starts with its
+    /// `min_devices` active and the rest parked; without autoscaling every
+    /// device is active for the whole run.
+    fn new(
+        backend: &'a mut ServeBackend,
+        workload: &'a W,
+        cfg: &ServeConfig,
+        tenants: &[TenantSpec],
+        requests: &'a [Request],
+    ) -> Self {
+        let ndev = backend.devices();
+        // Home device of each request: what the HdmRouter would pick
+        // (static placement).
+        let views = requests
+            .iter()
+            .map(|r| {
+                let home = match &*backend {
+                    ServeBackend::Device(_) => 0,
+                    ServeBackend::Fleet(fleet) => {
+                        let addr = workload.route_addr(r.key, ndev);
+                        fleet
+                            .router()
+                            .device_of(addr)
+                            .expect("workload routes inside the fleet HDM")
+                    }
+                };
+                let tenant = &tenants[r.tenant as usize];
+                ReqView {
+                    home,
+                    priority: tenant.priority,
+                    deadline_ns: r.arrival_ns + tenant.slo_ns,
+                }
+            })
+            .collect();
+        let slots = cfg.model.max_concurrent().min(cfg.device_slots).max(1);
+        let initial_active = cfg.autoscale.map_or(ndev, |a| a.min_devices);
+        let devs = (0..ndev)
+            .map(|d| {
+                let active = d < initial_active;
+                Dev {
+                    queue: VecDeque::new(),
+                    free: slots,
+                    outstanding: 0,
+                    max_outstanding: 0,
+                    lifecycle: if active {
+                        DeviceLifecycle::Active
+                    } else {
+                        DeviceLifecycle::Drained
+                    },
+                    active_since: active.then_some(0.0),
+                }
+            })
+            .collect();
+        Self {
+            clock: backend.clock(),
+            backend,
+            workload,
+            requests,
+            views,
+            mechanism: cfg.model.mechanism(),
+            pre: cfg.model.pre_ns(),
+            post: cfg.model.post_ns(),
+            direct: cfg.model.mechanism() == OffloadMechanism::CxlIoDirect,
+            slots,
+            kind: cfg.scheduler,
+            auto: cfg.autoscale.map(Autoscaler::new),
+            devs,
+            active_count: initial_active,
+            device_time_ns: 0.0,
+            launches: 0,
+            completed: 0,
+            records: Vec::with_capacity(requests.len()),
+            scale_events: Vec::new(),
         }
     }
 
     /// Routes request `i` through the scheduler, falling back to the
     /// least-loaded active device when the policy picks a device that is
     /// parked, draining, or out of range.
-    fn route(&mut self, i: usize) -> usize {
-        let view = self.view();
-        let dev = self.sched.route(&self.views[i], &view);
-        if dev < self.lifecycle.len() && self.lifecycle[dev] == DeviceLifecycle::Active {
+    fn route(&self, i: usize) -> usize {
+        let dev = self.kind.route(&self.views[i], &self.devs);
+        if self.devs.get(dev).is_some_and(Dev::is_active) {
             dev
         } else {
-            view.shortest_active()
-                .expect("fleet has at least one active device")
+            shortest_active(&self.devs)
         }
     }
 
     /// Admits from device `dev`'s queue while it has free slots, running
     /// each admitted request's kernel on the simulator.
     fn try_admit(&mut self, dev: usize, now: f64, events: &mut FEventQueue<Ev>) {
-        while self.free[dev] > 0 && !self.queues[dev].is_empty() {
-            let pos = self.sched.select(dev, &self.queues[dev], &self.views, now);
-            let i = self.queues[dev]
+        while self.devs[dev].free > 0 && !self.devs[dev].queue.is_empty() {
+            let d = &mut self.devs[dev];
+            let pos = self.kind.select(&d.queue, &self.views);
+            let i = d
+                .queue
                 .remove(pos)
                 .expect("select returned a position inside the queue");
-            self.free[dev] -= 1;
-            self.outstanding[dev] += 1;
-            self.max_outstanding[dev] = self.max_outstanding[dev].max(self.outstanding[dev]);
+            d.free -= 1;
+            d.outstanding += 1;
+            d.max_outstanding = d.max_outstanding.max(d.outstanding);
             let req = self.requests[i];
             let args = self.workload.launch_args(&req, dev);
 
@@ -436,7 +378,6 @@ impl<W: ServeWorkload + ?Sized> ServeLoop<'_, W> {
                 slot_free_at,
                 Ev::SlotFree {
                     dev,
-                    idx: i,
                     latency_ns: observed - req.arrival_ns,
                 },
             );
@@ -460,40 +401,33 @@ impl<W: ServeWorkload + ?Sized> ServeLoop<'_, W> {
     /// empty queue, ask the scheduler for a victim and move that queue's
     /// newest request over.
     fn maybe_steal(&mut self, dev: usize, now: f64, events: &mut FEventQueue<Ev>) {
-        if self.lifecycle[dev] != DeviceLifecycle::Active
-            || self.free[dev] == 0
-            || !self.queues[dev].is_empty()
-        {
+        let d = &self.devs[dev];
+        if !d.is_active() || d.free == 0 || !d.queue.is_empty() {
             return;
         }
-        let view = self.view();
-        let Some(victim) = self.sched.steal(dev, &view) else {
+        // The victim's queue is non-empty, so the victim is not `dev`.
+        let Some(victim) = self.kind.steal(&self.devs) else {
             return;
         };
-        if victim == dev || victim >= self.queues.len() {
-            return;
-        }
-        let Some(i) = self.queues[victim].pop_back() else {
-            return;
-        };
-        self.queues[dev].push_back(i);
+        let i = self.devs[victim]
+            .queue
+            .pop_back()
+            .expect("steal picks a non-empty queue");
+        self.devs[dev].queue.push_back(i);
         self.try_admit(dev, now, events);
     }
 
     /// Activates the lowest-indexed non-active device and rebalances up to
     /// one slot-pool's worth of queued work onto it.
     fn scale_up(&mut self, now: f64, events: &mut FEventQueue<Ev>) {
-        let Some(dev) =
-            (0..self.lifecycle.len()).find(|&d| self.lifecycle[d] != DeviceLifecycle::Active)
-        else {
+        let Some(dev) = self.devs.iter().position(|d| !d.is_active()) else {
             return;
         };
         // Re-activating a draining device simply cancels its drain; its
         // active interval never closed, so device-time stays correct.
-        if self.active_since[dev].is_none() {
-            self.active_since[dev] = Some(now);
-        }
-        self.lifecycle[dev] = DeviceLifecycle::Active;
+        let d = &mut self.devs[dev];
+        d.active_since.get_or_insert(now);
+        d.lifecycle = DeviceLifecycle::Active;
         self.active_count += 1;
         self.scale_events.push(ScaleEvent {
             t_ns: now,
@@ -502,17 +436,17 @@ impl<W: ServeWorkload + ?Sized> ServeLoop<'_, W> {
             active: self.active_count,
         });
         for _ in 0..self.slots {
-            let view = self.view();
-            let Some(victim) = view.longest_active_queue() else {
+            let Some(victim) = longest_active_queue(&self.devs) else {
                 break;
             };
             if victim == dev {
                 break;
             }
-            let Some(i) = self.queues[victim].pop_back() else {
-                break;
-            };
-            self.queues[dev].push_back(i);
+            let i = self.devs[victim]
+                .queue
+                .pop_back()
+                .expect("the longest queue is non-empty");
+            self.devs[dev].queue.push_back(i);
         }
         self.try_admit(dev, now, events);
     }
@@ -521,13 +455,10 @@ impl<W: ServeWorkload + ?Sized> ServeLoop<'_, W> {
     /// admitting, its queued requests re-route, and it parks when its
     /// in-flight kernels finish.
     fn scale_drain(&mut self, now: f64, events: &mut FEventQueue<Ev>) {
-        let Some(dev) = (0..self.lifecycle.len())
-            .rev()
-            .find(|&d| self.lifecycle[d] == DeviceLifecycle::Active)
-        else {
+        let Some(dev) = self.devs.iter().rposition(Dev::is_active) else {
             return;
         };
-        self.lifecycle[dev] = DeviceLifecycle::Draining;
+        self.devs[dev].lifecycle = DeviceLifecycle::Draining;
         self.active_count -= 1;
         self.scale_events.push(ScaleEvent {
             t_ns: now,
@@ -535,10 +466,9 @@ impl<W: ServeWorkload + ?Sized> ServeLoop<'_, W> {
             dir: ScaleDir::DrainStart,
             active: self.active_count,
         });
-        let orphans: Vec<usize> = self.queues[dev].drain(..).collect();
-        for i in orphans {
+        for i in std::mem::take(&mut self.devs[dev].queue) {
             let target = self.route(i);
-            self.queues[target].push_back(i);
+            self.devs[target].queue.push_back(i);
             self.try_admit(target, now, events);
         }
         self.finish_drain_if_idle(dev, now);
@@ -547,11 +477,12 @@ impl<W: ServeWorkload + ?Sized> ServeLoop<'_, W> {
     /// Parks a draining device once its last in-flight kernel finished,
     /// closing its device-time interval.
     fn finish_drain_if_idle(&mut self, dev: usize, now: f64) {
-        if self.lifecycle[dev] != DeviceLifecycle::Draining || self.outstanding[dev] != 0 {
+        let d = &mut self.devs[dev];
+        if d.lifecycle != DeviceLifecycle::Draining || d.outstanding != 0 {
             return;
         }
-        self.lifecycle[dev] = DeviceLifecycle::Drained;
-        if let Some(since) = self.active_since[dev].take() {
+        d.lifecycle = DeviceLifecycle::Drained;
+        if let Some(since) = d.active_since.take() {
             self.device_time_ns += now - since;
         }
         self.scale_events.push(ScaleEvent {
@@ -587,73 +518,8 @@ pub(super) fn serve_loop<W: ServeWorkload + ?Sized>(
     if let Some(auto_cfg) = &cfg.autoscale {
         auto_cfg.validate(ndev);
     }
-    let clock = backend.clock();
-    let slots = cfg.model.max_concurrent().min(cfg.device_slots).max(1);
     let n = requests.len();
-
-    // Home device of each request: what the HdmRouter would pick (static
-    // placement).
-    let views: Vec<ReqView> = requests
-        .iter()
-        .map(|r| {
-            let home = match &*backend {
-                ServeBackend::Device(_) => 0,
-                ServeBackend::Fleet(fleet) => {
-                    let addr = workload.route_addr(r.key, ndev);
-                    fleet
-                        .router()
-                        .device_of(addr)
-                        .expect("workload routes inside the fleet HDM")
-                }
-            };
-            ReqView {
-                tenant: r.tenant,
-                seq: r.seq,
-                arrival_ns: r.arrival_ns,
-                key: r.key,
-                home,
-                slo_ns: tenants[r.tenant as usize].slo_ns,
-                priority: tenants[r.tenant as usize].priority,
-            }
-        })
-        .collect();
-
-    // An autoscaled fleet starts at min_devices and earns the rest;
-    // without autoscaling every device is active for the whole run.
-    let initial_active = cfg.autoscale.map_or(ndev, |a| a.min_devices);
-    let mut lifecycle = vec![DeviceLifecycle::Active; ndev];
-    let mut active_since = vec![Some(0.0); ndev];
-    for d in initial_active..ndev {
-        lifecycle[d] = DeviceLifecycle::Drained;
-        active_since[d] = None;
-    }
-
-    let mut st = ServeLoop {
-        backend,
-        workload,
-        requests: &requests,
-        views,
-        clock,
-        mechanism: cfg.model.mechanism(),
-        pre: cfg.model.pre_ns(),
-        post: cfg.model.post_ns(),
-        direct: cfg.model.mechanism() == OffloadMechanism::CxlIoDirect,
-        slots,
-        sched: cfg.scheduler.instantiate(),
-        auto: cfg.autoscale.map(Autoscaler::new),
-        queues: vec![VecDeque::new(); ndev],
-        free: vec![slots; ndev],
-        outstanding: vec![0; ndev],
-        max_outstanding: vec![0; ndev],
-        lifecycle,
-        active_count: initial_active,
-        active_since,
-        device_time_ns: 0.0,
-        launches: 0,
-        completed: 0,
-        records: Vec::with_capacity(n),
-        scale_events: Vec::new(),
-    };
+    let mut st = ServeLoop::new(backend, workload, cfg, tenants, &requests);
 
     let mut events: FEventQueue<Ev> = FEventQueue::new();
     for (i, r) in requests.iter().enumerate() {
@@ -667,18 +533,14 @@ pub(super) fn serve_loop<W: ServeWorkload + ?Sized>(
         match ev {
             Ev::Arrive(i) => {
                 let dev = st.route(i);
-                st.queues[dev].push_back(i);
+                st.devs[dev].queue.push_back(i);
                 st.try_admit(dev, now, &mut events);
             }
-            Ev::SlotFree {
-                dev,
-                idx,
-                latency_ns,
-            } => {
-                st.free[dev] += 1;
-                st.outstanding[dev] -= 1;
+            Ev::SlotFree { dev, latency_ns } => {
+                let d = &mut st.devs[dev];
+                d.free += 1;
+                d.outstanding -= 1;
                 st.completed += 1;
-                st.sched.on_complete(dev, &st.views[idx], latency_ns);
                 if let Some(auto) = &mut st.auto {
                     auto.observe(latency_ns);
                 }
@@ -687,8 +549,6 @@ pub(super) fn serve_loop<W: ServeWorkload + ?Sized>(
                 st.maybe_steal(dev, now, &mut events);
             }
             Ev::Tick => {
-                let view = st.view();
-                st.sched.on_tick(now, &view);
                 let decision = st
                     .auto
                     .as_mut()
@@ -714,8 +574,8 @@ pub(super) fn serve_loop<W: ServeWorkload + ?Sized>(
         .iter()
         .map(|(_, r)| r.observed_ns)
         .fold(0.0f64, f64::max);
-    for since in st.active_since.iter_mut() {
-        if let Some(s) = since.take() {
+    for d in &mut st.devs {
+        if let Some(s) = d.active_since.take() {
             st.device_time_ns += makespan - s;
         }
     }
@@ -724,7 +584,7 @@ pub(super) fn serve_loop<W: ServeWorkload + ?Sized>(
     tagged.sort_by_key(|&(i, _)| i);
     let records: Vec<ReqRecord> = tagged.into_iter().map(|(_, r)| r).collect();
     let aux = RunAux {
-        max_outstanding: st.max_outstanding,
+        max_outstanding: st.devs.iter().map(|d| d.max_outstanding).collect(),
         launches: st.launches,
         device_time_ns: st.device_time_ns,
         scale_events: st.scale_events,
@@ -735,32 +595,36 @@ pub(super) fn serve_loop<W: ServeWorkload + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::KvServeWorkload;
+    use m2ndp_core::{CxlM2ndpDevice, M2ndpConfig};
 
-    fn view(devs: &[(usize, u32, u32, DeviceLifecycle)]) -> FleetView {
-        FleetView {
-            devices: devs
-                .iter()
-                .map(
-                    |&(queue_len, outstanding, free_slots, lifecycle)| DeviceView {
-                        queue_len,
-                        outstanding,
-                        free_slots,
-                        lifecycle,
-                    },
-                )
-                .collect(),
+    /// A loop device record with a `queue_len`-entry queue.
+    fn dev(queue_len: usize, outstanding: u32, free: u32, lifecycle: DeviceLifecycle) -> Dev {
+        Dev {
+            queue: (0..queue_len).collect(),
+            free,
+            outstanding,
+            max_outstanding: outstanding,
+            lifecycle,
+            active_since: None,
         }
     }
 
-    fn rv(tenant: u16, arrival_ns: f64, slo_ns: f64, priority: u8) -> ReqView {
+    /// Device records from `(queue_len, outstanding, free_slots, lifecycle)`.
+    fn devs(states: &[(usize, u32, u32, DeviceLifecycle)]) -> Vec<Dev> {
+        states
+            .iter()
+            .map(|&(queue_len, outstanding, free, lifecycle)| {
+                dev(queue_len, outstanding, free, lifecycle)
+            })
+            .collect()
+    }
+
+    fn rv(arrival_ns: f64, slo_ns: f64, priority: u8) -> ReqView {
         ReqView {
-            tenant,
-            seq: 0,
-            arrival_ns,
-            key: 0,
             home: 1,
-            slo_ns,
             priority,
+            deadline_ns: arrival_ns + slo_ns,
         }
     }
 
@@ -775,101 +639,156 @@ mod tests {
     #[test]
     fn shortest_queue_routes_least_loaded_active() {
         use DeviceLifecycle::*;
-        let mut s = SchedulerKind::ShortestQueue.instantiate();
+        let k = SchedulerKind::ShortestQueue;
         // Device 0 is loaded, device 1 is parked, device 2 is idle.
-        let v = view(&[(3, 2, 0, Active), (0, 0, 2, Drained), (0, 1, 1, Active)]);
-        assert_eq!(s.route(&rv(0, 0.0, 5e3, 0), &v), 2);
+        let d = devs(&[(3, 2, 0, Active), (0, 0, 2, Drained), (0, 1, 1, Active)]);
+        assert_eq!(k.route(&rv(0.0, 5e3, 0), &d), 2);
         // Ties break to the lowest index.
-        let v = view(&[(1, 1, 1, Active), (1, 1, 1, Active)]);
-        assert_eq!(s.route(&rv(0, 0.0, 5e3, 0), &v), 0);
+        let d = devs(&[(1, 1, 1, Active), (1, 1, 1, Active)]);
+        assert_eq!(k.route(&rv(0.0, 5e3, 0), &d), 0);
     }
 
     #[test]
     fn home_schedulers_route_home_even_when_loaded() {
         use DeviceLifecycle::*;
-        let v = view(&[(0, 0, 2, Active), (9, 9, 0, Active)]);
-        let mut s = SchedulerKind::StaticFifo.instantiate();
-        assert_eq!(s.route(&rv(0, 0.0, 5e3, 0), &v), 1);
+        let d = devs(&[(0, 0, 2, Active), (9, 9, 0, Active)]);
+        assert_eq!(SchedulerKind::StaticFifo.route(&rv(0.0, 5e3, 0), &d), 1);
     }
 
     #[test]
     fn priority_slo_selects_by_priority_then_deadline() {
-        let mut s = SchedulerKind::PrioritySlo.instantiate();
+        let k = SchedulerKind::PrioritySlo;
         let views = vec![
-            rv(0, 100.0, 5_000.0, 1), // deadline 5100, low priority
-            rv(1, 200.0, 1_000.0, 0), // deadline 1200, high priority
-            rv(2, 0.0, 1_000.0, 0),   // deadline 1000, high priority
+            rv(100.0, 5_000.0, 1), // deadline 5100, low priority
+            rv(200.0, 1_000.0, 0), // deadline 1200, high priority
+            rv(0.0, 1_000.0, 0),   // deadline 1000, high priority
         ];
         let queue: VecDeque<usize> = VecDeque::from(vec![0, 1, 2]);
         // Highest priority (0) with the earliest deadline wins: index 2.
-        assert_eq!(s.select(0, &queue, &views, 0.0), 2);
+        assert_eq!(k.select(&queue, &views), 2);
         // Equal specs fall back to queue order.
-        let views = vec![rv(0, 5.0, 1_000.0, 0), rv(1, 5.0, 1_000.0, 0)];
+        let views = vec![rv(5.0, 1_000.0, 0), rv(5.0, 1_000.0, 0)];
         let queue: VecDeque<usize> = VecDeque::from(vec![0, 1]);
-        assert_eq!(s.select(0, &queue, &views, 0.0), 0);
+        assert_eq!(k.select(&queue, &views), 0);
     }
 
     #[test]
     fn priority_slo_steals_from_longest_active_queue() {
         use DeviceLifecycle::*;
-        let mut s = SchedulerKind::PrioritySlo.instantiate();
-        let v = view(&[(0, 0, 2, Active), (4, 1, 0, Active), (7, 1, 0, Draining)]);
+        let k = SchedulerKind::PrioritySlo;
+        let d = devs(&[(0, 0, 2, Active), (4, 1, 0, Active), (7, 1, 0, Draining)]);
         // Device 2 has the longest queue but is draining; device 1 wins.
-        assert_eq!(s.steal(0, &v), Some(1));
+        assert_eq!(k.steal(&d), Some(1));
         // Nothing queued anywhere: no steal.
-        let v = view(&[(0, 0, 2, Active), (0, 1, 0, Active)]);
-        assert_eq!(s.steal(0, &v), None);
+        let d = devs(&[(0, 0, 2, Active), (0, 1, 0, Active)]);
+        assert_eq!(k.steal(&d), None);
     }
 
-    /// A loop device record with a `queue_len`-entry queue.
-    fn dev(queue_len: usize, outstanding: u32, free: u32, lifecycle: DeviceLifecycle) -> Dev {
-        Dev {
-            queue: (0..queue_len).collect(),
-            free,
-            outstanding,
-            max_outstanding: outstanding,
-            lifecycle,
-            active_since: None,
+    /// The loop re-routes a pick that is draining, drained or out of
+    /// range to the least-loaded active device, ties to the lowest index,
+    /// and keeps an active pick however loaded it is.
+    #[test]
+    fn loop_reroutes_picks_outside_the_active_set_to_the_least_loaded_active() {
+        use DeviceLifecycle::*;
+        let mut backend =
+            ServeBackend::Device(Box::new(CxlM2ndpDevice::new(M2ndpConfig::default_device())));
+        let wl = KvServeWorkload::build(&mut backend, 16, 0.9);
+        let cfg = ServeConfig::with_defaults(OffloadMechanism::M2Func);
+        let tenants = [TenantSpec::poisson("t", 1e6)];
+        let requests = [Request {
+            tenant: 0,
+            seq: 0,
+            arrival_ns: 0.0,
+            key: 0,
+        }];
+        let mut st = ServeLoop::new(&mut backend, &wl, &cfg, &tenants, &requests);
+        // Devices 3 and 4 tie on the least active load.
+        st.devs = devs(&[
+            (0, 0, 2, Draining),
+            (2, 1, 0, Active),
+            (0, 0, 2, Drained),
+            (1, 0, 1, Active),
+            (0, 1, 1, Active),
+        ]);
+        for home in [0, 2, 5, 9] {
+            st.views[0].home = home;
+            assert_eq!(st.route(0), 3, "home {home}");
         }
+        st.views[0].home = 1;
+        assert_eq!(st.route(0), 1);
     }
 
     proptest::proptest! {
-        /// Each `SchedulerKind` method decides exactly as the trait object
-        /// of the same kind does, given a `FleetView` of the same device
-        /// state. The ranges are small so that loads, queue lengths,
-        /// priorities and deadlines tie often.
+        /// Each decision is the least candidate under its kind's order:
+        /// `route` the active device with the least `(load, index)`,
+        /// `steal` the active non-empty queue with the greatest `(length,
+        /// lowest index)` or none, and `select` the queue position with
+        /// the least `(priority, deadline, position)`. The ranges are
+        /// small so that loads, queue lengths, priorities and deadlines
+        /// tie often.
         #[test]
-        fn kind_methods_match_the_trait_objects(
+        fn kind_decisions_are_least_under_their_tie_breaks(
             states in proptest::collection::vec((0usize..4, 0u32..4, 0u32..3, 0u8..3), 1..7),
             reqs in proptest::collection::vec((0u8..3, 0u32..4, 0u32..3), 1..9),
             home in 0usize..8,
-            idle in 0usize..7,
         ) {
-            use DeviceLifecycle::*;
+            use SchedulerKind::*;
             let devs: Vec<Dev> = states
                 .iter()
-                .map(|&(q, out, free, life)| dev(q, out, free, [Active, Draining, Drained][life as usize]))
+                .map(|&(q, out, free, life)| {
+                    use DeviceLifecycle::*;
+                    dev(q, out, free, [Active, Draining, Drained][life as usize])
+                })
                 .collect();
-            let fleet = view(
-                &devs
-                    .iter()
-                    .map(|d| (d.queue.len(), d.outstanding, d.free, d.lifecycle))
-                    .collect::<Vec<_>>(),
-            );
             let views: Vec<ReqView> = reqs
                 .iter()
-                .map(|&(prio, arrival, slo)| rv(0, f64::from(arrival) * 100.0, f64::from(slo) * 100.0, prio))
+                .map(|&(prio, arrival, slo)| {
+                    rv(f64::from(arrival) * 100.0, f64::from(slo) * 100.0, prio)
+                })
                 .collect();
             // Queue positions differ from view indices.
             let queue: VecDeque<usize> = (0..views.len()).rev().collect();
             let req = ReqView { home, ..views[0] };
-            for kind in SchedulerKind::all() {
-                let mut old = kind.instantiate();
-                if devs.iter().any(Dev::is_active) {
-                    proptest::prop_assert_eq!(kind.route(&req, &devs), old.route(&req, &fleet), "{}", kind.name());
+            let active: Vec<usize> = (0..devs.len()).filter(|&i| devs[i].is_active()).collect();
+
+            proptest::prop_assert_eq!(StaticFifo.route(&req, &devs), home);
+            if !active.is_empty() {
+                let pick = ShortestQueue.route(&req, &devs);
+                proptest::prop_assert!(devs[pick].is_active());
+                for &i in &active {
+                    proptest::prop_assert!((devs[pick].load(), pick) <= (devs[i].load(), i));
                 }
-                proptest::prop_assert_eq!(kind.select(&queue, &views), old.select(idle, &queue, &views, 0.0), "{}", kind.name());
-                proptest::prop_assert_eq!(kind.steal(&devs), old.steal(idle, &fleet), "{}", kind.name());
+                proptest::prop_assert_eq!(PrioritySlo.route(&req, &devs), pick);
+            }
+
+            proptest::prop_assert_eq!(StaticFifo.steal(&devs), None);
+            proptest::prop_assert_eq!(ShortestQueue.steal(&devs), None);
+            let queued: Vec<usize> = active
+                .iter()
+                .copied()
+                .filter(|&i| !devs[i].queue.is_empty())
+                .collect();
+            match PrioritySlo.steal(&devs) {
+                None => proptest::prop_assert!(queued.is_empty()),
+                Some(v) => {
+                    proptest::prop_assert!(queued.contains(&v));
+                    for &i in &queued {
+                        proptest::prop_assert!(
+                            (devs[v].queue.len(), Reverse(v)) >= (devs[i].queue.len(), Reverse(i))
+                        );
+                    }
+                }
+            }
+
+            proptest::prop_assert_eq!(StaticFifo.select(&queue, &views), 0);
+            proptest::prop_assert_eq!(ShortestQueue.select(&queue, &views), 0);
+            let key = |p: usize| {
+                let v = &views[queue[p]];
+                (v.priority, v.deadline_ns, p)
+            };
+            let pick = PrioritySlo.select(&queue, &views);
+            for p in 0..queue.len() {
+                proptest::prop_assert!(key(pick) <= key(p));
             }
         }
     }
