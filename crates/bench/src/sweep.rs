@@ -1026,14 +1026,12 @@ fn serve_kv(
     cfg: &serve::ServeConfig,
     tenants: &[serve::TenantSpec],
 ) -> serve::ServeReport {
-    if cfg.scheduler.is_dynamic() {
-        let mut wl =
-            serve::ReplicatedKvServeWorkload::build(backend, serve::KV_ITEMS_PER_DEVICE, 0.99);
-        serve::run(backend, &mut wl, cfg, tenants)
+    let mut wl = if cfg.scheduler.is_dynamic() {
+        serve::KvServeWorkload::replicated(backend, serve::KV_ITEMS_PER_DEVICE, 0.99)
     } else {
-        let mut wl = serve::KvServeWorkload::build(backend, serve::KV_ITEMS_PER_DEVICE, 0.99);
-        serve::run(backend, &mut wl, cfg, tenants)
-    }
+        serve::KvServeWorkload::build(backend, serve::KV_ITEMS_PER_DEVICE, 0.99)
+    };
+    serve::run(backend, &mut wl, cfg, tenants)
 }
 
 /// Runs one serving cell: builds the KV store inside the backend (sharded
@@ -1086,8 +1084,7 @@ fn elastic_report(
     trace: bool,
 ) -> (serve::ServeReport, DeviceStats) {
     let mut backend = serve_fleet_backend(devices as usize);
-    let mut wl =
-        serve::ReplicatedKvServeWorkload::build(&mut backend, serve::KV_ITEMS_PER_DEVICE, 0.99);
+    let mut wl = serve::KvServeWorkload::replicated(&mut backend, serve::KV_ITEMS_PER_DEVICE, 0.99);
     let mut cfg = serve::ServeConfig::with_defaults(OffloadMechanism::M2Func)
         .scheduler(serve::SchedulerKind::ShortestQueue)
         .device_slots(ELASTIC_DEVICE_SLOTS)

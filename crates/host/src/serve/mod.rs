@@ -609,16 +609,26 @@ pub fn run<W: ServeWorkload>(
 // The KVStore serving workloads (Figs. 1b/10b/11a/11c, fig15)
 // ---------------------------------------------------------------------------
 
-/// A KVStore GET workload sharded across the backend's devices: the global
-/// key space is striped at item granularity (`key % devices` owns the key),
-/// each device holds its shard as a real hash table in its own memory, and
-/// every request is one fine-grained GET kernel.
+/// A KVStore GET workload over the backend's devices, each holding its
+/// store as a real hash table in its own memory; every request is one
+/// fine-grained GET kernel.
+///
+/// [`KvServeWorkload::build`] shards the key space: it is striped at item
+/// granularity, so `key % devices` owns the key. [`KvServeWorkload::replicated`]
+/// builds the identical full store on every device, so any device can
+/// serve any key — the placement freedom that load-aware scheduling, work
+/// stealing, and autoscaling require ([`ServeWorkload::replicated`]).
+/// Replicated keys keep `key % devices` as their *home* device, exposed
+/// through [`ServeWorkload::route_addr`], so home routing has something
+/// to aim at; off-home placement changes which replica answers, not the
+/// answer.
 #[derive(Debug)]
 pub struct KvServeWorkload {
-    shards: Vec<kvstore::KvData>,
+    stores: Vec<kvstore::KvData>,
     kernels: Vec<KernelId>,
     shard_bases: Vec<u64>,
     total_items: u64,
+    replicated: bool,
     zipf: Zipf,
 }
 
@@ -631,18 +641,35 @@ impl KvServeWorkload {
     /// registers the GET kernel everywhere. `zipf_theta` skews the key
     /// popularity (YCSB default 0.99).
     pub fn build(backend: &mut ServeBackend, items_per_device: u64, zipf_theta: f64) -> Self {
+        Self::generate(backend, items_per_device, zipf_theta, false)
+    }
+
+    /// Builds the same `items`-entry store inside *every* device of
+    /// `backend` and registers the GET kernel everywhere. `zipf_theta`
+    /// skews the key popularity (YCSB default 0.99).
+    pub fn replicated(backend: &mut ServeBackend, items: u64, zipf_theta: f64) -> Self {
+        Self::generate(backend, items, zipf_theta, true)
+    }
+
+    fn generate(backend: &mut ServeBackend, items: u64, zipf_theta: f64, replicated: bool) -> Self {
         let ndev = backend.devices();
-        let mut shards = Vec::with_capacity(ndev);
+        let mut stores = Vec::with_capacity(ndev);
         let mut kernels = Vec::with_capacity(ndev);
         let mut shard_bases = Vec::with_capacity(ndev);
         for dev in 0..ndev {
+            // Replicas share one seed, so all hold the same key/value
+            // pairs; shards each draw their own.
             let cfg = kvstore::KvConfig {
-                items: items_per_device,
-                buckets: (items_per_device / 2).max(1),
+                items,
+                buckets: (items / 2).max(1),
                 get_ratio: 1.0,
                 requests: 0,
                 zipf_theta: 0.99,
-                seed: 0xCB5A ^ dev as u64,
+                seed: if replicated {
+                    0xCB5A
+                } else {
+                    0xCB5A ^ dev as u64
+                },
             };
             let (data, kid, base) = match backend {
                 ServeBackend::Device(device) => {
@@ -657,32 +684,41 @@ impl KvServeWorkload {
                     (data, kid, base)
                 }
             };
-            shards.push(data);
+            stores.push(data);
             kernels.push(kid);
             shard_bases.push(base);
         }
-        let total_items = items_per_device * ndev as u64;
+        let total_items = if replicated {
+            items
+        } else {
+            items * ndev as u64
+        };
         Self {
-            shards,
+            stores,
             kernels,
             shard_bases,
             total_items,
+            replicated,
             zipf: Zipf::new(total_items, zipf_theta),
         }
     }
 
-    /// Total items across all shards.
+    /// Distinct items across the fleet (all shards, or one replica).
     pub fn total_items(&self) -> u64 {
         self.total_items
     }
 
-    fn owner(&self, key: u64) -> usize {
-        (key % self.shards.len() as u64) as usize
+    fn home(&self, key: u64) -> usize {
+        (key % self.stores.len() as u64) as usize
     }
 
     fn local_request(&self, key: u64) -> kvstore::KvRequest {
         kvstore::KvRequest {
-            item: key / self.shards.len() as u64,
+            item: if self.replicated {
+                key
+            } else {
+                key / self.stores.len() as u64
+            },
             get: true,
         }
     }
@@ -698,13 +734,13 @@ impl ServeWorkload for KvServeWorkload {
     }
 
     fn route_addr(&self, key: u64, _devices: usize) -> u64 {
-        self.shard_bases[self.owner(key)]
+        self.shard_bases[self.home(key)]
     }
 
     fn launch_args(&self, req: &Request, dev: usize) -> LaunchArgs {
-        debug_assert_eq!(self.owner(req.key), dev);
+        debug_assert!(self.replicated || self.home(req.key) == dev);
         kvstore::launch(
-            &self.shards[dev],
+            &self.stores[dev],
             self.kernels[dev],
             self.local_request(req.key),
             Self::slot(req),
@@ -714,126 +750,15 @@ impl ServeWorkload for KvServeWorkload {
 
     fn verify(&self, req: &Request, dev: usize, device: &CxlM2ndpDevice) -> Result<(), String> {
         kvstore::verify_get(
-            &self.shards[dev],
+            &self.stores[dev],
             device.memory(),
             self.local_request(req.key),
-            Self::slot(req),
-        )
-    }
-}
-
-/// A KVStore GET workload *replicated* on every device: each device holds
-/// the identical full store (same [`kvstore::generate`] seed), so any
-/// device can serve any key — the placement freedom that load-aware
-/// scheduling, work stealing, and autoscaling require
-/// ([`ServeWorkload::replicated`]).
-///
-/// Keys still have a *home* device (`key % devices`, exposed through
-/// [`ServeWorkload::route_addr`] as the device's HDM base) so
-/// locality-seeking schedulers have something to aim at; off-home
-/// placement changes which replica answers, not the answer.
-#[derive(Debug)]
-pub struct ReplicatedKvServeWorkload {
-    replicas: Vec<kvstore::KvData>,
-    kernels: Vec<KernelId>,
-    shard_bases: Vec<u64>,
-    items: u64,
-    zipf: Zipf,
-}
-
-impl ReplicatedKvServeWorkload {
-    /// Builds the same `items`-entry store inside *every* device of
-    /// `backend` and registers the GET kernel everywhere. `zipf_theta`
-    /// skews the key popularity (YCSB default 0.99).
-    pub fn build(backend: &mut ServeBackend, items: u64, zipf_theta: f64) -> Self {
-        let ndev = backend.devices();
-        let mut replicas = Vec::with_capacity(ndev);
-        let mut kernels = Vec::with_capacity(ndev);
-        let mut shard_bases = Vec::with_capacity(ndev);
-        for dev in 0..ndev {
-            // Identical config — crucially the same seed — on every
-            // device, so all replicas hold the same key/value pairs.
-            let cfg = kvstore::KvConfig {
-                items,
-                buckets: (items / 2).max(1),
-                get_ratio: 1.0,
-                requests: 0,
-                zipf_theta: 0.99,
-                seed: 0xCB5A,
-            };
-            let (data, kid, base) = match backend {
-                ServeBackend::Device(device) => {
-                    let data = kvstore::generate(cfg, device.memory_mut());
-                    let kid = device.register_kernel(kvstore::kernel());
-                    (data, kid, 0)
-                }
-                ServeBackend::Fleet(fleet) => {
-                    let data = kvstore::generate(cfg, fleet.device_mut(dev).memory_mut());
-                    let kid = fleet.device_mut(dev).register_kernel(kvstore::kernel());
-                    let base = fleet.shard_base(dev);
-                    (data, kid, base)
-                }
-            };
-            replicas.push(data);
-            kernels.push(kid);
-            shard_bases.push(base);
-        }
-        Self {
-            replicas,
-            kernels,
-            shard_bases,
-            items,
-            zipf: Zipf::new(items, zipf_theta),
-        }
-    }
-
-    /// Items in the (replicated) store.
-    pub fn items(&self) -> u64 {
-        self.items
-    }
-
-    fn local_request(key: u64) -> kvstore::KvRequest {
-        kvstore::KvRequest {
-            item: key,
-            get: true,
-        }
-    }
-
-    fn slot(req: &Request) -> u32 {
-        (req.seq % 64) as u32
-    }
-}
-
-impl ServeWorkload for ReplicatedKvServeWorkload {
-    fn sample_key(&mut self, _tenant: u16, rng: &mut m2ndp_sim::rng::StdRng) -> u64 {
-        self.zipf.sample(rng)
-    }
-
-    fn route_addr(&self, key: u64, _devices: usize) -> u64 {
-        self.shard_bases[(key % self.replicas.len() as u64) as usize]
-    }
-
-    fn launch_args(&self, req: &Request, dev: usize) -> LaunchArgs {
-        kvstore::launch(
-            &self.replicas[dev],
-            self.kernels[dev],
-            Self::local_request(req.key),
-            Self::slot(req),
-            0,
-        )
-    }
-
-    fn verify(&self, req: &Request, dev: usize, device: &CxlM2ndpDevice) -> Result<(), String> {
-        kvstore::verify_get(
-            &self.replicas[dev],
-            device.memory(),
-            Self::local_request(req.key),
             Self::slot(req),
         )
     }
 
     fn replicated(&self) -> bool {
-        true
+        self.replicated
     }
 }
 
@@ -991,7 +916,7 @@ mod tests {
     #[test]
     fn shortest_queue_balances_a_replicated_store() {
         let mut backend = fleet_backend(2);
-        let mut wl = ReplicatedKvServeWorkload::build(&mut backend, 1 << 10, 0.9);
+        let mut wl = KvServeWorkload::replicated(&mut backend, 1 << 10, 0.9);
         let cfg = ServeConfig::with_defaults(OffloadMechanism::M2Func)
             .scheduler(SchedulerKind::ShortestQueue);
         let report = run(&mut backend, &mut wl, &cfg, &tenants(120, 2e6));
@@ -1018,7 +943,7 @@ mod tests {
     #[test]
     fn autoscaler_grows_the_fleet_under_load_and_records_events() {
         let mut backend = fleet_backend(4);
-        let mut wl = ReplicatedKvServeWorkload::build(&mut backend, 1 << 10, 0.9);
+        let mut wl = KvServeWorkload::replicated(&mut backend, 1 << 10, 0.9);
         // One kernel slot per device + saturating load + a tight target:
         // the fleet must grow off its 1-device floor.
         let cfg = ServeConfig::with_defaults(OffloadMechanism::M2Func)
@@ -1059,7 +984,7 @@ mod tests {
     fn priority_slo_prefers_high_priority_tenant_under_saturation() {
         let run_p95 = |kind: SchedulerKind| {
             let mut backend = fleet_backend(2);
-            let mut wl = ReplicatedKvServeWorkload::build(&mut backend, 1 << 10, 0.9);
+            let mut wl = KvServeWorkload::replicated(&mut backend, 1 << 10, 0.9);
             let cfg = ServeConfig::with_defaults(OffloadMechanism::M2Func).scheduler(kind);
             let specs = vec![
                 TenantSpec::poisson("latency", 2e6)

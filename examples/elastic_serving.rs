@@ -1,4 +1,4 @@
-//! Elastic serving with the pluggable scheduler API (Fig. 15): the same
+//! Elastic serving with a load-aware scheduler kind (Fig. 15): the same
 //! two-tenant load — a steady Poisson stream plus a bursty tenant that
 //! exhausts its budget halfway — is served by a small static fleet, a
 //! big static fleet, and an SLO-targeting autoscaler that grows from the
@@ -18,8 +18,7 @@ use m2ndp::core::M2ndpConfig;
 use m2ndp::cxl::SwitchConfig;
 use m2ndp::host::offload::OffloadMechanism;
 use m2ndp::host::serve::{
-    self, AutoscaleConfig, ReplicatedKvServeWorkload, SchedulerKind, ServeBackend, ServeConfig,
-    TenantSpec,
+    self, AutoscaleConfig, KvServeWorkload, SchedulerKind, ServeBackend, ServeConfig, TenantSpec,
 };
 use m2ndp::sim::trace::ScaleDir;
 
@@ -50,7 +49,7 @@ fn run(devices: usize, autoscale: Option<AutoscaleConfig>) -> serve::ServeReport
         switch: SwitchConfig::default(),
         hdm_bytes_per_device: 1 << 30,
     })));
-    let mut wl = ReplicatedKvServeWorkload::build(&mut backend, serve::KV_ITEMS_PER_DEVICE, 0.99);
+    let mut wl = KvServeWorkload::replicated(&mut backend, serve::KV_ITEMS_PER_DEVICE, 0.99);
     let mut cfg = ServeConfig::with_defaults(OffloadMechanism::M2Func)
         .scheduler(SchedulerKind::ShortestQueue)
         .device_slots(1);

@@ -1,4 +1,4 @@
-//! Gates for the pluggable serving scheduler and the elastic fleet
+//! Gates for the serving scheduler kinds and the elastic fleet
 //! (§III-J, paper Fig. 15 methodology): every [`SchedulerKind`] must be
 //! byte-identical whatever value `Fleet::set_parallelism` is given,
 //! autoscaled runs must be deterministic with well-formed lifecycle
@@ -16,8 +16,7 @@ use m2ndp::core::M2ndpConfig;
 use m2ndp::cxl::SwitchConfig;
 use m2ndp::host::offload::OffloadMechanism;
 use m2ndp::host::serve::{
-    self, AutoscaleConfig, KvServeWorkload, ReplicatedKvServeWorkload, SchedulerKind, ServeBackend,
-    ServeConfig, TenantSpec,
+    self, AutoscaleConfig, KvServeWorkload, SchedulerKind, ServeBackend, ServeConfig, TenantSpec,
 };
 use m2ndp::sim::trace::{EventKind, ScaleDir};
 
@@ -83,13 +82,12 @@ fn run_kind(
     if let Some(a) = autoscale {
         cfg = cfg.autoscale(a).device_slots(1);
     }
-    if dynamic {
-        let mut wl = ReplicatedKvServeWorkload::build(&mut be, 512, 0.9);
-        serve::run(&mut be, &mut wl, &cfg, &tenants())
+    let mut wl = if dynamic {
+        KvServeWorkload::replicated(&mut be, 512, 0.9)
     } else {
-        let mut wl = KvServeWorkload::build(&mut be, 512, 0.9);
-        serve::run(&mut be, &mut wl, &cfg, &tenants())
-    }
+        KvServeWorkload::build(&mut be, 512, 0.9)
+    };
+    serve::run(&mut be, &mut wl, &cfg, &tenants())
 }
 
 /// Everything the determinism contract covers, with floats captured as
