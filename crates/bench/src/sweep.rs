@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use m2ndp::core::fleet::{Fleet, FleetConfig, SwitchNdp};
 use m2ndp::core::{CxlM2ndpDevice, DeviceStats, M2ndpConfig, StatValue};
-use m2ndp::cxl::SwitchConfig;
+use m2ndp::cxl::{CxlSwitch, SwitchConfig};
 use m2ndp::host::cpu::{DataHome, HostCpu, HostCpuConfig};
 use m2ndp::host::nsu::NsuModel;
 use m2ndp::host::offload::{OffloadMechanism, OffloadModel, OffloadSim};
@@ -1429,17 +1429,15 @@ pub fn derive(fig: FigId, outs: &[CellOut]) -> Vec<Metric> {
                     let Some(o) = find(outs, &format!("{wl}/{n}dev")) else {
                         continue;
                     };
-                    // DLRM: disjoint outputs, negligible combine; OPT:
-                    // hidden-sized all-reduce per layer.
-                    let run = m2ndp::core::multi::MultiDeviceRun {
-                        per_device_cycles: vec![o.cycles; n as usize],
-                        allreduce_bytes_per_device: if n > 1 { allreduce_bytes } else { 0 },
-                        switch: m2ndp::cxl::SwitchConfig::default(),
-                        clock: Frequency::ghz(2.0),
-                    };
+                    // Every device runs one equal shard, so the slowest
+                    // finishes at `o.cycles`; then the combine, a ring
+                    // all-reduce on a fresh switch (DLRM: disjoint
+                    // outputs, negligible; OPT: hidden-sized per layer).
+                    let allreduce = CxlSwitch::new(SwitchConfig::default(), Frequency::ghz(2.0))
+                        .ring_allreduce(0, n as usize, allreduce_bytes);
                     m.push((
                         format!("speedup/{wl}/{n}dev"),
-                        run.speedup_over(single.cycles),
+                        single.cycles as f64 / (o.cycles + allreduce) as f64,
                     ));
                 }
             }

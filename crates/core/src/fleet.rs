@@ -2,12 +2,12 @@
 //! behind a [`CxlSwitch`] (§III-I), plus the M²NDP-in-switch configuration
 //! over passive third-party memories (§III-J).
 //!
-//! Where [`crate::multi`] costs a multi-device run analytically, this module
-//! *simulates* it: every shard runs on its own cycle-level device, M²func
-//! offloads are routed to the owning device through the [`HdmRouter`] at
-//! 2 MB page granularity and charged against the switch's per-port
-//! [`m2ndp_sim::BandwidthGate`]s, and the tensor-parallel all-reduce crosses
-//! the switch as actual P2P traffic ([`CxlSwitch::ring_allreduce`]).
+//! This module *simulates* a multi-device run: every shard runs on its own
+//! cycle-level device, M²func offloads are routed to the owning device
+//! through the [`HdmRouter`] at 2 MB page granularity and charged against
+//! the switch's per-port [`m2ndp_sim::BandwidthGate`]s, and the
+//! tensor-parallel all-reduce crosses the switch as actual P2P traffic
+//! ([`CxlSwitch::ring_allreduce`]).
 //!
 //! As in the paper's methodology (§IV-D), data is partitioned across
 //! devices by software: each device's shard is generated directly into that
@@ -222,35 +222,8 @@ impl Fleet {
         self.router.span(i).0
     }
 
-    /// Routes one launch like [`Self::launch_routed`], but through the full
-    /// M²func wire protocol: the launch arguments are encoded into the
-    /// CXL.mem write payload ([`crate::m2func::encode_launch`]), the store
-    /// crosses the switch to the owning device, and the device's NDP
-    /// controller decodes and dispatches the call
-    /// ([`CxlM2ndpDevice::handle_m2func_call`]), leaving the instance id at
-    /// the caller's M²func region offset as a real host would read it back.
-    ///
-    /// Returns the owning device, the instance id, and the fleet cycle the
-    /// launch store arrived at the device port (what open-loop serving
-    /// charges as switch-induced launch skew).
-    ///
-    /// # Errors
-    /// [`NdpApiError::BadArguments`] when `pool_base` routes to no device;
-    /// otherwise whatever error the device's controller returned.
-    pub fn m2func_launch_routed(
-        &mut self,
-        issue: Cycle,
-        asid: u16,
-        pool_base: u64,
-        args: LaunchArgs,
-    ) -> Result<(usize, KernelInstanceId, Cycle), NdpApiError> {
-        let dev = self.owner(pool_base)?;
-        let (inst, arrival) = self.m2func_launch_on(issue, dev, asid, args)?;
-        Ok((dev, inst, arrival))
-    }
-
-    /// Launches on an *explicitly chosen* device — the entry point for
-    /// pluggable serving schedulers, which decide placement themselves
+    /// Launches on an *explicitly chosen* device — the entry point for the
+    /// serving admission loop, whose scheduler decides placement itself
     /// instead of delegating to the [`HdmRouter`]. The launch store is
     /// charged through the switch exactly like [`Self::launch_routed`]
     /// (host port → device port, both bandwidth gates plus traversal
@@ -278,9 +251,17 @@ impl Fleet {
         Ok((inst, arrival))
     }
 
-    /// [`Self::launch_on`] through the full M²func wire protocol (encode →
-    /// switch → controller decode, like [`Self::m2func_launch_routed`] with
-    /// the placement decision supplied by the caller).
+    /// [`Self::launch_on`] through the full M²func wire protocol: the
+    /// launch arguments are encoded into the CXL.mem write payload
+    /// ([`crate::m2func::encode_launch`]), the store crosses the switch to
+    /// device `dev`, and the device's NDP controller decodes and dispatches
+    /// the call ([`CxlM2ndpDevice::handle_m2func_call`]), leaving the
+    /// instance id at the caller's M²func region offset as a real host
+    /// would read it back.
+    ///
+    /// Returns the instance id and the fleet cycle the launch store
+    /// arrived at the device port (what open-loop serving charges as
+    /// switch-induced launch skew).
     ///
     /// # Errors
     /// Whatever error the device's controller returned.
@@ -615,8 +596,9 @@ mod tests {
             f.device_mut(1).memory_mut().write_u32(base + i * 4, 21);
         }
         let pool = f.shard_base(1);
-        let (dev, inst, arrival) = f
-            .m2func_launch_routed(5, 9, pool, LaunchArgs::new(kids[1], base, base + 64 * 4))
+        let dev = f.router().device_of(pool).expect("pool routes");
+        let (inst, arrival) = f
+            .m2func_launch_on(5, dev, 9, LaunchArgs::new(kids[1], base, base + 64 * 4))
             .expect("protocol launch routes");
         assert_eq!(dev, 1);
         assert!(arrival > 5, "switch must add latency to the launch store");

@@ -6,7 +6,6 @@
 //! are assembled from:
 //!
 //! * [`Cycle`] / [`Frequency`] — time bookkeeping and clock-domain conversion,
-//! * [`BoundedQueue`] — FIFO with backpressure,
 //! * [`DelayPipe`] — fixed- or variable-latency delay lines,
 //! * [`BandwidthGate`] — byte/cycle throughput limiter used for links and
 //!   crossbar ports,
@@ -55,7 +54,6 @@ pub mod fingerprint;
 pub mod json;
 pub mod par;
 pub mod pipe;
-pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -65,6 +63,5 @@ pub use bandwidth::BandwidthGate;
 pub use event::{EventQueue, FEventQueue};
 pub use fingerprint::{Fingerprint, Fingerprintable};
 pub use pipe::DelayPipe;
-pub use queue::BoundedQueue;
 pub use stats::{Counter, FHistogram, Histogram, RunningStat, Snapshot, TrafficStats};
 pub use time::{Cycle, Frequency};

@@ -1,29 +1,10 @@
 //! Property tests for the simulation primitives.
 
-use m2ndp_sim::{BandwidthGate, BoundedQueue, EventQueue, Histogram};
+use m2ndp_sim::{BandwidthGate, EventQueue, Histogram};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// FIFO order is preserved across any interleaving of pushes and pops.
-    #[test]
-    fn queue_preserves_fifo(ops in prop::collection::vec(any::<bool>(), 1..200)) {
-        let mut q = BoundedQueue::new(64);
-        let mut model = std::collections::VecDeque::new();
-        let mut next = 0u32;
-        for push in ops {
-            if push {
-                if q.push(next).is_ok() {
-                    model.push_back(next);
-                }
-                next += 1;
-            } else {
-                prop_assert_eq!(q.pop(), model.pop_front());
-            }
-            prop_assert_eq!(q.len(), model.len());
-        }
-    }
 
     /// The event queue is a stable priority queue: time order first,
     /// insertion order for ties.
