@@ -17,10 +17,10 @@
 //! queues on, the queued request a device with a free slot admits next,
 //! and the device an idle device steals one queued request from. Each is
 //! a function of the request's home device, priority and deadline and of
-//! the loop's per-device queues, slot counts and lifecycle states, and
-//! nothing else: no randomness, no clock, no map iteration order. Every
-//! tie breaks explicitly, toward the lowest device index or the earliest
-//! queue position.
+//! the loop's per-device queues, in-flight counts and lifecycle states,
+//! and nothing else: no randomness, no clock, no map iteration order.
+//! Every tie breaks explicitly, toward the lowest device index or the
+//! earliest queue position.
 //!
 //! # Data-placement requirement
 //!
@@ -168,9 +168,8 @@ enum DeviceLifecycle {
 struct Dev {
     /// Queued requests (indices into the run's requests), oldest first.
     queue: VecDeque<usize>,
-    /// Kernel slots currently free.
-    free: u32,
-    /// Kernels in flight.
+    /// Kernels in flight; the device's free slots are the loop's `slots`
+    /// minus these.
     outstanding: u32,
     /// Peak of `outstanding` over the run.
     max_outstanding: u32,
@@ -295,7 +294,6 @@ impl<'a, W: ServeWorkload + ?Sized> ServeLoop<'a, W> {
                 let active = d < initial_active;
                 Dev {
                     queue: VecDeque::new(),
-                    free: slots,
                     outstanding: 0,
                     max_outstanding: 0,
                     lifecycle: if active {
@@ -345,14 +343,13 @@ impl<'a, W: ServeWorkload + ?Sized> ServeLoop<'a, W> {
     /// Admits from device `dev`'s queue while it has free slots, running
     /// each admitted request's kernel on the simulator.
     fn try_admit(&mut self, dev: usize, now: f64, events: &mut FEventQueue<Ev>) {
-        while self.devs[dev].free > 0 && !self.devs[dev].queue.is_empty() {
+        while self.devs[dev].outstanding < self.slots && !self.devs[dev].queue.is_empty() {
             let d = &mut self.devs[dev];
             let pos = self.kind.select(&d.queue, &self.views);
             let i = d
                 .queue
                 .remove(pos)
                 .expect("select returned a position inside the queue");
-            d.free -= 1;
             d.outstanding += 1;
             d.max_outstanding = d.max_outstanding.max(d.outstanding);
             let req = self.requests[i];
@@ -402,7 +399,7 @@ impl<'a, W: ServeWorkload + ?Sized> ServeLoop<'a, W> {
     /// newest request over.
     fn maybe_steal(&mut self, dev: usize, now: f64, events: &mut FEventQueue<Ev>) {
         let d = &self.devs[dev];
-        if !d.is_active() || d.free == 0 || !d.queue.is_empty() {
+        if !d.is_active() || d.outstanding == self.slots || !d.queue.is_empty() {
             return;
         }
         // The victim's queue is non-empty, so the victim is not `dev`.
@@ -537,9 +534,7 @@ pub(super) fn serve_loop<W: ServeWorkload + ?Sized>(
                 st.try_admit(dev, now, &mut events);
             }
             Ev::SlotFree { dev, latency_ns } => {
-                let d = &mut st.devs[dev];
-                d.free += 1;
-                d.outstanding -= 1;
+                st.devs[dev].outstanding -= 1;
                 st.completed += 1;
                 if let Some(auto) = &mut st.auto {
                     auto.observe(latency_ns);
@@ -599,10 +594,9 @@ mod tests {
     use m2ndp_core::{CxlM2ndpDevice, M2ndpConfig};
 
     /// A loop device record with a `queue_len`-entry queue.
-    fn dev(queue_len: usize, outstanding: u32, free: u32, lifecycle: DeviceLifecycle) -> Dev {
+    fn dev(queue_len: usize, outstanding: u32, lifecycle: DeviceLifecycle) -> Dev {
         Dev {
             queue: (0..queue_len).collect(),
-            free,
             outstanding,
             max_outstanding: outstanding,
             lifecycle,
@@ -610,13 +604,11 @@ mod tests {
         }
     }
 
-    /// Device records from `(queue_len, outstanding, free_slots, lifecycle)`.
-    fn devs(states: &[(usize, u32, u32, DeviceLifecycle)]) -> Vec<Dev> {
+    /// Device records from `(queue_len, outstanding, lifecycle)`.
+    fn devs(states: &[(usize, u32, DeviceLifecycle)]) -> Vec<Dev> {
         states
             .iter()
-            .map(|&(queue_len, outstanding, free, lifecycle)| {
-                dev(queue_len, outstanding, free, lifecycle)
-            })
+            .map(|&(queue_len, outstanding, lifecycle)| dev(queue_len, outstanding, lifecycle))
             .collect()
     }
 
@@ -641,17 +633,17 @@ mod tests {
         use DeviceLifecycle::*;
         let k = SchedulerKind::ShortestQueue;
         // Device 0 is loaded, device 1 is parked, device 2 is idle.
-        let d = devs(&[(3, 2, 0, Active), (0, 0, 2, Drained), (0, 1, 1, Active)]);
+        let d = devs(&[(3, 2, Active), (0, 0, Drained), (0, 1, Active)]);
         assert_eq!(k.route(&rv(0.0, 5e3, 0), &d), 2);
         // Ties break to the lowest index.
-        let d = devs(&[(1, 1, 1, Active), (1, 1, 1, Active)]);
+        let d = devs(&[(1, 1, Active), (1, 1, Active)]);
         assert_eq!(k.route(&rv(0.0, 5e3, 0), &d), 0);
     }
 
     #[test]
     fn home_schedulers_route_home_even_when_loaded() {
         use DeviceLifecycle::*;
-        let d = devs(&[(0, 0, 2, Active), (9, 9, 0, Active)]);
+        let d = devs(&[(0, 0, Active), (9, 9, Active)]);
         assert_eq!(SchedulerKind::StaticFifo.route(&rv(0.0, 5e3, 0), &d), 1);
     }
 
@@ -676,11 +668,11 @@ mod tests {
     fn priority_slo_steals_from_longest_active_queue() {
         use DeviceLifecycle::*;
         let k = SchedulerKind::PrioritySlo;
-        let d = devs(&[(0, 0, 2, Active), (4, 1, 0, Active), (7, 1, 0, Draining)]);
+        let d = devs(&[(0, 0, Active), (4, 1, Active), (7, 1, Draining)]);
         // Device 2 has the longest queue but is draining; device 1 wins.
         assert_eq!(k.steal(&d), Some(1));
         // Nothing queued anywhere: no steal.
-        let d = devs(&[(0, 0, 2, Active), (0, 1, 0, Active)]);
+        let d = devs(&[(0, 0, Active), (0, 1, Active)]);
         assert_eq!(k.steal(&d), None);
     }
 
@@ -704,11 +696,11 @@ mod tests {
         let mut st = ServeLoop::new(&mut backend, &wl, &cfg, &tenants, &requests);
         // Devices 3 and 4 tie on the least active load.
         st.devs = devs(&[
-            (0, 0, 2, Draining),
-            (2, 1, 0, Active),
-            (0, 0, 2, Drained),
-            (1, 0, 1, Active),
-            (0, 1, 1, Active),
+            (0, 0, Draining),
+            (2, 1, Active),
+            (0, 0, Drained),
+            (1, 0, Active),
+            (0, 1, Active),
         ]);
         for home in [0, 2, 5, 9] {
             st.views[0].home = home;
@@ -728,16 +720,16 @@ mod tests {
         /// tie often.
         #[test]
         fn kind_decisions_are_least_under_their_tie_breaks(
-            states in proptest::collection::vec((0usize..4, 0u32..4, 0u32..3, 0u8..3), 1..7),
+            states in proptest::collection::vec((0usize..4, 0u32..4, 0u8..3), 1..7),
             reqs in proptest::collection::vec((0u8..3, 0u32..4, 0u32..3), 1..9),
             home in 0usize..8,
         ) {
             use SchedulerKind::*;
             let devs: Vec<Dev> = states
                 .iter()
-                .map(|&(q, out, free, life)| {
+                .map(|&(q, out, life)| {
                     use DeviceLifecycle::*;
-                    dev(q, out, free, [Active, Draining, Drained][life as usize])
+                    dev(q, out, [Active, Draining, Drained][life as usize])
                 })
                 .collect();
             let views: Vec<ReqView> = reqs
