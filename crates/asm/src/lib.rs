@@ -23,7 +23,6 @@
 //! without spawning processes; `src/main.rs` is a thin wrapper.
 
 use std::fmt::Write as _;
-use std::path::Path;
 
 use m2ndp_riscv::{assemble, disassemble, Program};
 use m2ndp_sim::json::{report_json, Diagnostic, Json};
@@ -252,12 +251,6 @@ pub fn main_impl(args: Vec<String>) -> i32 {
     }
 }
 
-/// Returns true when `path` looks like an assembly source (used by shell
-/// completion helpers and the corpus test to filter `programs/`).
-pub fn is_asm_source(path: &Path) -> bool {
-    path.extension().is_some_and(|e| e == "s")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,12 +316,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.message.contains("unknown subcommand"));
-    }
-
-    #[test]
-    fn source_filter_accepts_dot_s() {
-        assert!(is_asm_source(Path::new("programs/spmv.s")));
-        assert!(!is_asm_source(Path::new("README.md")));
     }
 
     #[test]

@@ -15,7 +15,7 @@ fn corpus_files() -> Vec<PathBuf> {
     let mut files: Vec<_> = std::fs::read_dir(corpus_dir())
         .expect("programs/ exists at the repo root")
         .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| m2ndp_asm::is_asm_source(p))
+        .filter(|p| p.extension().is_some_and(|e| e == "s"))
         .collect();
     files.sort();
     files

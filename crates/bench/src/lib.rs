@@ -1,8 +1,11 @@
-//! The experiment harness: everything the per-figure bench targets share.
+//! The experiment harness: everything the `figures` CLI and the
+//! per-figure bench targets share.
 //!
-//! Each bench target in `benches/` regenerates one table or figure of the
-//! paper's evaluation (see the figure map in PAPER.md for the index), printing the same
-//! rows/series the paper reports. The harness here provides:
+//! The `figures` binary regenerates the paper's main evaluation figures
+//! (`figures --only <id>` prints one); each bench target in `benches/`
+//! regenerates one of the remaining tables or figures (see the figure map
+//! in PAPER.md for the index), printing the same rows/series the paper
+//! reports. The harness here provides:
 //!
 //! * [`table::Table`] — aligned console tables;
 //! * [`platforms`] — builders for the compared systems at a documented
@@ -13,8 +16,7 @@
 //!   device statistics;
 //! * [`sweep`] — the figure grids as independent cells, a thread-parallel
 //!   executor, derived paper-comparable metrics, and their serialization
-//!   (the `figures` CLI binary and the per-figure bench targets are both
-//!   thin fronts over it);
+//!   (the `figures` CLI binary is a thin front over it);
 //! * [`json`] — re-export of [`m2ndp::sim::json`], the dependency-free,
 //!   deterministic JSON value used for the emitted results (shared with the
 //!   `m2ndp-asm` and `m2ndp-trace` CLIs);

@@ -194,7 +194,7 @@ mod tests {
     #[test]
     fn variants_apply_their_knob() {
         let d = Variant::M2FreqMhz(3000).build(Platform::M2ndp);
-        assert!((d.config().engine.freq.as_ghz() - 3.0).abs() < 1e-9);
+        assert_eq!(d.config().engine.freq, Frequency::ghz(3.0));
 
         let d = Variant::M2CoarseSpawn.build(Platform::M2ndp);
         assert_eq!(d.config().engine.spawn_batch_contexts, 16);

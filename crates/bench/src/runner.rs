@@ -316,13 +316,13 @@ pub fn kvs_baseline_latencies_ns(n: usize, ltu_scale: f64) -> Vec<f64> {
         .collect()
 }
 
-/// P95 of a latency sample in ns.
+/// P95 of a latency sample, in whole ns (each sample truncated).
 pub fn p95(latencies: &[f64]) -> f64 {
-    let mut h = m2ndp::sim::Histogram::new();
+    let mut h = m2ndp::sim::FHistogram::new();
     for &l in latencies {
-        h.record(l as u64);
+        h.record((l as u64) as f64);
     }
-    h.percentile(0.95) as f64
+    h.percentile(0.95)
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! to completion without touching shared state, so a sweep executed with
 //! `--jobs 8` produces byte-identical results to a serial run (the
 //! simulator is deterministic; the only parallelism is across independent
-//! cells). [`run_cells`] fans cells out on the shared deterministic pool
+//! cells). [`run_cells_timed`] fans cells out on the shared deterministic pool
 //! ([`m2ndp::sim::par`]), [`derive()`] turns raw cell outputs into the
 //! ratios the paper reports (speedups, P95 improvements, scaling factors),
 //! and [`figure_json`] / [`consolidated_json`] serialize everything through
@@ -16,12 +16,11 @@
 //! Cells are the only parallel unit: `jobs` workers run whole cells
 //! concurrently, and a fleet inside a cell runs its devices one after
 //! another. `M2NDP_JOBS` sets the default worker count for the `figures`
-//! CLI and the fig benches ([`run_figure`]); every value emits
-//! byte-identical JSON — only wall-clock changes.
+//! CLI; every value emits byte-identical JSON — only wall-clock changes.
 //!
-//! Both the per-figure bench targets (`benches/fig*.rs`) and the `figures`
-//! CLI binary are thin fronts over this module, so the row computation for
-//! a figure exists exactly once.
+//! The `figures` CLI binary is a thin front over this module
+//! (`figures --only <id>` prints one figure's table), so the row
+//! computation for a figure exists exactly once.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -45,8 +44,8 @@ use crate::runner::{
 use crate::{geomean, table::Table};
 
 /// The figures the sweep harness reproduces (the paper's main evaluation
-/// plots; the remaining figures are one-shot analytic tables and stay as
-/// plain bench targets).
+/// plots, printed by `figures --only <id>`; the remaining figures are
+/// one-shot analytic tables and stay as plain bench targets).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FigId {
     /// Fig. 10a — OLAP Evaluate runtimes and speedups.
@@ -119,7 +118,7 @@ impl FigId {
         }
     }
 
-    /// Human title (matches the bench targets' table captions).
+    /// Human title (the caption of the printed table).
     pub fn title(self) -> &'static str {
         match self {
             FigId::Fig10a => "OLAP Evaluate phase (paper: avg 73.4x, up to 128x)",
@@ -767,13 +766,14 @@ pub fn run_cell(spec: &CellSpec) -> CellOut {
         }
         Work::KvsService { requests } => {
             let service = kvs_service_times_ns(*requests);
-            let mut h = m2ndp::sim::Histogram::new();
+            // Whole-ns service times, each truncated.
+            let mut h = m2ndp::sim::FHistogram::new();
             for &s in &service {
-                h.record(s as u64);
+                h.record((s as u64) as f64);
             }
             let quantiles = h.quantiles(&[0.5, 0.95]);
-            let extra = vec![("p50_ns", quantiles[0] as f64), ("mean_ns", h.mean())];
-            out(0, quantiles[1] as f64, None, extra)
+            let extra = vec![("p50_ns", quantiles[0]), ("mean_ns", h.mean())];
+            out(0, quantiles[1], None, extra)
         }
         Work::KvsBaseline { requests } => {
             let lat = kvs_baseline_latencies_ns(*requests, 1.0);
@@ -1173,23 +1173,12 @@ pub struct CellRun {
     pub worker: usize,
 }
 
-/// Executes `cells` on up to `jobs` workers and returns outputs **in cell
-/// order** (independent of completion order). Identical output for any job
-/// count.
-///
-/// # Panics
-/// Propagates a panic from any cell (e.g. a workload verification failure).
-pub fn run_cells(cells: &[CellSpec], jobs: usize, verbose: bool) -> Vec<CellOut> {
-    run_cells_timed(cells, jobs, verbose)
-        .into_iter()
-        .map(|run| run.out)
-        .collect()
-}
-
-/// [`run_cells`], additionally returning each cell's wall-clock seconds and
-/// the pool worker that ran it (via [`m2ndp::sim::par::map_ordered_with`]).
-/// Every job count produces identical [`CellOut`]s; only `wall_s`/`worker`
-/// vary, and they never enter the byte-stable result JSON.
+/// Executes `cells` on up to `jobs` workers and returns their runs **in
+/// cell order** (independent of completion order): each cell's output, its
+/// wall-clock seconds and the pool worker that ran it (via
+/// [`m2ndp::sim::par::map_ordered_with`]). Every job count produces
+/// identical [`CellOut`]s; only `wall_s`/`worker` vary, and they never
+/// enter the byte-stable result JSON.
 ///
 /// `verbose` prints per-cell progress (with wall time) to stderr; stdout
 /// and the emitted JSON stay byte-stable.
@@ -1220,22 +1209,6 @@ pub fn run_cells_timed(cells: &[CellSpec], jobs: usize, verbose: bool) -> Vec<Ce
             worker,
         }
     })
-}
-
-/// Runs one figure end to end: grid → (parallel) execution → derived
-/// metrics. `M2NDP_JOBS`, when set, overrides `jobs`, so it reaches the
-/// fig benches without new flags.
-pub fn run_figure(
-    fig: FigId,
-    fast: bool,
-    jobs: usize,
-    verbose: bool,
-) -> (Vec<CellOut>, Vec<Metric>) {
-    let specs = cells(fig, fast);
-    let jobs = par::env_jobs("M2NDP_JOBS").unwrap_or(jobs);
-    let outs = run_cells(&specs, jobs, verbose);
-    let metrics = derive(fig, &outs);
-    (outs, metrics)
 }
 
 // ---------------------------------------------------------------------------
@@ -1692,7 +1665,7 @@ pub fn consolidated_metrics(results: &[(FigId, Vec<CellOut>, Vec<Metric>)]) -> V
 }
 
 // ---------------------------------------------------------------------------
-// Table printing (what the bench targets show)
+// Table printing (what `figures` shows)
 // ---------------------------------------------------------------------------
 
 fn metric(metrics: &[Metric], name: &str) -> Option<f64> {
@@ -2152,8 +2125,8 @@ mod tests {
         let specs: Vec<CellSpec> = (0..6)
             .map(|i| CellSpec::kvs_baseline_cell(FigId::Fig10b, &format!("cell{i}"), 200 + i * 50))
             .collect();
-        let outs = run_cells(&specs, 3, false);
-        let keys: Vec<&str> = outs.iter().map(|o| o.key.as_str()).collect();
+        let runs = run_cells_timed(&specs, 3, false);
+        let keys: Vec<&str> = runs.iter().map(|r| r.out.key.as_str()).collect();
         assert_eq!(
             keys,
             vec!["cell0", "cell1", "cell2", "cell3", "cell4", "cell5"]

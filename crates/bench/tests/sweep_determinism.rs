@@ -9,7 +9,7 @@
 //! job).
 
 use m2ndp_bench::sweep::{
-    consolidated_json, consolidated_metrics, derive, figure_json, run_cells, run_cells_timed,
+    consolidated_json, consolidated_metrics, derive, figure_json, run_cells_timed, CellOut,
     CellSpec, FigId,
 };
 
@@ -19,11 +19,19 @@ fn specs() -> Vec<CellSpec> {
         .collect()
 }
 
+/// The cell outputs of a sweep on `jobs` workers, in cell order.
+fn run_cells(cells: &[CellSpec], jobs: usize) -> Vec<CellOut> {
+    run_cells_timed(cells, jobs, false)
+        .into_iter()
+        .map(|run| run.out)
+        .collect()
+}
+
 #[test]
 fn jobs1_and_jobs4_sweeps_emit_byte_identical_json() {
     let cells = specs();
-    let serial = run_cells(&cells, 1, false);
-    let parallel = run_cells(&cells, 4, false);
+    let serial = run_cells(&cells, 1);
+    let parallel = run_cells(&cells, 4);
 
     let figure = |outs: &[_]| {
         let metrics = derive(FigId::Fig10b, outs);
@@ -31,7 +39,7 @@ fn jobs1_and_jobs4_sweeps_emit_byte_identical_json() {
     };
     assert_eq!(figure(&serial), figure(&parallel));
 
-    let consolidated = |outs: &[m2ndp_bench::sweep::CellOut]| {
+    let consolidated = |outs: &[CellOut]| {
         let metrics = derive(FigId::Fig10b, outs);
         let results = vec![(FigId::Fig10b, outs.to_vec(), metrics)];
         (
@@ -67,8 +75,8 @@ fn every_job_budget_emits_identical_cell_outputs() {
 #[test]
 fn repeated_serial_sweeps_are_stable() {
     let cells = specs();
-    let a = run_cells(&cells, 1, false);
-    let b = run_cells(&cells, 1, false);
+    let a = run_cells(&cells, 1);
+    let b = run_cells(&cells, 1);
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.key, y.key);
         assert_eq!(x.ns.to_bits(), y.ns.to_bits(), "{}", x.key);

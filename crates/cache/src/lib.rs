@@ -3,9 +3,8 @@
 //! Three structures cover every cache in the evaluated systems (Table IV):
 //!
 //! * [`SectoredCache`] — a set-associative cache with sectored lines
-//!   (128 B line / 32 B sector for the GPU-style caches and the memory-side
-//!   L2; 64 B line with a single sector for host CPU caches), LRU
-//!   replacement, MSHR-based miss handling, and configurable
+//!   (128 B line / 32 B sector for the NDP and GPU L1Ds and the memory-side
+//!   L2), LRU replacement, MSHR-based miss handling, and configurable
 //!   write-through/write-back policy. The paper adopts the GPU cache
 //!   hierarchy for the NDP device (§III-F): write-through L1D in the NDP
 //!   units and a memory-side L2 in front of each memory controller that also

@@ -26,19 +26,6 @@ pub fn spad_backing_addr(unit: u32, off: u64) -> u64 {
     SPAD_APERTURE_BASE + unit as u64 * SPAD_APERTURE_STRIDE + off
 }
 
-/// Returns `Some(offset)` when `addr` falls inside the scratchpad aperture
-/// (any unit's), along with the unit it belongs to.
-pub fn spad_aperture_offset(addr: u64) -> Option<(u32, u64)> {
-    if !(SPAD_APERTURE_BASE..SPAD_APERTURE_BASE + 4096 * SPAD_APERTURE_STRIDE).contains(&addr) {
-        return None;
-    }
-    let rel = addr - SPAD_APERTURE_BASE;
-    Some((
-        (rel / SPAD_APERTURE_STRIDE) as u32,
-        rel % SPAD_APERTURE_STRIDE,
-    ))
-}
-
 /// Timing/traffic model for one unit's scratchpad.
 #[derive(Debug, Clone)]
 pub struct Scratchpad {
@@ -70,11 +57,6 @@ impl Scratchpad {
         self.capacity_bytes
     }
 
-    /// Whether `offset..offset+bytes` fits in the scratchpad.
-    pub fn in_bounds(&self, offset: u64, bytes: u32) -> bool {
-        offset + bytes as u64 <= self.capacity_bytes
-    }
-
     /// Accounts one access and returns the cycle its result is available.
     pub fn access(&mut self, now: Cycle, bytes: u32, write: bool, atomic: bool) -> Cycle {
         if write {
@@ -102,17 +84,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn aperture_round_trip() {
-        let a = spad_backing_addr(5, 0x40);
-        let (unit, off) = spad_aperture_offset(a).unwrap();
-        assert_eq!(unit, 5);
-        assert_eq!(off, 0x40);
-    }
-
-    #[test]
-    fn non_aperture_address_is_none() {
-        assert_eq!(spad_aperture_offset(0x1000), None);
-        assert_eq!(spad_aperture_offset(0xdead_beef), None);
+    fn unit_apertures_are_disjoint() {
+        assert_eq!(spad_backing_addr(0, 0), SPAD_APERTURE_BASE);
+        let last = (128 << 10) - 1; // a Table IV scratchpad's last byte
+        for unit in [0, 5, 31] {
+            assert!(spad_backing_addr(unit, last) < spad_backing_addr(unit + 1, 0));
+        }
     }
 
     #[test]
@@ -125,13 +102,5 @@ mod tests {
         assert_eq!(s.write_bytes.get(), 16);
         assert_eq!(s.atomics.get(), 1);
         assert_eq!(s.total_bytes(), 48);
-    }
-
-    #[test]
-    fn bounds_check() {
-        let s = Scratchpad::new(1024, 2);
-        assert!(s.in_bounds(0, 1024));
-        assert!(!s.in_bounds(1, 1024));
-        assert!(!s.in_bounds(1024, 1));
     }
 }

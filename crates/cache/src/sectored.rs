@@ -4,8 +4,8 @@
 //! request tokens in MSHRs; the owning component is responsible for sending
 //! the returned fetch addresses downstream and calling [`SectoredCache::fill`]
 //! when data returns. This keeps the cache reusable across the NDP L1D, the
-//! memory-side L2 slices, host L1/L2/L3 and the GPU caches, which all wire
-//! into different interconnects.
+//! memory-side L2 slices and the GPU L1D, which wire into different
+//! interconnects.
 
 use std::collections::VecDeque;
 
@@ -70,45 +70,6 @@ impl CacheConfig {
         }
     }
 
-    /// Host L1D: 64 KB, 8-way, 4-cycle, 64 B line (Table IV).
-    pub fn host_l1() -> Self {
-        Self {
-            capacity_bytes: 64 << 10,
-            ways: 8,
-            line_bytes: 64,
-            sector_bytes: 64,
-            hit_latency: 4,
-            write_policy: WritePolicy::WriteBack,
-            mshr_entries: 16,
-        }
-    }
-
-    /// Host L2: 1 MB, 8-way, 12-cycle, 64 B line (Table IV).
-    pub fn host_l2() -> Self {
-        Self {
-            capacity_bytes: 1 << 20,
-            ways: 8,
-            line_bytes: 64,
-            sector_bytes: 64,
-            hit_latency: 12,
-            write_policy: WritePolicy::WriteBack,
-            mshr_entries: 32,
-        }
-    }
-
-    /// Host shared L3: 96 MB, 16-way, 74-cycle, 64 B line (Table IV).
-    pub fn host_l3() -> Self {
-        Self {
-            capacity_bytes: 96 << 20,
-            ways: 16,
-            line_bytes: 64,
-            sector_bytes: 64,
-            hit_latency: 74,
-            write_policy: WritePolicy::WriteBack,
-            mshr_entries: 64,
-        }
-    }
-
     /// GPU SM L1D: 128 KB, 128 B line, 32 B sector (Table IV).
     pub fn gpu_l1() -> Self {
         Self {
@@ -118,19 +79,6 @@ impl CacheConfig {
             sector_bytes: 32,
             hit_latency: 4,
             write_policy: WritePolicy::WriteThrough,
-            mshr_entries: 64,
-        }
-    }
-
-    /// GPU L2 slice: 6 MB total over 32 slices (Table IV).
-    pub fn gpu_l2_slice() -> Self {
-        Self {
-            capacity_bytes: (6 << 20) / 32,
-            ways: 16,
-            line_bytes: 128,
-            sector_bytes: 32,
-            hit_latency: 30,
-            write_policy: WritePolicy::WriteBack,
             mshr_entries: 64,
         }
     }
@@ -319,22 +267,6 @@ pub struct CacheStats {
     pub writebacks: Counter,
     /// Stalls due to MSHR exhaustion.
     pub stalls: Counter,
-    /// Bytes served to the requester.
-    pub bytes_served: Counter,
-    /// Bytes fetched from downstream (fill traffic).
-    pub fill_bytes: Counter,
-}
-
-impl CacheStats {
-    /// Hit rate over demand accesses (hits / (hits+misses+merged)).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits.get() + self.misses.get() + self.merged.get();
-        if total == 0 {
-            0.0
-        } else {
-            self.hits.get() as f64 / total as f64
-        }
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -544,7 +476,6 @@ impl<T> SectoredCache<T> {
                         line.last_used = clock;
                     }
                     self.stats.write_forwards.inc();
-                    self.stats.bytes_served.add(access.bytes as u64);
                     return CacheResult::WriteForward {
                         ready_at: now + hit_latency,
                     };
@@ -555,7 +486,6 @@ impl<T> SectoredCache<T> {
                         line.dirty_sectors |= need;
                         line.last_used = clock;
                         self.stats.hits.inc();
-                        self.stats.bytes_served.add(access.bytes as u64);
                         return CacheResult::Hit {
                             ready_at: now + hit_latency,
                         };
@@ -568,7 +498,6 @@ impl<T> SectoredCache<T> {
             if line.valid_sectors & need == need {
                 line.last_used = clock;
                 self.stats.hits.inc();
-                self.stats.bytes_served.add(access.bytes as u64);
                 return CacheResult::Hit {
                     ready_at: now + hit_latency,
                 };
@@ -589,12 +518,8 @@ impl<T> SectoredCache<T> {
             entry.pending_sectors |= missing_new;
             entry.waiters.push((token, need));
             self.stats.misses.inc();
-            let fetches = self.sector_addrs(line_addr, missing_new);
-            self.stats
-                .fill_bytes
-                .add(fetches.len() as u64 * self.config.sector_bytes as u64);
             return CacheResult::Miss {
-                fetches,
+                fetches: self.sector_addrs(line_addr, missing_new),
                 writeback: None,
             };
         }
@@ -618,7 +543,6 @@ impl<T> SectoredCache<T> {
         }
 
         self.stats.misses.inc();
-        self.stats.bytes_served.add(access.bytes as u64);
 
         if fetch_mask == 0 {
             // Write-allocate without fetch completes locally.
@@ -642,11 +566,10 @@ impl<T> SectoredCache<T> {
         if writeback.is_some() {
             self.stats.writebacks.inc();
         }
-        let fetches = self.sector_addrs(line_addr, fetch_mask);
-        self.stats
-            .fill_bytes
-            .add(fetches.len() as u64 * self.config.sector_bytes as u64);
-        CacheResult::Miss { fetches, writeback }
+        CacheResult::Miss {
+            fetches: self.sector_addrs(line_addr, fetch_mask),
+            writeback,
+        }
     }
 
     /// The fetch set for `mask`'s sectors of the line at `line_addr` —
@@ -747,15 +670,6 @@ impl<T> SectoredCache<T> {
         fp.mix(self.ready.len() as u64);
         for &(at, _) in &self.ready {
             fp.mix(at);
-        }
-    }
-
-    /// Invalidates the whole cache (e.g. instruction caches on kernel
-    /// unregistration, §III-F). Dirty data is discarded; callers flush first
-    /// when that matters.
-    pub fn invalidate_all(&mut self) {
-        for line in &mut self.lines {
-            *line = Line::empty();
         }
     }
 
@@ -956,28 +870,5 @@ mod tests {
             c.access(32, rd(0x1000, 32), 6),
             CacheResult::Miss { .. }
         ));
-    }
-
-    #[test]
-    fn invalidate_all_clears_contents() {
-        let mut c = l1();
-        c.access(0, rd(0x0, 32), 1);
-        c.fill(1, 0x0);
-        c.pop_ready(10);
-        c.invalidate_all();
-        assert!(matches!(
-            c.access(20, rd(0x0, 32), 2),
-            CacheResult::Miss { .. }
-        ));
-    }
-
-    #[test]
-    fn hit_rate_accounts_all_outcomes() {
-        let mut c = l1();
-        c.access(0, rd(0x0, 32), 1); // miss
-        c.fill(1, 0x0);
-        c.pop_ready(10);
-        c.access(11, rd(0x0, 32), 2); // hit
-        assert!((c.stats().hit_rate() - 0.5).abs() < 1e-12);
     }
 }

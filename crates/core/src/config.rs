@@ -72,8 +72,9 @@ pub struct EngineConfig {
     /// (32 threads × 4 B = 128 B per warp vs the µthread's 32 B, §III-D A4).
     pub threads_per_context: u32,
     /// Contexts spawned/released as one group: 1 = fine-grained µthread
-    /// spawning; >1 = threadblock granularity (A2). Also the ablation
-    /// "w/o Fine-grained thr" (Fig. 12a).
+    /// spawning with a unit-wide scratchpad (A2, A3); >1 = threadblock
+    /// granularity, each threadblock with its own scratchpad (CUDA shared
+    /// memory). Also the ablation "w/o Fine-grained thr" (Fig. 12a).
     pub spawn_batch_contexts: u32,
     /// Whether scalar instructions have real scalar units (A1). When false
     /// (SIMT-only GPU, or the "w/o Addr opt." ablation) scalar work occupies
@@ -82,9 +83,6 @@ pub struct EngineConfig {
     /// Extra address-calculation ALU instructions charged per context spawn
     /// (GPU index arithmetic; 0 when µthreads are memory-mapped, A1).
     pub addr_calc_overhead: u32,
-    /// Scratchpad scope: false = unit-wide (NDP, A3); true = per spawn
-    /// batch (CUDA shared memory per threadblock).
-    pub tb_scoped_spad: bool,
     /// Register file bytes per unit (48 KB for the NDP unit; 256 KB per SM).
     pub regfile_bytes_per_unit: u32,
     /// Scratchpad/L1D array bytes per unit (128 KB).
@@ -122,7 +120,6 @@ impl EngineConfig {
             spawn_batch_contexts: 1,
             has_scalar_units: true,
             addr_calc_overhead: 0,
-            tb_scoped_spad: false,
             regfile_bytes_per_unit: 48 << 10,
             spad_bytes_per_unit: 128 << 10,
             granule_bytes: 32,
@@ -153,7 +150,6 @@ impl EngineConfig {
             spawn_batch_contexts: tb_warps,
             has_scalar_units: false,
             addr_calc_overhead: 3,
-            tb_scoped_spad: true,
             regfile_bytes_per_unit: 256 << 10,
             spad_bytes_per_unit: 128 << 10,
             granule_bytes: 32,
@@ -180,11 +176,6 @@ impl EngineConfig {
         self.units * self.slots_per_unit()
     }
 
-    /// Bytes of pool region covered by one context.
-    pub fn context_span_bytes(&self) -> u32 {
-        self.granule_bytes * self.threads_per_context
-    }
-
     /// Register bytes one context of a kernel with the given per-thread
     /// register counts occupies.
     pub fn context_reg_bytes(&self, int_regs: u8, float_regs: u8, vector_regs: u8) -> u32 {
@@ -207,9 +198,6 @@ pub struct M2ndpConfig {
     pub link: CxlLinkConfig,
     /// Host-cache dirty fraction for the BI limit study (Fig. 13b).
     pub dirty_host_ratio: f64,
-    /// Disable M²func and charge CXL.io ring-buffer offload latency instead
-    /// (ablation "M2NDP w/o M2func", Fig. 12a).
-    pub use_m2func: bool,
     /// Route workload data (addresses below the DRAM-TLB region) to the
     /// remote memory behind the CXL link: the *baseline* placement, where a
     /// host GPU's working set lives in a passive CXL expander.
@@ -232,7 +220,6 @@ impl M2ndpConfig {
             l2_slice: CacheConfig::memside_l2_slice(),
             link: CxlLinkConfig::default_150ns(),
             dirty_host_ratio: 0.0,
-            use_m2func: true,
             workload_data_remote: false,
             charge_remote_responses: false,
         }
@@ -268,7 +255,7 @@ mod tests {
         assert_eq!(e.regfile_bytes_per_unit, 48 << 10);
         assert_eq!(e.spad_bytes_per_unit, 128 << 10);
         assert_eq!(e.max_concurrent_kernels, 48);
-        assert!((e.freq.as_ghz() - 2.0).abs() < 1e-12);
+        assert_eq!(e.freq, Frequency::ghz(2.0));
     }
 
     #[test]
@@ -276,9 +263,7 @@ mod tests {
         let e = EngineConfig::m2ndp();
         // 5 int + 3 vector registers (Fig. 4 example): 5*8 + 3*32 = 136 B.
         assert_eq!(e.context_reg_bytes(5, 0, 3), 136);
-        assert_eq!(e.context_span_bytes(), 32);
         let g = EngineConfig::gpu_ndp(8, Frequency::ghz(2.0), 4);
-        assert_eq!(g.context_span_bytes(), 128);
         assert_eq!(g.context_reg_bytes(5, 0, 3), 136 * 4);
     }
 
@@ -287,7 +272,6 @@ mod tests {
         let e = EngineConfig::m2ndp();
         let g = EngineConfig::gpu_host();
         assert!(e.has_scalar_units && !g.has_scalar_units);
-        assert!(!e.tb_scoped_spad && g.tb_scoped_spad);
         assert_eq!(e.spawn_batch_contexts, 1);
         assert!(g.spawn_batch_contexts > 1);
         assert_eq!(g.units, 82);

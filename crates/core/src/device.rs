@@ -21,10 +21,10 @@ use std::sync::Arc;
 
 use m2ndp_cache::{Access, CacheResult, SectoredCache};
 use m2ndp_cxl::{BackInvalidation, CxlLink, CxlMemPacket, PacketFilter};
-use m2ndp_mem::{DramDevice, MainMemory, MemReq, ReqId, ReqIdAllocator, ReqSource};
+use m2ndp_mem::{AddressMapping, DramDevice, MainMemory, MemReq, ReqId, ReqIdAllocator};
 use m2ndp_noc::{Crossbar, CrossbarConfig};
 use m2ndp_sim::trace::{EventKind, Lane, TraceEvent, TraceSink, Tracer};
-use m2ndp_sim::{Counter, Cycle, EventQueue, Fingerprint};
+use m2ndp_sim::{Cycle, EventQueue, Fingerprint};
 
 use crate::config::M2ndpConfig;
 use crate::engine::{
@@ -86,18 +86,15 @@ fn mark(active: &mut [u64], i: usize) {
     active[i / 64] |= 1 << (i % 64);
 }
 
-/// Where a DRAM completion routes.
-#[derive(Debug, Clone, Copy)]
-enum DramOrigin {
-    L2Fill {
-        slice: u16,
-    },
-    /// Write traffic (no response routing needed).
-    Drain,
-}
-
 /// A memory system: crossbars, L2 slices, DRAM. The device has one local
 /// system and optionally a remote one behind the CXL link.
+///
+/// Slices are one per DRAM channel, and slice `c` serves the addresses
+/// that map to channel `c`. A slice's L2 line lies inside one
+/// channel-interleave granule (checked at construction), so every sector
+/// fetch and writeback of slice `c` goes to channel `c`: a read that
+/// completes on channel `c` fills slice `c`, and a completed write needs no
+/// routing.
 #[derive(Debug)]
 struct MemSystem {
     xbar_req: Crossbar,
@@ -113,11 +110,19 @@ struct MemSystem {
     /// bookkeeping: never fingerprinted.
     active: Vec<u64>,
     dram: DramDevice,
-    dram_origin: HashMap<ReqId, DramOrigin>,
 }
 
 impl MemSystem {
+    /// # Panics
+    /// Panics if an L2 line would span two channel-interleave granules, so
+    /// its sectors could complete on a channel other than its slice's.
     fn new(cfg: &M2ndpConfig, ports: usize) -> Self {
+        let granule = AddressMapping::for_config(&cfg.dram).interleave_bytes();
+        let line = cfg.l2_slice.line_bytes;
+        assert!(
+            granule.is_multiple_of(u64::from(line)),
+            "an L2 line of {line} B would span two {granule} B channel-interleave granules"
+        );
         let channels = cfg.dram.channels as usize;
         let xbar_cfg = CrossbarConfig {
             sources: ports,
@@ -141,7 +146,6 @@ impl MemSystem {
                 .collect(),
             active: vec![0; channels.div_ceil(64)],
             dram: DramDevice::new(cfg.dram.clone(), cfg.engine.freq),
-            dram_origin: HashMap::new(),
         }
     }
 
@@ -250,15 +254,6 @@ impl MetricSet {
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, v)| *v)
-    }
-
-    /// The value under `name` as an `f64` (integer counters widen), if
-    /// present.
-    pub fn get_f64(&self, name: &str) -> Option<f64> {
-        self.get(name).map(|v| match v {
-            StatValue::U64(u) => u as f64,
-            StatValue::F64(f) => f,
-        })
     }
 
     /// Iterates entries in insertion order.
@@ -400,8 +395,6 @@ pub struct CxlM2ndpDevice {
     host_inbound: EventQueue<MemReq>,
     /// M²func return-value storage per (asid, offset).
     m2func_returns: HashMap<(u16, u64), i64>,
-    /// Host reads served per cycle cap bookkeeping.
-    pub stats_extra: Counter,
     /// Opt-in trace sink (off by default; see [`m2ndp_sim::trace`]).
     tracer: Tracer,
     /// Device index stamped on emitted trace events.
@@ -435,7 +428,6 @@ impl CxlM2ndpDevice {
             host_completions: EventQueue::new(),
             host_inbound: EventQueue::new(),
             m2func_returns: HashMap::new(),
-            stats_extra: Counter::new(),
             tracer: Tracer::off(),
             trace_dev: 0,
             cfg,
@@ -445,9 +437,7 @@ impl CxlM2ndpDevice {
     // ----- tracing -----
 
     /// Attaches a trace sink; events are stamped with device index
-    /// `device`. Also turns on the engine's event recording. Attaching a
-    /// disabled sink (e.g. [`m2ndp_sim::trace::NullSink`]) leaves tracing
-    /// off entirely.
+    /// `device`. Also turns on the engine's event recording.
     pub fn set_tracer(&mut self, device: u32, sink: Box<dyn TraceSink>) {
         self.tracer = Tracer::new(sink);
         self.trace_dev = device;
@@ -740,9 +730,9 @@ impl CxlM2ndpDevice {
     pub fn host_submit(&mut self, now: Cycle, addr: u64, bytes: u32, write: bool) -> ReqId {
         let id = self.ids.alloc();
         let req = if write {
-            MemReq::write(id, addr, bytes, ReqSource::Host)
+            MemReq::write(id, addr, bytes)
         } else {
-            MemReq::read(id, addr, bytes, ReqSource::Host)
+            MemReq::read(id, addr, bytes)
         };
         let pkt = if write {
             CxlMemPacket::write(req)
@@ -890,15 +880,10 @@ impl CxlM2ndpDevice {
                 let kind = req.kind;
                 let snoop = CxlMemPacket {
                     kind: m2ndp_cxl::PacketKind::BackInvSnoop,
-                    req: MemReq::read(self.ids.alloc(), req.addr, req.bytes, ReqSource::Internal),
+                    req: MemReq::read(self.ids.alloc(), req.addr, req.bytes),
                 };
                 let snooped = self.link.send_s2m(now, snoop);
-                let supply = CxlMemPacket::write(MemReq::write(
-                    self.ids.alloc(),
-                    req.addr,
-                    64,
-                    ReqSource::Host,
-                ));
+                let supply = CxlMemPacket::write(MemReq::write(self.ids.alloc(), req.addr, 64));
                 let supplied = self.link.send_m2s(snooped, supply);
                 self.unit_deliveries.schedule(
                     supplied.max(now + outcome.extra_latency),
@@ -921,7 +906,7 @@ impl CxlM2ndpDevice {
         if remote {
             // Crossing the CXL link to the peer/expander memory.
             let id = self.ids.alloc();
-            let mreq = MemReq::read(id, req.addr, req.bytes, ReqSource::Peer { device: 0 });
+            let mreq = MemReq::read(id, req.addr, req.bytes);
             let pkt = if req.write {
                 CxlMemPacket::write(mreq)
             } else {
@@ -938,7 +923,6 @@ impl CxlM2ndpDevice {
                     self.ids.alloc(),
                     req.addr,
                     req.bytes,
-                    ReqSource::Peer { device: 0 },
                 ));
                 arrival = self.link.send_s2m(arrival, resp);
             }
@@ -1071,13 +1055,7 @@ impl CxlM2ndpDevice {
                     CacheResult::Miss { fetches, writeback } => {
                         for f in fetches {
                             let id = self.ids.alloc();
-                            let r = MemReq::read(id, f, SECTOR_BYTES as u32, ReqSource::Internal);
-                            sys.dram_origin.insert(
-                                id,
-                                DramOrigin::L2Fill {
-                                    slice: slice_idx as u16,
-                                },
-                            );
+                            let r = MemReq::read(id, f, SECTOR_BYTES as u32);
                             if let Err(r) = sys.dram.enqueue(now, r) {
                                 sys.block_fetch(slice_idx, r);
                             }
@@ -1093,8 +1071,7 @@ impl CxlM2ndpDevice {
                                 },
                             });
                             let id = self.ids.alloc();
-                            let r = MemReq::write(id, wb_addr, wb_bytes, ReqSource::Internal);
-                            sys.dram_origin.insert(id, DramOrigin::Drain);
+                            let r = MemReq::write(id, wb_addr, wb_bytes);
                             if let Err(r) = sys.dram.enqueue(now, r) {
                                 sys.block_fetch(slice_idx, r);
                             }
@@ -1125,15 +1102,15 @@ impl CxlM2ndpDevice {
             }
         }
 
-        // 2. DRAM. Completions drain channel-major in one pass; a fill
-        // marks its slice, whose waiters may mature on a later cycle.
+        // 2. DRAM. Completions drain channel-major in one pass; a read
+        // fills the slice of its channel (see [`MemSystem`]) and marks it,
+        // and its waiters may mature on a later cycle.
         sys.dram.tick(now);
         let MemSystem {
             xbar_resp,
             slices,
             active,
             dram,
-            dram_origin,
             ..
         } = sys;
         dram.drain_completed(now, |channel, done| {
@@ -1146,24 +1123,21 @@ impl CxlM2ndpDevice {
                     write: done.write,
                 },
             });
-            match dram_origin.remove(&done.id) {
-                Some(DramOrigin::L2Fill { slice }) => {
-                    let slice = slice as usize;
-                    let s = &mut slices[slice];
-                    s.cache.fill(now, done.addr);
-                    mark(active, slice);
-                    while let Some(token) = s.cache.pop_ready(now) {
-                        Self::respond(
-                            xbar_resp,
-                            &mut self.unit_deliveries,
-                            &mut self.host_done,
-                            host_port,
-                            now,
-                            token,
-                        );
-                    }
-                }
-                Some(DramOrigin::Drain) | None => {}
+            if done.write {
+                return;
+            }
+            let s = &mut slices[channel];
+            s.cache.fill(now, done.addr);
+            mark(active, channel);
+            while let Some(token) = s.cache.pop_ready(now) {
+                Self::respond(
+                    xbar_resp,
+                    &mut self.unit_deliveries,
+                    &mut self.host_done,
+                    host_port,
+                    now,
+                    token,
+                );
             }
         });
     }
@@ -1188,9 +1162,9 @@ impl CxlM2ndpDevice {
             L2Dest::Host { id, write } => {
                 let arrival = xbar_resp.route(ready_at, 0, host_port, token.bytes);
                 let req = if write {
-                    MemReq::write(id, token.addr, token.bytes, ReqSource::Host)
+                    MemReq::write(id, token.addr, token.bytes)
                 } else {
-                    MemReq::read(id, token.addr, token.bytes, ReqSource::Host)
+                    MemReq::read(id, token.addr, token.bytes)
                 };
                 host_done.schedule(arrival, req);
             }

@@ -332,28 +332,14 @@ struct Instance {
 /// Aggregate engine statistics.
 #[derive(Debug, Clone, Default)]
 pub struct EngineStats {
-    /// Instructions issued (one per SIMT group issue).
-    pub issues: Counter,
     /// Dynamic instructions executed (sub-thread granularity).
     pub instrs: Counter,
-    /// Scalar-unit instructions.
-    pub scalar_instrs: Counter,
-    /// Vector-unit instructions.
-    pub vector_instrs: Counter,
     /// Memory requests sent to the device.
     pub mem_reqs: Counter,
     /// Sector read requests that hit in L1D.
     pub l1_hits: Counter,
-    /// DRAM-TLB fill requests generated by unit-TLB misses.
-    pub tlb_fills: Counter,
-    /// Sum over cycles of active contexts (for average occupancy).
-    pub occupancy_integral: Counter,
     /// Extra address-calculation instructions charged (A1).
     pub addr_calc_instrs: Counter,
-    /// SIMT lanes executed / lanes possible (divergence tracking, A4).
-    pub lanes_active: Counter,
-    /// Lane slots available across issues.
-    pub lanes_possible: Counter,
 }
 
 /// One engine-side trace record, in the engine's cycle domain. The owning
@@ -759,11 +745,6 @@ impl Engine {
         self.units[unit].outbound.pop_front()
     }
 
-    /// Whether a unit has outbound requests waiting.
-    pub fn has_outbound(&self, unit: usize) -> bool {
-        !self.units[unit].outbound.is_empty()
-    }
-
     /// Delivers a memory response to a unit.
     pub fn deliver(&mut self, now: Cycle, unit: usize, kind: RequestKind, addr: u64) {
         match kind {
@@ -805,12 +786,7 @@ impl Engine {
     /// One engine cycle: spawn work, wake blocked slots, dispatch.
     pub fn tick(&mut self, now: Cycle, mem: &mut MainMemory) {
         if self.tick_is_trivial(now) {
-            // Nothing can admit, wake, spawn, or issue this cycle; only the
-            // occupancy integral advances — exactly what the full walk
-            // below would have recorded.
-            self.stats
-                .occupancy_integral
-                .add(self.active_contexts() as u64);
+            // Nothing can admit, wake, spawn, or issue this cycle.
             return;
         }
         self.admit(now, mem);
@@ -828,9 +804,6 @@ impl Engine {
         }
         self.spawn(now, mem);
         self.issue_all(now, mem);
-        self.stats
-            .occupancy_integral
-            .add(self.active_contexts() as u64);
         self.retire_finished();
     }
 
@@ -1517,22 +1490,8 @@ impl Engine {
                 &mut scratch.effects,
             )
         };
-        let lanes = group.lanes;
-        self.stats.issues.inc();
-        self.stats.instrs.add(lanes as u64);
-        self.stats.lanes_active.add(lanes as u64);
-        self.stats
-            .lanes_possible
-            .add(self.cfg.threads_per_context as u64);
+        self.stats.instrs.add(group.lanes as u64);
         let class = group.effect.unwrap_or(EffectClass::Halted);
-        match class {
-            EffectClass::VAlu
-            | EffectClass::VFpu
-            | EffectClass::VSfu
-            | EffectClass::VMem
-            | EffectClass::VCtl => self.stats.vector_instrs.add(lanes as u64),
-            _ => self.stats.scalar_instrs.add(lanes as u64),
-        }
 
         // All sub-threads done after this issue?
         let all_done = self.units[unit_idx].subcores[sc_idx].slots[slot_idx as usize]
@@ -1685,7 +1644,6 @@ impl Engine {
                     kind: RequestKind::Direct(ss),
                 });
                 pending += 1;
-                self.stats.tlb_fills.inc();
                 self.stats.mem_reqs.inc();
             }
         }

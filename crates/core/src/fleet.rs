@@ -27,7 +27,7 @@ use m2ndp_sim::{Cycle, Frequency};
 
 use crate::config::M2ndpConfig;
 use crate::device::{CxlM2ndpDevice, DeviceStats, MetricSet};
-use crate::kernel::{KernelId, KernelInstanceId, KernelSpec, LaunchArgs};
+use crate::kernel::{KernelInstanceId, LaunchArgs};
 use crate::NdpApiError;
 
 /// Wire bytes one M²func launch store occupies on its way through the
@@ -161,14 +161,6 @@ impl Fleet {
         self.clock
     }
 
-    /// Registers `spec` on every device, returning the per-device ids.
-    pub fn register_kernel_all(&mut self, spec: &KernelSpec) -> Vec<KernelId> {
-        self.devices
-            .iter_mut()
-            .map(|d| d.register_kernel(spec.clone()))
-            .collect()
-    }
-
     /// Routes one M²func kernel offload: the fleet-global `pool_base`
     /// selects the owning device through the 2 MB-page [`HdmRouter`], the
     /// launch store crosses the switch (host port → device port, charged
@@ -241,9 +233,7 @@ impl Fleet {
         dev: usize,
         args: LaunchArgs,
     ) -> Result<(KernelInstanceId, Cycle), NdpApiError> {
-        let arrival = self
-            .switch
-            .host_to_device_unordered(issue, dev, M2FUNC_OFFLOAD_BYTES);
+        let arrival = self.switch.host_to_device(issue, dev, M2FUNC_OFFLOAD_BYTES);
         self.offload_arrival[dev] = self.offload_arrival[dev].max(arrival);
         self.trace_hop(dev, issue, arrival);
         let inst = self.devices[dev].launch(args)?;
@@ -272,9 +262,7 @@ impl Fleet {
         asid: u16,
         args: LaunchArgs,
     ) -> Result<(KernelInstanceId, Cycle), NdpApiError> {
-        let arrival = self
-            .switch
-            .host_to_device_unordered(issue, dev, M2FUNC_OFFLOAD_BYTES);
+        let arrival = self.switch.host_to_device(issue, dev, M2FUNC_OFFLOAD_BYTES);
         self.offload_arrival[dev] = self.offload_arrival[dev].max(arrival);
         self.trace_hop(dev, issue, arrival);
         let inst = self.devices[dev].m2func_launch(asid, args)?;
@@ -331,9 +319,7 @@ impl Fleet {
     ) -> Result<(usize, Cycle), NdpApiError> {
         let dev = self.owner(pool_base)?;
         let issue = self.device_done[dev];
-        let arrival = self
-            .switch
-            .host_to_device_unordered(issue, dev, M2FUNC_OFFLOAD_BYTES);
+        let arrival = self.switch.host_to_device(issue, dev, M2FUNC_OFFLOAD_BYTES);
         let inst = self.devices[dev].launch(args)?;
         let start = self.devices[dev].now();
         let kernel = self.devices[dev].run_until_finished(inst) - start;
@@ -482,6 +468,7 @@ impl SwitchNdp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::{KernelId, KernelSpec};
     use m2ndp_riscv::assemble;
 
     fn small_cfg() -> M2ndpConfig {
@@ -513,11 +500,19 @@ mod tests {
         })
     }
 
+    /// Registers the doubling kernel on every device of `fleet`, returning
+    /// the per-device ids.
+    fn register_everywhere(fleet: &mut Fleet) -> Vec<KernelId> {
+        (0..fleet.len())
+            .map(|d| fleet.device_mut(d).register_kernel(vec_double()))
+            .collect()
+    }
+
     /// Launches `elems` doubled elements on each device's shard and returns
     /// (completion, per-device results verified).
     fn run_sharded(fleet: &mut Fleet, elems: u64) -> FleetRun {
         let base = 0x40_0000u64;
-        let kids = fleet.register_kernel_all(&vec_double());
+        let kids = register_everywhere(fleet);
         for (d, &kid) in kids.iter().enumerate() {
             for i in 0..elems {
                 fleet
@@ -590,7 +585,7 @@ mod tests {
     #[test]
     fn m2func_protocol_launch_routes_and_returns_instance() {
         let mut f = fleet(2);
-        let kids = f.register_kernel_all(&vec_double());
+        let kids = register_everywhere(&mut f);
         let base = 0x40_0000u64;
         for i in 0..64u64 {
             f.device_mut(1).memory_mut().write_u32(base + i * 4, 21);
@@ -617,7 +612,7 @@ mod tests {
     #[test]
     fn launch_outside_hdm_is_rejected() {
         let mut f = fleet(2);
-        let kids = f.register_kernel_all(&vec_double());
+        let kids = register_everywhere(&mut f);
         let err = f
             .launch_routed(0, u64::MAX, LaunchArgs::new(kids[0], 0, 64))
             .unwrap_err();

@@ -95,16 +95,6 @@ impl Tlb {
         false
     }
 
-    /// Invalidates one page (TLB shootdown).
-    pub fn shootdown(&mut self, vpn: u64) {
-        let set = self.set_of(vpn);
-        for e in &mut self.sets[set] {
-            if *e == Some(vpn) {
-                *e = None;
-            }
-        }
-    }
-
     /// The page shift.
     pub fn page_shift(&self) -> u32 {
         self.page_shift
@@ -146,15 +136,6 @@ mod tests {
         tlb.access(4 << 12); // evicts page 2
         assert!(tlb.access(0), "page 0 should survive");
         assert!(!tlb.access(2 << 12), "page 2 was evicted");
-    }
-
-    #[test]
-    fn shootdown_invalidates() {
-        let mut tlb = Tlb::ndp_dtlb();
-        tlb.access(0x20_0000);
-        let vpn = tlb.vpn(0x20_0000);
-        tlb.shootdown(vpn);
-        assert!(!tlb.access(0x20_0000));
     }
 
     #[test]

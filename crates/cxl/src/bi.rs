@@ -21,10 +21,8 @@ pub struct BackInvalidation {
     dirty_ratio: f64,
     /// BI round-trip latency in device cycles (snoop to host + response).
     rtt_cycles: Cycle,
-    /// BI snoops issued.
+    /// BI snoops issued; each hit line is supplied by the host.
     pub snoops: Counter,
-    /// Lines supplied by the host after a BI hit.
-    pub host_supplied: Counter,
 }
 
 impl BackInvalidation {
@@ -42,7 +40,6 @@ impl BackInvalidation {
             dirty_ratio,
             rtt_cycles: clock.cycles_from_ns(2.0 * link_one_way_ns + 20.0),
             snoops: Counter::new(),
-            host_supplied: Counter::new(),
         }
     }
 
@@ -73,7 +70,6 @@ impl BackInvalidation {
     pub fn on_device_access(&mut self, addr: u64) -> BiOutcome {
         if self.line_is_dirty(addr) {
             self.snoops.inc();
-            self.host_supplied.inc();
             BiOutcome {
                 extra_latency: self.rtt_cycles,
                 host_supplies_data: true,

@@ -12,8 +12,6 @@
 //! * direct MMIO: `3y` (y before, 2y after), ~1.5 µs total, but only one
 //!   outstanding kernel since the device registers must not be overwritten.
 
-use m2ndp_sim::{Cycle, Frequency};
-
 /// CXL.io/PCIe latency model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CxlIoModel {
@@ -58,12 +56,6 @@ impl CxlIoModel {
         3.0 * self.one_way_ns
     }
 
-    /// Total ring-buffer communication overhead around one kernel (~4 µs at
-    /// the default y).
-    pub fn ring_buffer_total_ns(&self) -> f64 {
-        self.ring_buffer_pre_ns() + self.ring_buffer_post_ns()
-    }
-
     /// Overhead before a direct-MMIO-launched kernel starts (Fig. 5c: y).
     pub fn direct_pre_ns(&self) -> f64 {
         self.one_way_ns
@@ -75,19 +67,9 @@ impl CxlIoModel {
         2.0 * self.one_way_ns
     }
 
-    /// Total direct-MMIO overhead (~1.5 µs at the default y).
-    pub fn direct_total_ns(&self) -> f64 {
-        self.direct_pre_ns() + self.direct_post_ns()
-    }
-
     /// Latency of a DMA transfer of `bytes`.
     pub fn dma_ns(&self, bytes: u64) -> f64 {
         self.dma_overhead_ns + bytes as f64 / self.dma_bw_bytes_per_sec * 1e9
-    }
-
-    /// Converts an overhead in ns to cycles of `clock`.
-    pub fn to_cycles(&self, ns: f64, clock: Frequency) -> Cycle {
-        clock.cycles_from_ns(ns)
     }
 }
 
@@ -99,8 +81,8 @@ mod tests {
     fn default_matches_evaluation_constants() {
         let io = CxlIoModel::default();
         // §IV-A: ring buffer 4 µs, direct MMIO 1.5 µs.
-        assert!((io.ring_buffer_total_ns() - 4000.0).abs() < 1e-9);
-        assert!((io.direct_total_ns() - 1500.0).abs() < 1e-9);
+        assert_eq!(io.ring_buffer_pre_ns() + io.ring_buffer_post_ns(), 4000.0);
+        assert_eq!(io.direct_pre_ns() + io.direct_post_ns(), 1500.0);
     }
 
     #[test]
@@ -118,11 +100,5 @@ mod tests {
         assert_eq!(io.ring_buffer_post_ns(), 300.0);
         assert_eq!(io.direct_pre_ns(), 100.0);
         assert_eq!(io.direct_post_ns(), 200.0);
-    }
-
-    #[test]
-    fn cycle_conversion() {
-        let io = CxlIoModel::default();
-        assert_eq!(io.to_cycles(1500.0, Frequency::ghz(2.0)), 3000);
     }
 }

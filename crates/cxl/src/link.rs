@@ -4,8 +4,11 @@
 //! load-to-use latency 150 ns / 300 ns / 600 ns". Following Fig. 5 the
 //! one-way CXL.mem latency `x` is half the load-to-use figure (x = 75 ns for
 //! the 150 ns default); the sensitivity studies (Fig. 13a) scale it 2–4×.
+//!
+//! The link keeps no packets: each send returns the packet's arrival cycle,
+//! and the sender schedules the delivery in its own event queues.
 
-use m2ndp_sim::{BandwidthGate, Cycle, DelayPipe, Frequency, TrafficStats};
+use m2ndp_sim::{BandwidthGate, Cycle, Frequency};
 
 use crate::packet::CxlMemPacket;
 
@@ -45,145 +48,87 @@ impl Default for CxlLinkConfig {
     }
 }
 
-/// One direction of the link: serializing bandwidth gate + latency wire.
-#[derive(Debug)]
-struct Direction {
-    gate: BandwidthGate,
-    wire: DelayPipe<CxlMemPacket>,
-    latency: Cycle,
-    stats: TrafficStats,
-}
-
-impl Direction {
-    fn send(&mut self, now: Cycle, pkt: CxlMemPacket) -> Cycle {
-        let injected = self.gate.send(now, pkt.wire_bytes() as u64);
-        let arrival = injected + self.latency;
-        self.wire.push_at(arrival, pkt);
-        self.stats.record(pkt.wire_bytes() as u64, pkt.req.write);
-        arrival
-    }
-}
-
-/// A full-duplex CXL.mem link in a single clock domain.
+/// A full-duplex CXL.mem link in a single clock domain: a serializing
+/// bandwidth gate per direction (which also counts the wire bytes it has
+/// carried) and a one-way latency.
 ///
 /// The "m2s" direction carries host→device traffic, "s2m" device→host.
 #[derive(Debug)]
 pub struct CxlLink {
-    m2s: Direction,
-    s2m: Direction,
-    config: CxlLinkConfig,
+    m2s: BandwidthGate,
+    s2m: BandwidthGate,
+    latency: Cycle,
 }
 
 impl CxlLink {
     /// Builds the link in the `clock` domain.
     pub fn new(config: CxlLinkConfig, clock: Frequency) -> Self {
-        let latency = clock.cycles_from_ns(config.one_way_ns);
         let bpc = clock.bytes_per_cycle(config.bw_per_dir_bytes_per_sec);
-        let dir = || Direction {
-            gate: BandwidthGate::new(bpc),
-            wire: DelayPipe::new(),
-            latency,
-            stats: TrafficStats::default(),
-        };
         Self {
-            m2s: dir(),
-            s2m: dir(),
-            config,
+            m2s: BandwidthGate::new(bpc),
+            s2m: BandwidthGate::new(bpc),
+            latency: clock.cycles_from_ns(config.one_way_ns),
         }
     }
 
     /// Sends a host→device packet; returns its arrival cycle.
     pub fn send_m2s(&mut self, now: Cycle, pkt: CxlMemPacket) -> Cycle {
-        self.m2s.send(now, pkt)
+        self.m2s.send(now, u64::from(pkt.wire_bytes())) + self.latency
     }
 
     /// Sends a device→host packet; returns its arrival cycle.
     pub fn send_s2m(&mut self, now: Cycle, pkt: CxlMemPacket) -> Cycle {
-        self.s2m.send(now, pkt)
-    }
-
-    /// Pops a host→device packet that has arrived by `now`.
-    pub fn recv_m2s(&mut self, now: Cycle) -> Option<CxlMemPacket> {
-        self.m2s.wire.pop_ready(now)
-    }
-
-    /// Pops a device→host packet that has arrived by `now`.
-    pub fn recv_s2m(&mut self, now: Cycle) -> Option<CxlMemPacket> {
-        self.s2m.wire.pop_ready(now)
-    }
-
-    /// One-way latency in this clock domain's cycles.
-    pub fn one_way_cycles(&self) -> Cycle {
-        self.m2s.latency
-    }
-
-    /// The link configuration.
-    pub fn config(&self) -> &CxlLinkConfig {
-        &self.config
+        self.s2m.send(now, u64::from(pkt.wire_bytes())) + self.latency
     }
 
     /// Wire bytes moved host→device.
     pub fn m2s_bytes(&self) -> u64 {
-        self.m2s.stats.total_bytes()
+        self.m2s.total_bytes()
     }
 
     /// Wire bytes moved device→host.
     pub fn s2m_bytes(&self) -> u64 {
-        self.s2m.stats.total_bytes()
-    }
-
-    /// Earliest pending arrival cycle in either direction.
-    pub fn next_event_cycle(&self) -> Option<Cycle> {
-        match (
-            self.m2s.wire.next_ready_cycle(),
-            self.s2m.wire.next_ready_cycle(),
-        ) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// Whether both directions are empty.
-    pub fn is_idle(&self) -> bool {
-        self.m2s.wire.is_empty() && self.s2m.wire.is_empty()
+        self.s2m.total_bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use m2ndp_mem::{MemReq, ReqId, ReqSource};
+    use m2ndp_mem::{MemReq, ReqId};
+
+    /// 75 ns one-way at 2 GHz.
+    const ONE_WAY: Cycle = 150;
 
     fn link() -> CxlLink {
         CxlLink::new(CxlLinkConfig::default_150ns(), Frequency::ghz(2.0))
     }
 
     fn read_pkt(id: u64) -> CxlMemPacket {
-        CxlMemPacket::read(MemReq::read(ReqId(id), 0x1000, 64, ReqSource::Host))
+        CxlMemPacket::read(MemReq::read(ReqId(id), 0x1000, 64))
     }
 
     #[test]
-    fn one_way_latency_is_75ns() {
-        let l = link();
-        assert_eq!(l.one_way_cycles(), 150); // 75 ns at 2 GHz
-        assert!((l.config().load_to_use_ns() - 150.0).abs() < 1e-9);
+    fn default_load_to_use_is_150ns() {
+        assert!((CxlLinkConfig::default_150ns().load_to_use_ns() - 150.0).abs() < 1e-9);
     }
 
     #[test]
-    fn packet_arrives_after_latency() {
+    fn packet_arrives_after_serialization_and_latency() {
         let mut l = link();
-        let arrival = l.send_m2s(0, read_pkt(1));
-        assert!(arrival >= 150);
-        assert!(l.recv_m2s(arrival - 1).is_none());
-        assert!(l.recv_m2s(arrival).is_some());
+        // A 16 B read header at 32 B/cycle is injected by cycle 1.
+        assert_eq!(l.send_m2s(0, read_pkt(1)), 1 + ONE_WAY);
+        assert_eq!(l.m2s_bytes(), 16);
     }
 
     #[test]
     fn directions_are_independent() {
         let mut l = link();
-        l.send_m2s(0, read_pkt(1));
-        assert!(l.recv_s2m(10_000).is_none());
-        assert!(l.recv_m2s(10_000).is_some());
+        for i in 0..100 {
+            l.send_m2s(0, read_pkt(i));
+        }
+        assert_eq!(l.send_s2m(0, read_pkt(100)), 1 + ONE_WAY);
+        assert_eq!((l.m2s_bytes(), l.s2m_bytes()), (1600, 16));
     }
 
     #[test]
@@ -192,11 +137,11 @@ mod tests {
         // 64 GB/s at 2 GHz = 32 B/cycle; an 80 B DRS occupies 2.5 cycles.
         let mut last = 0;
         for i in 0..100 {
-            let pkt = CxlMemPacket::data_response(MemReq::read(ReqId(i), 0, 64, ReqSource::Host));
+            let pkt = CxlMemPacket::data_response(MemReq::read(ReqId(i), 0, 64));
             last = l.send_s2m(0, pkt);
         }
         // 100 * 80 B / 32 B-per-cycle = 250 cycles of serialization + wire.
-        assert!(last >= 250 + 150, "burst finished too early: {last}");
+        assert_eq!(last, 250 + ONE_WAY);
         assert_eq!(l.s2m_bytes(), 8000);
     }
 
@@ -204,7 +149,7 @@ mod tests {
     fn ltu_scaling() {
         let cfg = CxlLinkConfig::default_150ns().with_ltu_scale(4.0);
         assert!((cfg.load_to_use_ns() - 600.0).abs() < 1e-9);
-        let l = CxlLink::new(cfg, Frequency::ghz(2.0));
-        assert_eq!(l.one_way_cycles(), 600);
+        let mut l = CxlLink::new(cfg, Frequency::ghz(2.0));
+        assert_eq!(l.send_m2s(0, read_pkt(1)), 1 + 4 * ONE_WAY);
     }
 }

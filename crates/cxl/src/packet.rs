@@ -41,20 +41,12 @@ impl PacketKind {
             PacketKind::MemWrite | PacketKind::DataResponse => HEADER_BYTES + DATA_BYTES,
         }
     }
-
-    /// Whether the message flows host→device (M2S).
-    pub fn is_m2s(&self) -> bool {
-        matches!(
-            self,
-            PacketKind::MemRead | PacketKind::MemWrite | PacketKind::BackInvResponse
-        )
-    }
 }
 
 /// A CXL.mem message in flight on a link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CxlMemPacket {
-    /// Message kind (sets direction and wire size).
+    /// Message kind (sets the wire size).
     pub kind: PacketKind,
     /// The memory request this message belongs to.
     pub req: MemReq,
@@ -108,10 +100,10 @@ impl CxlMemPacket {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use m2ndp_mem::{ReqId, ReqSource};
+    use m2ndp_mem::ReqId;
 
     fn req(bytes: u32) -> MemReq {
-        MemReq::read(ReqId(1), 0x1000, bytes, ReqSource::Host)
+        MemReq::read(ReqId(1), 0x1000, bytes)
     }
 
     #[test]
@@ -126,14 +118,5 @@ mod tests {
         assert_eq!(CxlMemPacket::data_response(req(64)).wire_bytes(), 80);
         assert_eq!(CxlMemPacket::data_response(req(32)).wire_bytes(), 80);
         assert_eq!(CxlMemPacket::data_response(req(128)).wire_bytes(), 144);
-    }
-
-    #[test]
-    fn direction_classification() {
-        assert!(PacketKind::MemRead.is_m2s());
-        assert!(PacketKind::MemWrite.is_m2s());
-        assert!(!PacketKind::DataResponse.is_m2s());
-        assert!(!PacketKind::BackInvSnoop.is_m2s());
-        assert!(PacketKind::BackInvResponse.is_m2s());
     }
 }

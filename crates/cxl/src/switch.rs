@@ -89,8 +89,9 @@ impl HdmRouter {
 pub struct CxlSwitch {
     /// Per-device-port gates, one per direction: (to_device, from_device).
     ports: Vec<(BandwidthGate, BandwidthGate)>,
-    /// Host (upstream) port gates: (host_to_switch, switch_to_host).
-    host_port: (BandwidthGate, BandwidthGate),
+    /// The host (upstream) port's rate, bytes per cycle: each host hop is
+    /// charged its own serialization delay at this rate.
+    host_port_bytes_per_cycle: f64,
     traversal: Cycle,
     /// P2P transfers forwarded.
     pub p2p_transfers: Counter,
@@ -108,7 +109,7 @@ impl CxlSwitch {
             ports: (0..config.device_ports)
                 .map(|_| (BandwidthGate::new(bpc), BandwidthGate::new(bpc)))
                 .collect(),
-            host_port: (BandwidthGate::new(bpc), BandwidthGate::new(bpc)),
+            host_port_bytes_per_cycle: bpc,
             traversal: clock.cycles_from_ns(config.traversal_ns),
             p2p_transfers: Counter::new(),
             p2p_bytes: Counter::new(),
@@ -118,34 +119,18 @@ impl CxlSwitch {
 
     /// Forwards `bytes` from the host port to device port `dst`; returns the
     /// delivery cycle.
-    pub fn host_to_device(&mut self, now: Cycle, dst: usize, bytes: u32) -> Cycle {
-        let t = self.host_port.0.send(now, bytes as u64);
-        let t = self.ports[dst].0.send(t, bytes as u64);
-        self.host_transfers.inc();
-        t + self.traversal
-    }
-
-    /// Forwards `bytes` from the host port to device port `dst` for
-    /// traffic streams simulated **out of chronological order** (a fleet
+    ///
+    /// Host traffic is simulated **out of chronological order** (a fleet
     /// runs its devices one after another, so a later-simulated device's
     /// offloads carry earlier timestamps than an earlier-simulated
-    /// device's). Charges the host port's serialization *delay* and the
-    /// destination port's gate — whose timestamps are monotone per device —
-    /// without advancing the shared host-port gate clock, so an
+    /// device's). The hop therefore charges the host port's serialization
+    /// *delay* and the destination port's gate — whose timestamps are
+    /// monotone per device — and keeps no shared host-port clock, so an
     /// earlier-timestamped send is not spuriously queued behind a
     /// later-timestamped one.
-    pub fn host_to_device_unordered(&mut self, now: Cycle, dst: usize, bytes: u32) -> Cycle {
-        let ser = (f64::from(bytes) / self.host_port.0.bytes_per_cycle()).ceil() as Cycle;
+    pub fn host_to_device(&mut self, now: Cycle, dst: usize, bytes: u32) -> Cycle {
+        let ser = (f64::from(bytes) / self.host_port_bytes_per_cycle).ceil() as Cycle;
         let t = self.ports[dst].0.send(now + ser, bytes as u64);
-        self.host_transfers.inc();
-        t + self.traversal
-    }
-
-    /// Forwards `bytes` from device port `src` to the host; returns the
-    /// delivery cycle.
-    pub fn device_to_host(&mut self, now: Cycle, src: usize, bytes: u32) -> Cycle {
-        let t = self.ports[src].1.send(now, bytes as u64);
-        let t = self.host_port.1.send(t, bytes as u64);
         self.host_transfers.inc();
         t + self.traversal
     }
@@ -206,11 +191,6 @@ impl CxlSwitch {
         )
     }
 
-    /// Traversal latency in cycles.
-    pub fn traversal_cycles(&self) -> Cycle {
-        self.traversal
-    }
-
     /// Number of device ports.
     pub fn device_ports(&self) -> usize {
         self.ports.len()
@@ -240,7 +220,7 @@ mod tests {
         for _ in 0..100 {
             s.peer_to_peer(0, 0, 1, 256);
         }
-        // ...host port is still immediately available.
+        // ...a host hop to a third port is not delayed by them.
         let t = s.host_to_device(0, 2, 64);
         assert_eq!(t, 4 + 140);
         assert_eq!(s.p2p_transfers.get(), 100);
@@ -255,30 +235,27 @@ mod tests {
     }
 
     #[test]
-    fn unordered_stores_skip_the_host_port_queue_but_not_their_own_port() {
+    fn host_hops_skip_a_shared_host_queue_but_not_their_own_port() {
         // A fleet simulates its devices one after another, so a store
         // stamped at cycle 5 for port 1 can be issued after a store
         // stamped at cycle 40 for port 0. Default switch: 32 B/cycle per
-        // gate, 140-cycle traversal.
-        let mut unordered = switch();
-        let mut ordered = switch();
-        // 4,096 B: 128 cycles on the host port, 128 on port 0.
-        let big = unordered.host_to_device_unordered(40, 0, 4096);
+        // port, 140-cycle traversal.
+        let mut s = switch();
+        // 4,096 B: 128 cycles of host-port serialization, 128 on port 0.
+        let big = s.host_to_device(40, 0, 4096);
         assert_eq!(big, 40 + 128 + 128 + 140);
-        assert_eq!(ordered.host_to_device(40, 0, 4096), big);
-        // The unordered hop charges only the 80 B store's own serialization
-        // on the host port; the ordered one queues it behind the 4,096 B
-        // store, whose host-port serialization ends at cycle 168.
-        assert_eq!(unordered.host_to_device_unordered(5, 1, 80), 151);
-        assert_eq!(ordered.host_to_device(5, 1, 80), 314);
+        // The 80 B store is charged only its own host-port serialization
+        // (3 cycles), not a queue behind the 4,096 B store's, which would
+        // end at cycle 168 and deliver at 314.
+        assert_eq!(s.host_to_device(5, 1, 80), 151);
         // A store to port 0 still waits for that port's gate to drain the
         // 4,096 B store.
-        let behind = unordered.host_to_device_unordered(5, 0, 80);
+        let behind = s.host_to_device(5, 0, 80);
         assert_eq!(behind, 439);
         assert!(behind > big);
-        assert_eq!(unordered.host_transfers.get(), 3);
-        assert_eq!(unordered.port_bytes(0), (4096 + 80, 0));
-        assert_eq!(unordered.port_bytes(1), (80, 0));
+        assert_eq!(s.host_transfers.get(), 3);
+        assert_eq!(s.port_bytes(0), (4096 + 80, 0));
+        assert_eq!(s.port_bytes(1), (80, 0));
     }
 
     #[test]

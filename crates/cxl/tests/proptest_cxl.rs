@@ -1,17 +1,15 @@
-//! Property tests: packet-filter classification, link conservation, and
-//! HDM routing across the devices behind a switch.
+//! Property tests: packet-filter classification, link timing and byte
+//! conservation, and HDM routing across the devices behind a switch.
 
 use m2ndp_cxl::filter::Asid;
 use m2ndp_cxl::{
     CxlLink, CxlLinkConfig, CxlMemPacket, FilterEntry, HdmRouter, PacketFilter, HDM_PAGE_BYTES,
 };
-use m2ndp_mem::{MemReq, ReqId, ReqSource};
+use m2ndp_mem::{MemReq, ReqId};
 use m2ndp_sim::Frequency;
 use proptest::prelude::*;
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
     /// The filter matches exactly the addresses inside a registered region.
     #[test]
     fn filter_matches_iff_in_range(base in 0u64..(1 << 40),
@@ -48,30 +46,57 @@ proptest! {
         prop_assert_eq!(f.matches(addr).expect("in range").asid, Asid(probe_proc));
     }
 
-    /// Every packet sent over a link direction arrives exactly once, in
-    /// order, and never before the one-way latency.
+    /// The arrival cycles `send_m2s`/`send_s2m` return obey the link's
+    /// timing laws, per direction, for random sizes, gaps and interleavings:
+    /// no packet arrives before its send cycle plus its own serialization
+    /// and the one-way latency; arrivals never decrease; a packet sent while
+    /// the gate is still busy arrives its serialization time after the
+    /// previous one (within the gate's sub-cycle rounding); and each
+    /// direction's byte count is the sum of its packets' wire bytes.
     #[test]
-    fn link_delivers_everything_in_order(count in 1usize..100, gap in 0u64..10) {
-        let mut link = CxlLink::new(CxlLinkConfig::default_150ns(), Frequency::ghz(2.0));
-        let mut sent_at = Vec::new();
+    fn link_arrivals_obey_latency_order_and_serialization(
+        sends in prop::collection::vec((any::<bool>(), 0u32..4, 0u64..6), 1..200),
+        ltu_log2 in 0u32..3,
+    ) {
+        let clock = Frequency::ghz(2.0);
+        let cfg = CxlLinkConfig::default_150ns().with_ltu_scale(f64::from(1u32 << ltu_log2));
+        let one_way = clock.cycles_from_ns(cfg.one_way_ns);
+        let bytes_per_cycle = clock.bytes_per_cycle(cfg.bw_per_dir_bytes_per_sec);
+        let mut link = CxlLink::new(cfg, clock);
+        // Per direction (m2s, s2m): last arrival and summed wire bytes.
+        let mut last: [Option<u64>; 2] = [None, None];
+        let mut bytes = [0u64; 2];
         let mut now = 0u64;
-        for i in 0..count {
-            let pkt = CxlMemPacket::read(MemReq::read(ReqId(i as u64), 0x1000, 64, ReqSource::Host));
-            link.send_m2s(now, pkt);
-            sent_at.push(now);
+        for (i, &(s2m, kind, gap)) in sends.iter().enumerate() {
             now += gap;
-        }
-        let one_way = link.one_way_cycles();
-        let mut received = 0usize;
-        for t in 0..now + one_way + 10_000 {
-            while let Some(pkt) = link.recv_m2s(t) {
-                prop_assert_eq!(pkt.req.id, ReqId(received as u64), "out of order");
-                prop_assert!(t >= sent_at[received] + one_way,
-                    "arrived early: {t} < {} + {one_way}", sent_at[received]);
-                received += 1;
+            let req = MemReq::read(ReqId(i as u64), 0x1000, 32 << (kind % 3));
+            let pkt = match (s2m, kind) {
+                (false, 0) => CxlMemPacket::read(req),
+                (false, _) => CxlMemPacket::write(req),
+                (true, 0) => CxlMemPacket::ack(req),
+                (true, _) => CxlMemPacket::data_response(req),
+            };
+            let wire = u64::from(pkt.wire_bytes());
+            let ser = wire as f64 / bytes_per_cycle;
+            let arrival = if s2m { link.send_s2m(now, pkt) } else { link.send_m2s(now, pkt) };
+            let d = usize::from(s2m);
+            prop_assert!(arrival >= now + ser.ceil() as u64 + one_way,
+                "packet {i} arrived at {arrival}, before {now} + {ser} + {one_way}");
+            if let Some(prev) = last[d] {
+                prop_assert!(arrival >= prev, "packet {i} arrived at {arrival}, before {prev}");
+                if now + one_way <= prev {
+                    let spacing = arrival - prev;
+                    prop_assert!(
+                        spacing >= ser.floor() as u64 && spacing <= ser.ceil() as u64,
+                        "packet {i} behind a busy gate: spacing {spacing} for {ser} cycles"
+                    );
+                }
             }
+            last[d] = Some(arrival);
+            bytes[d] += wire;
         }
-        prop_assert_eq!(received, count);
+        prop_assert_eq!(link.m2s_bytes(), bytes[0]);
+        prop_assert_eq!(link.s2m_bytes(), bytes[1]);
     }
 
     /// Every address inside the routed HDM resolves to exactly one device

@@ -51,20 +51,6 @@ impl EnergyModel {
         }
     }
 
-    /// The host CPU (64 OoO cores, large caches): high per-instruction and
-    /// static costs.
-    pub fn host_cpu() -> Self {
-        Self {
-            dram_pj_per_byte: 40.0,
-            link_pj_per_byte: 64.0,
-            sram_pj_per_byte: 12.0,
-            spad_pj_per_byte: 0.0,
-            instr_pj: 80.0,
-            static_w: 120.0,
-            idle_host_w: 0.0,
-        }
-    }
-
     /// The baseline GPU (82 SMs + HBM2).
     pub fn gpu() -> Self {
         Self {
@@ -96,13 +82,6 @@ impl EnergyModel {
             + stats.spad_bytes as f64 * self.spad_pj_per_byte
             + stats.instrs as f64 * self.instr_pj;
         dynamic_pj * 1e-12 + (self.static_w + self.idle_host_w) * runtime_s
-    }
-
-    /// Performance per energy (1 / (runtime × energy)), normalized by the
-    /// caller against a baseline.
-    pub fn perf_per_energy(&self, stats: &DeviceStats, freq: Frequency) -> f64 {
-        let runtime_s = freq.ns_from_cycles(stats.cycles) * 1e-9;
-        1.0 / (runtime_s * self.energy_j(stats, freq))
     }
 }
 
@@ -198,27 +177,9 @@ mod tests {
     #[test]
     fn shorter_runtime_cuts_static_energy() {
         let freq = Frequency::ghz(2.0);
-        let m = EnergyModel::host_cpu();
+        let m = EnergyModel::gpu();
         let slow = m.energy_j(&stats(100_000_000, 1 << 30, 0, 1 << 24), freq);
         let fast = m.energy_j(&stats(10_000_000, 1 << 30, 0, 1 << 24), freq);
         assert!(slow > fast);
-    }
-
-    #[test]
-    fn cpu_instruction_energy_dwarfs_ndp() {
-        let freq = Frequency::ghz(2.0);
-        let s = stats(1_000_000, 0, 0, 1 << 26);
-        let cpu = EnergyModel::host_cpu().energy_j(&s, freq);
-        let ndp = EnergyModel::m2ndp().energy_j(&s, freq);
-        assert!(cpu > 1.3 * ndp, "cpu {cpu} vs ndp {ndp}");
-    }
-
-    #[test]
-    fn perf_per_energy_prefers_fast_and_lean() {
-        let freq = Frequency::ghz(2.0);
-        let m = EnergyModel::m2ndp();
-        let fast = m.perf_per_energy(&stats(1_000_000, 1 << 28, 0, 1 << 20), freq);
-        let slow = m.perf_per_energy(&stats(8_000_000, 1 << 28, 0, 1 << 20), freq);
-        assert!(fast > slow);
     }
 }

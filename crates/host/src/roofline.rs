@@ -33,12 +33,6 @@ impl Roofline {
     pub fn attainable(&self, oi: f64) -> f64 {
         (oi * self.bw).min(self.peak_ops)
     }
-
-    /// The ridge point: the intensity where the workload stops being
-    /// bandwidth-bound.
-    pub fn ridge(&self) -> f64 {
-        self.peak_ops / self.bw
-    }
 }
 
 /// A workload point on the roofline.
@@ -99,7 +93,8 @@ mod tests {
     #[test]
     fn compute_bound_region_is_flat() {
         let local = Roofline::local_memory(PEAK);
-        let big_oi = local.ridge() * 100.0;
+        // 100× the ridge point, where bandwidth stops bounding.
+        let big_oi = local.peak_ops / local.bw * 100.0;
         assert_eq!(local.attainable(big_oi), PEAK);
     }
 
@@ -113,7 +108,7 @@ mod tests {
         let local = Roofline::local_memory(PEAK);
         let cxl = Roofline::cxl_memory(PEAK);
         for w in fig1a_workloads() {
-            assert!(w.oi < cxl.ridge(), "{} must be memory-bound", w.name);
+            assert!(w.oi * cxl.bw < PEAK, "{} must be memory-bound", w.name);
             let slowdown = local.attainable(w.oi) / cxl.attainable(w.oi);
             assert!(slowdown > 1.0);
             assert!(slowdown <= 10.0);

@@ -4,6 +4,10 @@ use m2ndp_sim::Frequency;
 
 /// DRAM timing parameters, expressed in DRAM command-clock cycles exactly as
 /// Table IV lists them.
+///
+/// Column commands are spaced by tCCD_L within a bankgroup and by the data
+/// bus's burst occupancy across bankgroups; tCCD_S is not modeled, since
+/// every preset's burst occupancy already covers it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramTiming {
     /// Row cycle: minimum time between ACT commands to the same bank.
@@ -14,8 +18,6 @@ pub struct DramTiming {
     pub t_cl: u32,
     /// Precharge: PRE to ACT of the same bank.
     pub t_rp: u32,
-    /// Column-to-column delay, different bankgroup (short).
-    pub t_ccd_s: u32,
     /// Column-to-column delay, same bankgroup (long).
     pub t_ccd_l: u32,
 }
@@ -23,7 +25,7 @@ pub struct DramTiming {
 /// A complete DRAM device configuration in the owner clock domain.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DramConfig {
-    /// Human-readable name ("LPDDR5", "DDR5-6400", "HBM2").
+    /// Human-readable name ("LPDDR5", "HBM2").
     pub name: &'static str,
     /// Number of independent channels.
     pub channels: u32,
@@ -33,7 +35,7 @@ pub struct DramConfig {
     pub banks_per_group: u32,
     /// Row size (bytes) — one row buffer's worth of data per bank.
     pub row_bytes: u64,
-    /// Minimum access granularity in bytes (32 for LPDDR5, 64 for DDR5).
+    /// Minimum access granularity in bytes (32 for LPDDR5 and HBM2).
     pub access_bytes: u32,
     /// DRAM command-clock frequency.
     pub dram_clock: Frequency,
@@ -65,39 +67,13 @@ impl DramConfig {
                 t_rcd: 15,
                 t_cl: 20,
                 t_rp: 15,
-                // Column-to-column gaps equal the 32 B burst occupancy
-                // (2.5 ns at 12.8 GB/s/channel), so back-to-back hits stream
-                // at full bus rate as on real LPDDR5.
-                t_ccd_s: 1,
+                // The same-bankgroup column gap (2.5 ns) equals the 32 B
+                // burst occupancy at 12.8 GB/s/channel, so back-to-back
+                // hits stream at full bus rate as on real LPDDR5.
                 t_ccd_l: 2,
             },
             queue_depth: 64,
             capacity_bytes: 256 << 30,
-        }
-    }
-
-    /// The host CPU's local memory: DDR5-6400, 8 channels, 409.6 GB/s
-    /// (Table IV, "CPU" block).
-    pub fn ddr5_host() -> Self {
-        Self {
-            name: "DDR5-6400",
-            channels: 8,
-            bankgroups: 8,
-            banks_per_group: 4,
-            row_bytes: 8192,
-            access_bytes: 64,
-            dram_clock: Frequency::mhz(3200.0),
-            peak_bw_bytes_per_sec: 409.6e9,
-            timing: DramTiming {
-                t_rc: 149,
-                t_rcd: 46,
-                t_cl: 46,
-                t_rp: 46,
-                t_ccd_s: 4,
-                t_ccd_l: 8,
-            },
-            queue_depth: 64,
-            capacity_bytes: 512 << 30,
         }
     }
 
@@ -118,7 +94,6 @@ impl DramConfig {
                 t_rcd: 14,
                 t_cl: 14,
                 t_rp: 15,
-                t_ccd_s: 1,
                 t_ccd_l: 2,
             },
             queue_depth: 64,
@@ -159,16 +134,6 @@ mod tests {
         assert_eq!(c.timing.t_rp, 15);
         assert!((c.peak_bw_bytes_per_sec - 409.6e9).abs() < 1.0);
         assert_eq!(c.capacity_bytes, 256 << 30);
-    }
-
-    #[test]
-    fn ddr5_matches_table_iv() {
-        let c = DramConfig::ddr5_host();
-        assert_eq!(c.timing.t_rc, 149);
-        assert_eq!(c.timing.t_rcd, 46);
-        assert_eq!(c.timing.t_cl, 46);
-        assert_eq!(c.timing.t_rp, 46);
-        assert_eq!(c.channels, 8);
     }
 
     #[test]

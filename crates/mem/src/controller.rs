@@ -421,24 +421,19 @@ impl DramChannel {
     pub fn bus_bytes(&self) -> u64 {
         self.bus.total_bytes()
     }
-
-    /// Data-bus utilization over `elapsed` cycles.
-    pub fn bus_utilization(&self, elapsed: Cycle) -> f64 {
-        self.bus.utilization(elapsed)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::req::{ReqId, ReqSource};
+    use crate::req::ReqId;
 
     fn channel() -> DramChannel {
         DramChannel::new(&DramConfig::lpddr5_cxl(), Frequency::ghz(2.0))
     }
 
     fn read(id: u64, addr: u64) -> MemReq {
-        MemReq::read(ReqId(id), addr, 32, ReqSource::Host)
+        MemReq::read(ReqId(id), addr, 32)
     }
 
     fn coord(bank: u32, row: u64) -> DramCoord {
@@ -554,7 +549,7 @@ mod tests {
     #[test]
     fn write_completes_without_read_latency_tail() {
         let mut ch = channel();
-        let w = MemReq::write(ReqId(0), 0, 32, ReqSource::Host);
+        let w = MemReq::write(ReqId(0), 0, 32);
         ch.enqueue(0, w, coord(0, 0)).unwrap();
         let done = drain(&mut ch, 1000);
         assert_eq!(done.len(), 1);

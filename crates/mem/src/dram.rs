@@ -176,7 +176,7 @@ impl DramDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::req::{ReqId, ReqSource};
+    use crate::req::ReqId;
 
     #[test]
     fn sequential_stream_saturates_most_of_peak_bw() {
@@ -191,7 +191,7 @@ mod tests {
             while issued < total_reqs {
                 let addr = issued * 32;
                 if dev
-                    .enqueue(now, MemReq::read(ReqId(issued), addr, 32, ReqSource::Host))
+                    .enqueue(now, MemReq::read(ReqId(issued), addr, 32))
                     .is_err()
                 {
                     break;
@@ -230,7 +230,7 @@ mod tests {
             let mut now = 0;
             while completed < addrs.len() {
                 while issued < addrs.len() {
-                    let r = MemReq::read(ReqId(issued as u64), addrs[issued], 32, ReqSource::Host);
+                    let r = MemReq::read(ReqId(issued as u64), addrs[issued], 32);
                     if dev.enqueue(now, r).is_err() {
                         break;
                     }

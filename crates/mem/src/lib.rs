@@ -5,12 +5,10 @@
 //! bank/bankgroup state and the Table IV timing parameters, plus the 256 B
 //! hashed channel interleaving the paper assumes for CXL memory.
 //!
-//! Three preset organizations mirror Table IV:
+//! Two preset organizations mirror Table IV:
 //!
 //! * [`DramConfig::lpddr5_cxl`] — 32-channel LPDDR5, 409.6 GB/s, the CXL
 //!   expander's internal memory,
-//! * [`DramConfig::ddr5_host`] — 8-channel DDR5-6400, the host CPU's local
-//!   memory,
 //! * [`DramConfig::hbm2_gpu`] — 32-channel HBM2, the baseline GPU's local
 //!   memory.
 //!
@@ -40,4 +38,4 @@ pub use controller::DramChannel;
 pub use dram::DramDevice;
 pub use main_memory::MainMemory;
 pub use mapping::AddressMapping;
-pub use req::{MemReq, ReqId, ReqIdAllocator, ReqSource};
+pub use req::{MemReq, ReqId, ReqIdAllocator};

@@ -160,11 +160,6 @@ impl MainMemory {
         u8::from_le_bytes(self.read_array(addr))
     }
 
-    /// Reads a little-endian u16.
-    pub fn read_u16(&self, addr: u64) -> u16 {
-        u16::from_le_bytes(self.read_array(addr))
-    }
-
     /// Reads a little-endian u32.
     pub fn read_u32(&self, addr: u64) -> u32 {
         u32::from_le_bytes(self.read_array(addr))
@@ -180,18 +175,8 @@ impl MainMemory {
         f32::from_bits(self.read_u32(addr))
     }
 
-    /// Reads an f64.
-    pub fn read_f64(&self, addr: u64) -> f64 {
-        f64::from_bits(self.read_u64(addr))
-    }
-
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u64, v: u8) {
-        self.write_array(addr, v.to_le_bytes());
-    }
-
-    /// Writes a little-endian u16.
-    pub fn write_u16(&mut self, addr: u64, v: u16) {
         self.write_array(addr, v.to_le_bytes());
     }
 
@@ -257,7 +242,7 @@ mod tests {
         let mut m = MainMemory::new();
         m.write_u32(16, 0xa1b2_c3d4);
         assert_eq!(m.read_u8(16), 0xd4);
-        assert_eq!(m.read_u16(16), 0xc3d4);
+        assert_eq!(m.read_u32(17), 0xa1b2c3);
         assert_eq!(m.read_u8(19), 0xa1);
     }
 
@@ -267,7 +252,7 @@ mod tests {
         m.write_f32(0, 3.5);
         m.write_f64(8, -2.25);
         assert_eq!(m.read_f32(0), 3.5);
-        assert_eq!(m.read_f64(8), -2.25);
+        assert_eq!(f64::from_bits(m.read_u64(8)), -2.25);
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //!
 //! A [`MemReq`] is the unit of communication through the timing path:
 //! NDP-unit LSU → L1D/scratchpad → NoC → memory-side L2 slice → DRAM
-//! controller, and back. The token carries routing metadata only; functional
-//! data lives in [`MainMemory`](crate::MainMemory).
+//! controller, and back. The token carries its id, address, size and
+//! direction only; responses are routed by where they complete (a DRAM
+//! completion on channel `c` fills L2 slice `c`), and functional data lives
+//! in [`MainMemory`](crate::MainMemory).
 
 /// Unique identifier for an in-flight memory request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -13,29 +15,6 @@ impl std::fmt::Display for ReqId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "req#{}", self.0)
     }
-}
-
-/// Who issued a request, so responses can be routed back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ReqSource {
-    /// A µthread slot: (unit, sub-core, slot).
-    Uthread {
-        /// NDP unit index within the device.
-        unit: u16,
-        /// Sub-core index within the unit.
-        subcore: u8,
-        /// µthread slot index within the sub-core.
-        slot: u8,
-    },
-    /// The host, arriving over the CXL link (normal CXL.mem read/write).
-    Host,
-    /// A peer CXL device, arriving over switch P2P.
-    Peer {
-        /// Peer device index.
-        device: u16,
-    },
-    /// Cache maintenance generated inside the device (writebacks, fills).
-    Internal,
 }
 
 /// A memory request token flowing through the timing models.
@@ -49,36 +28,27 @@ pub struct MemReq {
     pub bytes: u32,
     /// Whether this is a write (true) or read (false).
     pub write: bool,
-    /// Originator, for response routing.
-    pub src: ReqSource,
 }
 
 impl MemReq {
     /// Creates a read request.
-    pub fn read(id: ReqId, addr: u64, bytes: u32, src: ReqSource) -> Self {
+    pub fn read(id: ReqId, addr: u64, bytes: u32) -> Self {
         Self {
             id,
             addr,
             bytes,
             write: false,
-            src,
         }
     }
 
     /// Creates a write request.
-    pub fn write(id: ReqId, addr: u64, bytes: u32, src: ReqSource) -> Self {
+    pub fn write(id: ReqId, addr: u64, bytes: u32) -> Self {
         Self {
             id,
             addr,
             bytes,
             write: true,
-            src,
         }
-    }
-
-    /// The address of the first byte after this access.
-    pub fn end_addr(&self) -> u64 {
-        self.addr + self.bytes as u64
     }
 }
 
@@ -111,12 +81,6 @@ mod tests {
         let y = a.alloc();
         assert_ne!(x, y);
         assert!(x < y);
-    }
-
-    #[test]
-    fn end_addr_is_exclusive() {
-        let r = MemReq::read(ReqId(0), 0x100, 32, ReqSource::Host);
-        assert_eq!(r.end_addr(), 0x120);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use m2ndp_mem::{AddressMapping, DramConfig, DramDevice, MainMemory, MemReq, ReqId, ReqSource};
+use m2ndp_mem::{AddressMapping, DramConfig, DramDevice, MainMemory, MemReq, ReqId};
 use m2ndp_sim::Frequency;
 use proptest::prelude::*;
 
@@ -19,7 +19,7 @@ proptest! {
         let mut pending: Vec<MemReq> = addrs
             .iter()
             .enumerate()
-            .map(|(i, a)| MemReq::read(ReqId(i as u64), a & !31, 32, ReqSource::Host))
+            .map(|(i, a)| MemReq::read(ReqId(i as u64), a & !31, 32))
             .collect();
         let mut seen = std::collections::HashSet::new();
         let total = pending.len();
@@ -147,11 +147,16 @@ fn le(bytes: &[u8]) -> u64 {
     bytes.iter().rev().fold(0, |v, b| v << 8 | u64::from(*b))
 }
 
-/// `mem`'s fixed-width read at `width` bytes.
+/// `mem`'s read of `width` bytes: a fixed-width accessor, or for
+/// halfwords the byte-span path the interpreter uses.
 fn read_width(mem: &MainMemory, addr: u64, width: usize) -> u64 {
     match width {
         1 => u64::from(mem.read_u8(addr)),
-        2 => u64::from(mem.read_u16(addr)),
+        2 => {
+            let mut b = [0; 2];
+            mem.read_bytes(addr, &mut b);
+            u64::from(u16::from_le_bytes(b))
+        }
         4 => u64::from(mem.read_u32(addr)),
         _ => mem.read_u64(addr),
     }
@@ -161,7 +166,7 @@ fn read_width(mem: &MainMemory, addr: u64, width: usize) -> u64 {
 fn write_width(mem: &mut MainMemory, addr: u64, width: usize, v: u64) {
     match width {
         1 => mem.write_u8(addr, v as u8),
-        2 => mem.write_u16(addr, v as u16),
+        2 => mem.write_bytes(addr, &(v as u16).to_le_bytes()),
         4 => mem.write_u32(addr, v as u32),
         _ => mem.write_u64(addr, v),
     }

@@ -52,17 +52,6 @@ impl CrossbarConfig {
             latency: 4,
         }
     }
-
-    /// The GPU's 82×48 crossbar (Table IV).
-    pub fn gpu_82x48() -> Self {
-        Self {
-            sources: 82,
-            destinations: 48,
-            flit_bytes: 32,
-            port_bytes_per_cycle: 32.0,
-            latency: 6,
-        }
-    }
 }
 
 impl Crossbar {

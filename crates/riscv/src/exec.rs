@@ -64,16 +64,6 @@ impl ThreadCtx {
         }
     }
 
-    /// Spawn context for a µthread mapped to `addr` at `offset` within its
-    /// pool region (§III-E: "the address and offset ... are provided in the
-    /// first two non-zero-valued scalar registers, x1 and x2").
-    pub fn spawned(addr: u64, offset: u64) -> Self {
-        let mut ctx = Self::new();
-        ctx.x[1] = addr;
-        ctx.x[2] = offset;
-        ctx
-    }
-
     /// Resets this context to the [`ThreadCtx::new`] state in place.
     ///
     /// The engine reuses per-slot context storage across µthread waves:
@@ -1366,7 +1356,7 @@ mod tests {
             |_, _| {},
         );
         assert_eq!(mem.read_u8(0x2000), 0x88);
-        assert_eq!(mem.read_u16(0x2008), 0x7788);
+        assert_eq!(mem.read_u32(0x2008), 0x7788);
         assert_eq!(mem.read_u32(0x2010), 0x5566_7788);
         assert_eq!(mem.read_u64(0x2018), 0x1122_3344_5566_7788);
     }
@@ -1623,14 +1613,6 @@ mod tests {
         assert_eq!(get_elem(&ctx.v[3], 0, Sew::E32), 3);
         assert_eq!(get_elem(&ctx.v[3], 4, Sew::E32), 7);
         assert_eq!(get_elem(&ctx.v[3], 5, Sew::E32), 0); // slid past vl
-    }
-
-    #[test]
-    fn spawned_context_carries_address_and_offset() {
-        let ctx = ThreadCtx::spawned(0xA000, 0x40);
-        assert_eq!(ctx.x[1], 0xA000);
-        assert_eq!(ctx.x[2], 0x40);
-        assert!(!ctx.done);
     }
 
     #[test]

@@ -682,21 +682,6 @@ pub enum Instr {
 }
 
 impl Instr {
-    /// Whether the instruction touches memory.
-    pub fn is_mem(&self) -> bool {
-        matches!(
-            self,
-            Instr::Load { .. }
-                | Instr::Store { .. }
-                | Instr::Amo { .. }
-                | Instr::FLoad { .. }
-                | Instr::FStore { .. }
-                | Instr::VLoad { .. }
-                | Instr::VStore { .. }
-                | Instr::VAmo { .. }
-        )
-    }
-
     /// Whether the instruction is a vector operation.
     pub fn is_vector(&self) -> bool {
         matches!(
@@ -747,13 +732,11 @@ mod tests {
             rs1: 2,
             offset: 0,
         };
-        assert!(ld.is_mem());
         assert!(!ld.is_vector());
         let v = Instr::Vid {
             vd: 1,
             masked: false,
         };
         assert!(v.is_vector());
-        assert!(!v.is_mem());
     }
 }

@@ -1,9 +1,8 @@
-//! Exhaustive classification tests for [`Instr::is_mem`] and
-//! [`Instr::is_vector`].
+//! Exhaustive classification test for [`Instr::is_vector`].
 //!
 //! The match below lists **every** variant explicitly — no `_` arm — so
-//! adding an `Instr` variant without deciding its memory/vector
-//! classification fails to compile here, and [`gen::all_variants`] (one
+//! adding an `Instr` variant without deciding its vector classification
+//! fails to compile here, and [`gen::all_variants`] (one
 //! instance per variant) drives the runtime check over each one.
 
 use m2ndp_riscv::gen::all_variants;
@@ -12,16 +11,14 @@ use m2ndp_riscv::Instr;
 /// The expected classification, spelled out per variant. Compilation of
 /// this match is the real test: extend it (and `gen::all_variants`) when
 /// adding a variant.
-fn expected(instr: &Instr) -> (bool, bool) {
-    // (is_mem, is_vector)
+fn expected(instr: &Instr) -> bool {
+    // is_vector
     match instr {
-        Instr::Li { .. } | Instr::Lui { .. } | Instr::Op { .. } | Instr::OpImm { .. } => {
-            (false, false)
-        }
-        Instr::Load { .. } | Instr::Store { .. } | Instr::Amo { .. } => (true, false),
-        Instr::Branch { .. } | Instr::Jal { .. } | Instr::Jalr { .. } => (false, false),
-        Instr::Fence | Instr::Halt => (false, false),
-        Instr::FLoad { .. } | Instr::FStore { .. } => (true, false),
+        Instr::Li { .. } | Instr::Lui { .. } | Instr::Op { .. } | Instr::OpImm { .. } => false,
+        Instr::Load { .. } | Instr::Store { .. } | Instr::Amo { .. } => false,
+        Instr::Branch { .. } | Instr::Jal { .. } | Instr::Jalr { .. } => false,
+        Instr::Fence | Instr::Halt => false,
+        Instr::FLoad { .. } | Instr::FStore { .. } => false,
         Instr::FOp { .. }
         | Instr::FMadd { .. }
         | Instr::FCmp { .. }
@@ -29,9 +26,9 @@ fn expected(instr: &Instr) -> (bool, bool) {
         | Instr::FCvtToInt { .. }
         | Instr::FMvToInt { .. }
         | Instr::FMvFromInt { .. }
-        | Instr::FCvtPrec { .. } => (false, false),
-        Instr::Vsetvli { .. } => (false, true),
-        Instr::VLoad { .. } | Instr::VStore { .. } | Instr::VAmo { .. } => (true, true),
+        | Instr::FCvtPrec { .. } => false,
+        Instr::Vsetvli { .. } => true,
+        Instr::VLoad { .. } | Instr::VStore { .. } | Instr::VAmo { .. } => true,
         Instr::VIntOp { .. }
         | Instr::VFpOp { .. }
         | Instr::VCmp { .. }
@@ -42,7 +39,7 @@ fn expected(instr: &Instr) -> (bool, bool) {
         | Instr::VMvToScalar { .. }
         | Instr::VMvFromScalar { .. }
         | Instr::VFMvToScalar { .. }
-        | Instr::Vid { .. } => (false, true),
+        | Instr::Vid { .. } => true,
     }
 }
 
@@ -51,19 +48,17 @@ fn classification_covers_every_variant() {
     let variants = all_variants();
     assert_eq!(variants.len(), 37, "one instance per Instr variant");
     for instr in &variants {
-        let (mem, vector) = expected(instr);
-        assert_eq!(instr.is_mem(), mem, "is_mem for {instr:?}");
-        assert_eq!(instr.is_vector(), vector, "is_vector for {instr:?}");
+        assert_eq!(
+            instr.is_vector(),
+            expected(instr),
+            "is_vector for {instr:?}"
+        );
     }
 }
 
 #[test]
-fn memory_and_vector_sets_have_the_expected_sizes() {
-    let variants = all_variants();
-    let mem = variants.iter().filter(|i| i.is_mem()).count();
-    let vector = variants.iter().filter(|i| i.is_vector()).count();
-    // 8 memory forms: Load, Store, Amo, FLoad, FStore, VLoad, VStore, VAmo.
-    assert_eq!(mem, 8);
+fn vector_set_has_the_expected_size() {
+    let vector = all_variants().iter().filter(|i| i.is_vector()).count();
     // 15 vector forms (Table IV's 256-bit unit plus the vector-AMO ext).
     assert_eq!(vector, 15);
 }

@@ -36,7 +36,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use m2ndp_cache::{Access, CacheConfig, CacheResult, SectoredCache, WritePolicy};
 use m2ndp_mem::mapping::DramCoord;
-use m2ndp_mem::{DramChannel, DramConfig, MemReq, ReqId, ReqSource};
+use m2ndp_mem::{DramChannel, DramConfig, MemReq, ReqId};
 use m2ndp_sim::{BandwidthGate, Cycle, EventQueue, FEventQueue, Frequency};
 
 /// Deterministic LCG so every benchmark sees the same request stream.
@@ -716,7 +716,7 @@ fn bench_dram(c: &mut Criterion) {
             let mut now = 0;
             while done < REQUESTS {
                 while issued < REQUESTS {
-                    let r = MemReq::read(ReqId(issued), issued * 32, 32, ReqSource::Host);
+                    let r = MemReq::read(ReqId(issued), issued * 32, 32);
                     if ch.enqueue(now, r, coord_of(issued)).is_err() {
                         break;
                     }
@@ -739,7 +739,7 @@ fn bench_dram(c: &mut Criterion) {
             let mut now = 0;
             while done < REQUESTS {
                 while issued < REQUESTS {
-                    let r = MemReq::read(ReqId(issued), issued * 32, 32, ReqSource::Host);
+                    let r = MemReq::read(ReqId(issued), issued * 32, 32);
                     if ch.enqueue(now, r, coord_of(issued)).is_err() {
                         break;
                     }

@@ -27,7 +27,6 @@ pub struct BandwidthGate {
     /// that sub-cycle transfer times accumulate without rounding loss.
     next_free: f64,
     total_bytes: u64,
-    busy_cycles: f64,
 }
 
 impl BandwidthGate {
@@ -44,7 +43,6 @@ impl BandwidthGate {
             bytes_per_cycle,
             next_free: 0.0,
             total_bytes: 0,
-            busy_cycles: 0.0,
         }
     }
 
@@ -63,7 +61,6 @@ impl BandwidthGate {
         let duration = bytes as f64 / self.bytes_per_cycle;
         self.next_free = begin + duration;
         self.total_bytes += bytes;
-        self.busy_cycles += duration;
         self.next_free.ceil() as Cycle
     }
 
@@ -77,20 +74,6 @@ impl BandwidthGate {
     /// Total bytes that have passed through the gate.
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
-    }
-
-    /// Cycles the gate has spent busy (for utilization accounting).
-    pub fn busy_cycles(&self) -> f64 {
-        self.busy_cycles
-    }
-
-    /// Utilization over the first `elapsed` cycles of the simulation.
-    pub fn utilization(&self, elapsed: Cycle) -> f64 {
-        if elapsed == 0 {
-            0.0
-        } else {
-            (self.busy_cycles / elapsed as f64).min(1.0)
-        }
     }
 
     /// The configured capacity in bytes per cycle.
@@ -130,13 +113,6 @@ mod tests {
         let t = g.send(0, 1);
         assert_eq!(t, 1);
         assert_eq!(g.total_bytes(), 3);
-    }
-
-    #[test]
-    fn utilization_tracks_busy_fraction() {
-        let mut g = BandwidthGate::new(2.0);
-        g.send(0, 10); // busy 5 cycles
-        assert!((g.utilization(10) - 0.5).abs() < 1e-9);
     }
 
     #[test]

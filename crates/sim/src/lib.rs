@@ -6,10 +6,9 @@
 //! are assembled from:
 //!
 //! * [`Cycle`] / [`Frequency`] — time bookkeeping and clock-domain conversion,
-//! * [`DelayPipe`] — fixed- or variable-latency delay lines,
 //! * [`BandwidthGate`] — byte/cycle throughput limiter used for links and
 //!   crossbar ports,
-//! * [`stats`] — counters and sample histograms (P50/P95/P99 queries),
+//! * [`stats`] — counters and a sample histogram (P50/P95/P99 queries),
 //! * [`rng`] — seeded random sources plus the Zipfian and exponential
 //!   samplers used by the workload generators,
 //! * [`EventQueue`] / [`FEventQueue`] — one `(time, seq)`-keyed event heap,
@@ -20,8 +19,8 @@
 //! * [`fingerprint`] — rolling state fingerprints asserting that optimized
 //!   hot-path structures stay observably identical to naive references,
 //! * [`par`] — deterministic, ordered, scoped fan-out
-//!   ([`par::map_ordered`]), the worker pool that runs the figure sweep's
-//!   cells,
+//!   ([`par::map_ordered_with`]), the worker pool that runs the figure
+//!   sweep's cells,
 //! * [`json`] — the dependency-free, deterministic JSON value shared by the
 //!   figure sweep, the trace exporter, and the CLI diagnostics,
 //! * [`trace`] — the opt-in observability layer: typed timeline events, the
@@ -34,16 +33,17 @@
 //! # Example
 //!
 //! ```
-//! use m2ndp_sim::{BandwidthGate, Cycle, DelayPipe};
+//! use m2ndp_sim::{BandwidthGate, Cycle};
 //!
 //! // A 64 GB/s CXL direction at a 2 GHz device clock moves 32 B/cycle.
 //! let mut gate = BandwidthGate::new(32.0);
-//! let mut wire: DelayPipe<u32> = DelayPipe::new();
 //! let now: Cycle = 100;
-//! let depart = gate.earliest(now);
-//! gate.consume(depart, 256); // one 256 B flit
-//! wire.push_at(depart + 140, 7); // 70 ns one-way at 2 GHz
-//! assert_eq!(wire.pop_ready(depart + 140), Some(7));
+//! let injected = gate.send(now, 256); // one 256 B flit: 8 cycles
+//! assert_eq!(injected, 108);
+//! // Back-to-back flits queue behind it, 8 cycles apart.
+//! assert_eq!(gate.send(now, 256), 116);
+//! let arrival = injected + 150; // 75 ns one-way at 2 GHz
+//! assert_eq!(arrival, 258);
 //! ```
 
 #![warn(missing_docs)]
@@ -53,7 +53,6 @@ pub mod event;
 pub mod fingerprint;
 pub mod json;
 pub mod par;
-pub mod pipe;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -62,6 +61,5 @@ pub mod trace;
 pub use bandwidth::BandwidthGate;
 pub use event::{EventQueue, FEventQueue};
 pub use fingerprint::{Fingerprint, Fingerprintable};
-pub use pipe::DelayPipe;
-pub use stats::{Counter, FHistogram, Histogram, RunningStat, Snapshot, TrafficStats};
+pub use stats::{Counter, FHistogram, Snapshot};
 pub use time::{Cycle, Frequency};

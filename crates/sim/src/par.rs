@@ -3,7 +3,7 @@
 //!
 //! The model is intentionally tiny: a fixed set of `jobs` scoped worker
 //! threads pull item indices from an atomic counter and write results into
-//! per-index slots, so [`map_ordered`] returns results **in input order
+//! per-index slots, so [`map_ordered_with`] returns results **in input order
 //! regardless of completion order**. There is no work stealing, no channels,
 //! and no crates.io dependency — just `std::thread::scope`, which also means
 //! a borrowed closure and borrowed items work without `'static` bounds.
@@ -106,29 +106,17 @@ where
 }
 
 /// Maps `f` over `items` on up to `jobs` workers, returning the results
-/// **in input order** regardless of completion order. With `jobs == 1`
-/// this is a plain serial loop; because the pool only reorders *when* items
-/// run, any `jobs` value yields identical output for self-contained `f`.
+/// **in input order** regardless of completion order. Each call also gets
+/// the id (`0..jobs`) of the worker that executed it — the hook the
+/// sweep's `--timing` artifact uses to make its parallelism auditable.
+/// Worker *assignment* is scheduling-dependent; the returned values must
+/// not be. With `jobs == 1` this is a plain serial loop; because the pool
+/// only reorders *when* items run, any `jobs` value yields identical
+/// output for self-contained `f`.
 ///
 /// # Panics
 /// Propagates the first item panic once the pool has drained (see the
 /// module docs — a panicking item never deadlocks the pool).
-pub fn map_ordered<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    run_indexed(items.len(), jobs, |_, i| f(&items[i]))
-}
-
-/// [`map_ordered`], additionally passing each call the id (`0..jobs`) of
-/// the worker that executed it — the hook the sweep's `--timing` artifact
-/// uses to make its parallelism auditable. Worker *assignment* is
-/// scheduling-dependent; the returned values must not be.
-///
-/// # Panics
-/// Propagates the first item panic once the pool has drained.
 pub fn map_ordered_with<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -146,7 +134,7 @@ mod tests {
     fn map_ordered_returns_input_order_at_any_job_count() {
         let items: Vec<u64> = (0..57).collect();
         for jobs in [1, 2, 3, 8, 64] {
-            let out = map_ordered(&items, jobs, |&x| x * 3);
+            let out = map_ordered_with(&items, jobs, |_, &x| x * 3);
             assert_eq!(out, items.iter().map(|x| x * 3).collect::<Vec<_>>());
         }
     }
@@ -160,7 +148,7 @@ mod tests {
 
     #[test]
     fn empty_input_is_fine() {
-        let out: Vec<u8> = map_ordered(&[] as &[u8], 8, |&x| x);
+        let out: Vec<u8> = map_ordered_with(&[] as &[u8], 8, |_, &x| x);
         assert!(out.is_empty());
     }
 

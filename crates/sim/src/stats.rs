@@ -1,11 +1,9 @@
-//! Statistics collection: counters, running aggregates, and sample
-//! histograms with percentile queries.
+//! Statistics collection: counters and a sample histogram with percentile
+//! queries.
 //!
 //! The evaluation reports tail latencies (P95 for the KVStore experiments of
 //! Figs. 1b, 10b and 11a), bandwidth utilizations and traffic breakdowns;
 //! these types are the backing store for all of them.
-
-use crate::time::Cycle;
 
 /// Point-in-time snapshotting for monotonically growing statistics.
 ///
@@ -27,17 +25,6 @@ pub trait Snapshot: Clone {
 impl Snapshot for Counter {
     fn delta_since(&self, baseline: &Self) -> Self {
         Counter(self.0.saturating_sub(baseline.0))
-    }
-}
-
-impl Snapshot for TrafficStats {
-    fn delta_since(&self, baseline: &Self) -> Self {
-        TrafficStats {
-            read_bytes: self.read_bytes.delta_since(&baseline.read_bytes),
-            write_bytes: self.write_bytes.delta_since(&baseline.write_bytes),
-            reads: self.reads.delta_since(&baseline.reads),
-            writes: self.writes.delta_since(&baseline.writes),
-        }
     }
 }
 
@@ -77,169 +64,16 @@ impl Counter {
     }
 }
 
-/// Mean/min/max aggregate over a stream of `f64` observations.
-#[derive(Debug, Clone, Default)]
-pub struct RunningStat {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStat {
-    /// Creates an empty aggregate.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        if self.count == 0 {
-            self.min = x;
-            self.max = x;
-        } else {
-            self.min = self.min.min(x);
-            self.max = self.max.max(x);
-        }
-        self.count += 1;
-        self.sum += x;
-    }
-
-    /// Number of observations recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Arithmetic mean, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Smallest observation, or 0.0 when empty.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation, or 0.0 when empty.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-}
-
-/// A sample-retaining histogram of cycle (or other `u64`) observations with
-/// exact percentile queries.
-///
-/// Stores every sample; the experiments record at most a few hundred
-/// thousand observations so exactness is affordable and avoids bucketing
-/// error in the reported tail latencies.
-///
-/// # Example
-///
-/// ```
-/// use m2ndp_sim::Histogram;
-/// let mut h = Histogram::new();
-/// for v in [10, 20, 30, 40, 50, 60, 70, 80, 90, 100] {
-///     h.record(v);
-/// }
-/// assert_eq!(h.percentile(0.95), 100);
-/// assert_eq!(h.percentile(0.50), 50);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Histogram {
-    samples: Vec<u64>,
-    sorted: bool,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, v: u64) {
-        self.samples.push(v);
-        self.sorted = false;
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether no observations have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// The exact `p`-quantile (0.0 ..= 1.0) using the nearest-rank method,
-    /// or 0 when empty.
-    ///
-    /// # Panics
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn percentile(&mut self, p: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&p), "percentile must be in [0,1]");
-        if self.samples.is_empty() {
-            return 0;
-        }
-        if !self.sorted {
-            self.samples.sort_unstable();
-            self.sorted = true;
-        }
-        let n = self.samples.len();
-        let rank = ((p * n as f64).ceil() as usize).clamp(1, n);
-        self.samples[rank - 1]
-    }
-
-    /// The exact quantiles for each `p` in `ps` (one sort for the batch);
-    /// convenient for reporting p50/p95/p99 rows together.
-    ///
-    /// # Panics
-    /// Panics if any `p` is outside `[0, 1]`.
-    pub fn quantiles(&mut self, ps: &[f64]) -> Vec<u64> {
-        ps.iter().map(|&p| self.percentile(p)).collect()
-    }
-
-    /// Arithmetic mean, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            0.0
-        } else {
-            self.samples.iter().sum::<u64>() as f64 / self.samples.len() as f64
-        }
-    }
-
-    /// Largest observation, or 0 when empty.
-    pub fn max(&self) -> u64 {
-        self.samples.iter().copied().max().unwrap_or(0)
-    }
-}
-
 /// A sample-retaining histogram of `f64` observations (nanosecond latencies)
 /// with exact percentile queries.
 ///
-/// The open-loop serving simulations keep their event clocks in `f64`
-/// nanoseconds end to end; quantizing latencies to integer nanoseconds on
-/// the way into a [`Histogram`] loses the sub-ns queueing components that
-/// accumulate at high arrival rates. This variant stores the raw `f64`
-/// samples, so `observed - arrival` is recorded exactly.
+/// Stores every sample; the experiments record at most a few hundred
+/// thousand observations, so exactness is affordable and avoids bucketing
+/// error in the reported tail latencies. The open-loop serving simulations
+/// keep their event clocks in `f64` nanoseconds end to end, so
+/// `observed - arrival` is recorded exactly; callers that report whole
+/// nanoseconds record truncated values, which rank and sum exactly below
+/// 2^53.
 ///
 /// # Example
 ///
@@ -349,46 +183,6 @@ impl FHistogram {
     }
 }
 
-/// Traffic and utilization statistics common to the memory-system models.
-#[derive(Debug, Clone, Default)]
-pub struct TrafficStats {
-    /// Read bytes moved.
-    pub read_bytes: Counter,
-    /// Write bytes moved.
-    pub write_bytes: Counter,
-    /// Number of read transactions.
-    pub reads: Counter,
-    /// Number of write transactions.
-    pub writes: Counter,
-}
-
-impl TrafficStats {
-    /// Records one transaction.
-    pub fn record(&mut self, bytes: u64, write: bool) {
-        if write {
-            self.write_bytes.add(bytes);
-            self.writes.inc();
-        } else {
-            self.read_bytes.add(bytes);
-            self.reads.inc();
-        }
-    }
-
-    /// Total bytes in both directions.
-    pub fn total_bytes(&self) -> u64 {
-        self.read_bytes.get() + self.write_bytes.get()
-    }
-
-    /// Achieved bandwidth in bytes/cycle over `elapsed` cycles.
-    pub fn bytes_per_cycle(&self, elapsed: Cycle) -> f64 {
-        if elapsed == 0 {
-            0.0
-        } else {
-            self.total_bytes() as f64 / elapsed as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,72 +206,24 @@ mod tests {
     }
 
     #[test]
-    fn traffic_delta_since_is_fieldwise() {
-        let mut t = TrafficStats::default();
-        t.record(64, false);
-        let snap = t.clone();
-        t.record(32, true);
-        t.record(128, false);
-        let d = t.delta_since(&snap);
-        assert_eq!(d.read_bytes.get(), 128);
-        assert_eq!(d.write_bytes.get(), 32);
-        assert_eq!(d.reads.get(), 1);
-        assert_eq!(d.writes.get(), 1);
-    }
-
-    #[test]
-    fn quantiles_batch_matches_percentile() {
-        let mut h = Histogram::new();
-        for v in 1..=100 {
-            h.record(v);
-        }
-        assert_eq!(h.quantiles(&[0.5, 0.95, 1.0]), vec![50, 95, 100]);
-    }
-
-    #[test]
-    fn running_stat_tracks_extremes() {
-        let mut s = RunningStat::new();
-        for x in [3.0, -1.0, 7.0] {
-            s.record(x);
-        }
-        assert_eq!(s.min(), -1.0);
-        assert_eq!(s.max(), 7.0);
-        assert!((s.mean() - 3.0).abs() < 1e-12);
-        assert_eq!(s.count(), 3);
-    }
-
-    #[test]
-    fn empty_stat_is_zero() {
-        let s = RunningStat::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
-    }
-
-    #[test]
     fn percentile_nearest_rank() {
-        let mut h = Histogram::new();
+        let mut h = FHistogram::new();
         for v in 1..=100 {
-            h.record(v);
+            h.record(f64::from(v));
         }
-        assert_eq!(h.percentile(0.95), 95);
-        assert_eq!(h.percentile(1.0), 100);
-        assert_eq!(h.percentile(0.0), 1); // rank clamps to 1
-    }
-
-    #[test]
-    fn percentile_of_empty_is_zero() {
-        let mut h = Histogram::new();
-        assert_eq!(h.percentile(0.95), 0);
+        assert_eq!(h.percentile(0.95), 95.0);
+        assert_eq!(h.percentile(1.0), 100.0);
+        assert_eq!(h.percentile(0.0), 1.0); // rank clamps to 1
+        assert_eq!(h.quantiles(&[0.5, 0.95, 1.0]), vec![50.0, 95.0, 100.0]);
     }
 
     #[test]
     fn percentile_after_interleaved_records() {
-        let mut h = Histogram::new();
-        h.record(5);
-        assert_eq!(h.percentile(1.0), 5);
-        h.record(1);
-        assert_eq!(h.percentile(0.5), 1);
+        let mut h = FHistogram::new();
+        h.record(5.0);
+        assert_eq!(h.percentile(1.0), 5.0);
+        h.record(1.0);
+        assert_eq!(h.percentile(0.5), 1.0);
     }
 
     #[test]
@@ -514,29 +260,5 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn fhistogram_rejects_nan() {
         FHistogram::new().record(f64::NAN);
-    }
-
-    #[test]
-    fn fhistogram_quantiles_match_u64_histogram_on_integers() {
-        let mut h = Histogram::new();
-        let mut f = FHistogram::new();
-        for v in 1..=100u64 {
-            h.record(v);
-            f.record(v as f64);
-        }
-        for p in [0.0, 0.5, 0.95, 1.0] {
-            assert_eq!(h.percentile(p) as f64, f.percentile(p), "p={p}");
-        }
-    }
-
-    #[test]
-    fn traffic_stats_split_directions() {
-        let mut t = TrafficStats::default();
-        t.record(64, false);
-        t.record(32, true);
-        assert_eq!(t.read_bytes.get(), 64);
-        assert_eq!(t.write_bytes.get(), 32);
-        assert_eq!(t.total_bytes(), 96);
-        assert!((t.bytes_per_cycle(3) - 32.0).abs() < 1e-12);
     }
 }

@@ -51,11 +51,6 @@ impl Frequency {
         self.hz
     }
 
-    /// The frequency in gigahertz.
-    pub fn as_ghz(&self) -> f64 {
-        self.hz / 1e9
-    }
-
     /// Converts a duration in nanoseconds to a cycle count in this domain,
     /// rounding up (a latency of 1.2 cycles costs 2 cycles).
     pub fn cycles_from_ns(&self, ns: f64) -> Cycle {

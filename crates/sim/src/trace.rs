@@ -367,30 +367,10 @@ pub trait TraceSink: Send + std::fmt::Debug {
     /// Receives one event.
     fn emit(&mut self, ev: TraceEvent);
 
-    /// Whether emitting is worthwhile (the [`NullSink`] says no, so emit
-    /// sites can skip event construction entirely).
-    fn enabled(&self) -> bool {
-        true
-    }
-
     /// Drains the buffered events out of the sink (empty for sinks that
     /// forward rather than buffer).
     fn take_events(&mut self) -> Vec<TraceEvent> {
         Vec::new()
-    }
-}
-
-/// The do-nothing sink: explicitly attached tracing that observes nothing.
-/// [`Tracer::off`] is the cheaper everyday form (no allocation, no virtual
-/// call); `NullSink` exists so sink-generic plumbing has an inert instance.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn emit(&mut self, _ev: TraceEvent) {}
-
-    fn enabled(&self) -> bool {
-        false
     }
 }
 
@@ -437,13 +417,9 @@ impl Tracer {
         Self::default()
     }
 
-    /// Tracing into `sink` (disabled sinks are treated as off).
+    /// Tracing into `sink`.
     pub fn new(sink: Box<dyn TraceSink>) -> Self {
-        if sink.enabled() {
-            Tracer { sink: Some(sink) }
-        } else {
-            Tracer::off()
-        }
+        Tracer { sink: Some(sink) }
     }
 
     /// Whether events are being recorded.
@@ -594,12 +570,6 @@ mod tests {
         t.emit(|| unreachable!("emit closure must not run when off"));
         assert!(!t.on());
         assert!(t.finish().is_empty());
-    }
-
-    #[test]
-    fn null_sink_collapses_to_off() {
-        let t = Tracer::new(Box::new(NullSink));
-        assert!(!t.on());
     }
 
     #[test]

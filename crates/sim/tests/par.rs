@@ -3,7 +3,7 @@
 //! `jobs = 1, 2, 8`, and the panic contract — a panicking item propagates
 //! instead of deadlocking the pool.
 
-use m2ndp_sim::par::{map_ordered, map_ordered_with};
+use m2ndp_sim::par::map_ordered_with;
 use m2ndp_sim::rng::{exponential, seeded};
 use proptest::prelude::*;
 
@@ -24,14 +24,14 @@ fn seeded_work(seed: u64) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `map_ordered` returns results in input order for any item count and
+    /// `map_ordered_with` returns results in input order for any item count and
     /// any worker count, including pools wider than the input.
     #[test]
     fn map_ordered_preserves_input_order(
         items in prop::collection::vec(any::<u32>(), 0..80),
         jobs in 1usize..12,
     ) {
-        let out = map_ordered(&items, jobs, |&x| u64::from(x) + 1);
+        let out = map_ordered_with(&items, jobs, |_, &x| u64::from(x) + 1);
         let expect: Vec<u64> = items.iter().map(|&x| u64::from(x) + 1).collect();
         prop_assert_eq!(out, expect);
     }
@@ -42,9 +42,9 @@ proptest! {
     fn equal_seeds_are_bit_identical_across_job_counts(
         seeds in prop::collection::vec(any::<u64>(), 1..40),
     ) {
-        let serial = map_ordered(&seeds, 1, |&s| seeded_work(s));
+        let serial = map_ordered_with(&seeds, 1, |_, &s| seeded_work(s));
         for jobs in [2usize, 8] {
-            let par = map_ordered(&seeds, jobs, |&s| seeded_work(s));
+            let par = map_ordered_with(&seeds, jobs, |_, &s| seeded_work(s));
             prop_assert_eq!(&par, &serial, "jobs={}", jobs);
         }
     }
@@ -58,7 +58,7 @@ proptest! {
 fn workers_overlap_in_time() {
     let items = vec![(); 8];
     let t0 = std::time::Instant::now();
-    let out = map_ordered(&items, 8, |()| {
+    let out = map_ordered_with(&items, 8, |_, ()| {
         std::thread::sleep(std::time::Duration::from_millis(100));
         1u32
     });
@@ -78,7 +78,7 @@ fn panicking_item_propagates_instead_of_deadlocking() {
     for jobs in [1usize, 2, 8] {
         let items: Vec<u32> = (0..64).collect();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            map_ordered(&items, jobs, |&x| {
+            map_ordered_with(&items, jobs, |_, &x| {
                 assert!(x != 13, "poisoned item");
                 x
             })
@@ -100,7 +100,7 @@ fn panicking_item_propagates_instead_of_deadlocking() {
 fn pool_is_reusable_after_a_panic() {
     let items: Vec<u32> = (0..32).collect();
     let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        map_ordered(&items, 4, |&x| {
+        map_ordered_with(&items, 4, |_, &x| {
             assert!(x % 7 != 3, "boom");
             x
         })

@@ -1,6 +1,6 @@
 //! Property tests for the simulation primitives.
 
-use m2ndp_sim::{BandwidthGate, EventQueue, Histogram};
+use m2ndp_sim::{BandwidthGate, EventQueue, FHistogram};
 use proptest::prelude::*;
 
 proptest! {
@@ -41,15 +41,15 @@ proptest! {
     /// Percentiles are monotone in p and bounded by min/max of the sample.
     #[test]
     fn percentiles_monotone(samples in prop::collection::vec(any::<u32>(), 1..300)) {
-        let mut h = Histogram::new();
+        let mut h = FHistogram::new();
         for s in &samples {
-            h.record(*s as u64);
+            h.record(f64::from(*s));
         }
         let p50 = h.percentile(0.5);
         let p95 = h.percentile(0.95);
         let p100 = h.percentile(1.0);
         prop_assert!(p50 <= p95 && p95 <= p100);
-        prop_assert_eq!(p100, *samples.iter().max().unwrap() as u64);
-        prop_assert!(p50 >= *samples.iter().min().unwrap() as u64);
+        prop_assert_eq!(p100, f64::from(*samples.iter().max().unwrap()));
+        prop_assert!(p50 >= f64::from(*samples.iter().min().unwrap()));
     }
 }

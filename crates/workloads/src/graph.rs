@@ -37,24 +37,6 @@ impl GraphConfig {
             seed: 0x6247,
         }
     }
-
-    /// The paper's PGRANK input: 299067 nodes, 1955352 edges.
-    pub fn pgrank_full() -> Self {
-        Self {
-            nodes: 299_067,
-            edges: 1_955_352,
-            seed: 0x6247,
-        }
-    }
-
-    /// The paper's SSSP input: 264346 nodes, 733846 edges.
-    pub fn sssp_full() -> Self {
-        Self {
-            nodes: 264_346,
-            edges: 733_846,
-            seed: 0x6248,
-        }
-    }
 }
 
 /// A generated graph in CSR and reverse-CSR form plus algorithm arrays.
@@ -371,32 +353,6 @@ pub fn bellman_ford_sweeps_needed(data: &GraphData, mem: &MainMemory) -> u32 {
     }
 }
 
-/// Hop diameter from the source (BFS), to size `body_iterations`.
-pub fn hop_radius_from_source(data: &GraphData, mem: &MainMemory) -> u32 {
-    let n = data.cfg.nodes as usize;
-    let mut level = vec![u32::MAX; n];
-    level[0] = 0;
-    let mut frontier = vec![0usize];
-    let mut depth = 0;
-    while !frontier.is_empty() {
-        let mut next = Vec::new();
-        for &v in &frontier {
-            let s = mem.read_u64(data.row_ptr_base + v as u64 * 8);
-            let e = mem.read_u64(data.row_ptr_base + (v as u64 + 1) * 8);
-            for k in s..e {
-                let c = mem.read_u32(data.col_base + k * 4) as usize;
-                if level[c] == u32::MAX {
-                    level[c] = depth + 1;
-                    next.push(c);
-                }
-            }
-        }
-        frontier = next;
-        depth += 1;
-    }
-    depth
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,14 +394,6 @@ mod tests {
         let d = sssp_reference(&data, &mem);
         assert_eq!(d[0], 0);
         assert!(d.iter().any(|&x| x > 0 && x < INF), "some reachable vertex");
-    }
-
-    #[test]
-    fn hop_radius_is_small_for_hubby_graph() {
-        let (data, mem) = small();
-        let r = hop_radius_from_source(&data, &mem);
-        assert!(r > 0);
-        assert!(r < 64, "hub structure keeps the radius small: {r}");
     }
 
     #[test]

@@ -57,15 +57,6 @@ impl KvConfig {
         }
     }
 
-    /// KVS_B (G95:S5), scaled item count.
-    pub fn kvs_b_scaled() -> Self {
-        Self {
-            get_ratio: 0.95,
-            seed: 0xCB5B,
-            ..Self::kvs_a_scaled()
-        }
-    }
-
     /// The paper's 10M-item store.
     pub fn paper_full(get_ratio: f64) -> Self {
         Self {

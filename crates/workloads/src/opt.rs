@@ -36,30 +36,6 @@ pub struct OptConfig {
 }
 
 impl OptConfig {
-    /// Scaled stand-in for OPT-2.7B (H=2560, 32 layers in the real model).
-    pub fn opt_2_7b_scaled() -> Self {
-        Self {
-            hidden: 512,
-            heads: 8,
-            ffn: 2048,
-            layers: 2,
-            context: 256,
-            seed: 0x0276,
-        }
-    }
-
-    /// Scaled stand-in for OPT-30B (H=7168, 48 layers in the real model).
-    pub fn opt_30b_scaled() -> Self {
-        Self {
-            hidden: 1024,
-            heads: 16,
-            ffn: 4096,
-            layers: 2,
-            context: 256,
-            seed: 0x3000,
-        }
-    }
-
     /// Head dimension.
     pub fn head_dim(&self) -> u32 {
         self.hidden / self.heads
@@ -81,11 +57,6 @@ impl OptConfig {
                 + 2 * real_ffn * real_hidden)
             * 2
     }
-}
-
-/// Real OPT-2.7B per-token weight bytes (H=2560, FFN=10240, 32 layers).
-pub fn opt_2_7b_real_bytes() -> u64 {
-    OptConfig::real_weight_bytes(2560, 10240, 32)
 }
 
 /// Real OPT-30B per-token weight bytes (H=7168, FFN=28672, 48 layers).
@@ -444,16 +415,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sim_bytes_scale_with_shape() {
-        let small = OptConfig::opt_2_7b_scaled().sim_weight_bytes();
-        let big = OptConfig::opt_30b_scaled().sim_weight_bytes();
-        assert!(big > 2 * small);
-    }
-
-    #[test]
     fn real_byte_counts_match_model_sizes() {
         // 2.7B params × 2 B/param ≈ per-token weight reads (all layers).
-        let b27 = opt_2_7b_real_bytes() as f64;
+        // OPT-2.7B: H=2560, FFN=10240, 32 layers.
+        let b27 = OptConfig::real_weight_bytes(2560, 10240, 32) as f64;
         assert!((b27 / 2e9 - 2.7).abs() < 1.0, "2.7B: {b27}");
         let b30 = opt_30b_real_bytes() as f64;
         assert!((b30 / 2e9 - 30.0).abs() < 8.0, "30B: {b30}");
