@@ -1103,7 +1103,7 @@ impl CxlM2ndpDevice {
         }
 
         // 2. DRAM. Completions drain channel-major in one pass; a read
-        // fills the slice of its channel (see [`MemSystem`]) and marks it,
+        // fills the slice of its channel (see `MemSystem`) and marks it,
         // and its waiters may mature on a later cycle.
         sys.dram.tick(now);
         let MemSystem {
