@@ -75,11 +75,6 @@ impl BandwidthGate {
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
     }
-
-    /// The configured capacity in bytes per cycle.
-    pub fn bytes_per_cycle(&self) -> f64 {
-        self.bytes_per_cycle
-    }
 }
 
 #[cfg(test)]
