@@ -63,6 +63,8 @@ pub mod scheduler;
 
 pub use autoscale::{AutoscaleConfig, ScaleEvent};
 pub use report::{ReqRecord, ServeReport, TenantReport};
+
+use report::finish_run;
 pub use scheduler::SchedulerKind;
 
 /// How a tenant's requests arrive.
@@ -575,11 +577,90 @@ pub fn run<W: ServeWorkload>(
     cfg: &ServeConfig,
     tenants: &[TenantSpec],
 ) -> ServeReport {
+    let ndev = backend.devices();
+    assert!(
+        !cfg.places_off_home() || ndev == 1 || workload.replicated(),
+        "dynamic scheduling ({}) and autoscaling place requests off their \
+         home device, which requires a workload replicated on every device \
+         (ServeWorkload::replicated) — sharded workloads can only run the \
+         static schedulers on a fixed fleet",
+        cfg.scheduler.name()
+    );
     if cfg.trace {
         backend.attach_tracers();
     }
+    let requests = generate_requests(tenants, |t, rng| workload.sample_key(t, rng));
+    // Home device of each request: what the HdmRouter would pick (static
+    // placement).
+    let homes: Vec<usize> = requests
+        .iter()
+        .map(|r| match &*backend {
+            ServeBackend::Device(_) => 0,
+            ServeBackend::Fleet(fleet) => {
+                let addr = workload.route_addr(r.key, ndev);
+                fleet
+                    .router()
+                    .device_of(addr)
+                    .expect("workload routes inside the fleet HDM")
+            }
+        })
+        .collect();
+    let clock = backend.clock();
+    let mechanism = cfg.model.mechanism();
+    let workload = &*workload;
+    let (records, aux) =
+        scheduler::serve_loop(ndev, &homes, cfg, tenants, &requests, |_, req, dev, now| {
+            let args = workload.launch_args(req, dev);
+            let (inst, switch_skew_ns) = backend.launch(dev, now, mechanism, req.tenant, args);
+            let device = backend.device_mut(dev);
+            let t0 = device.now();
+            let done = device.run_until_finished(inst);
+            let service_ns = clock.ns_from_cycles(done - t0);
+            workload
+                .verify(req, dev, backend.device(dev))
+                .expect("request must verify functionally");
+            (switch_skew_ns, service_ns)
+        });
+    let (device_trace, kernels) = if cfg.trace {
+        (
+            backend.collect_traces(),
+            backend.device(0).kernel_disassembly(),
+        )
+    } else {
+        (Vec::new(), Vec::new())
+    };
+    finish_run(cfg, tenants, records, aux, device_trace, kernels)
+}
 
-    // ---- generate every tenant's arrival + key stream ----
+/// Runs `tenants` through the same admission loop as [`run`] on one
+/// device, but an admitted request takes a measured kernel service time
+/// instead of running a simulated kernel: request `i` in global arrival
+/// order takes `service_ns[i % service_ns.len()]`, with no switch skew.
+/// Routing, the slot pool, the mechanism's pre and post phases and the
+/// measurement window are [`run`]'s own. The report has no device trace
+/// and no kernel disassembly; `launches` counts the replayed kernels.
+///
+/// # Panics
+/// Panics if `service_ns` is empty, on malformed tenant specs, and on an
+/// autoscaler configured for more than one device.
+pub fn replay(service_ns: &[f64], cfg: &ServeConfig, tenants: &[TenantSpec]) -> ServeReport {
+    assert!(!service_ns.is_empty(), "replay needs a service time");
+    let requests = generate_requests(tenants, |_, _| 0);
+    let homes = vec![0; requests.len()];
+    let (records, aux) = scheduler::serve_loop(1, &homes, cfg, tenants, &requests, |i, _, _, _| {
+        (0.0, service_ns[i % service_ns.len()])
+    });
+    finish_run(cfg, tenants, records, aux, Vec::new(), Vec::new())
+}
+
+/// Every tenant's requests in global arrival order; ties break by
+/// `(tenant, seq)` so merged streams stay deterministic. `key` draws a
+/// request's key from its tenant's key stream, which is seeded apart from
+/// the arrival stream, so drawing no keys leaves the arrivals unchanged.
+fn generate_requests(
+    tenants: &[TenantSpec],
+    mut key: impl FnMut(u16, &mut m2ndp_sim::rng::StdRng) -> u64,
+) -> Vec<Request> {
     let mut requests: Vec<Request> = Vec::new();
     for (t, spec) in tenants.iter().enumerate() {
         let mut arrivals = ArrivalGen::new(spec);
@@ -590,19 +671,17 @@ pub fn run<W: ServeWorkload>(
                 tenant: t as u16,
                 seq: seq as u64,
                 arrival_ns,
-                key: workload.sample_key(t as u16, &mut key_rng),
+                key: key(t as u16, &mut key_rng),
             });
         }
     }
-    // Global arrival order; ties break by (tenant, seq) so merged streams
-    // stay deterministic.
     requests.sort_by(|a, b| {
         a.arrival_ns
             .total_cmp(&b.arrival_ns)
             .then(a.tenant.cmp(&b.tenant))
             .then(a.seq.cmp(&b.seq))
     });
-    scheduler::serve_loop(backend, &*workload, cfg, tenants, requests)
+    requests
 }
 
 // ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ use m2ndp_sim::trace::{EventKind, Lane, ReqPhase, TraceEvent};
 use m2ndp_sim::FHistogram;
 
 use super::autoscale::ScaleEvent;
-use super::{ServeBackend, ServeConfig, TenantSpec};
+use super::{ServeConfig, TenantSpec};
 
 /// Full timing record of one served request.
 #[derive(Debug, Clone, Copy)]
@@ -29,7 +29,8 @@ pub struct ReqRecord {
     pub admitted_ns: f64,
     /// Kernel start after the pre-launch phase (+ switch skew in fleets).
     pub start_ns: f64,
-    /// Simulated kernel service time (ns, from the device simulator).
+    /// Kernel service time (ns): simulated by [`super::run`], replayed by
+    /// [`super::replay`].
     pub service_ns: f64,
     /// Host-observed completion (ns).
     pub observed_ns: f64,
@@ -116,7 +117,7 @@ pub struct ServeReport {
     /// Peak concurrently outstanding kernels per device (direct MMIO must
     /// never exceed 1).
     pub max_outstanding: Vec<u32>,
-    /// Total kernel launches performed on the simulators.
+    /// Kernel launches, one per admitted request (replayed ones included).
     pub launches: u64,
     /// Every request's timing record, in global arrival order.
     pub records: Vec<ReqRecord>,
@@ -213,19 +214,22 @@ pub(super) struct RunAux {
 
 /// Shared post-processing: trace assembly, steady-window measurement,
 /// per-tenant accumulation. `records` must be in global arrival order.
+/// `device_trace` and `trace_kernels` are the devices' own trace events
+/// and kernel disassembly; both are empty when there are none.
 pub(super) fn finish_run(
-    backend: &mut ServeBackend,
     cfg: &ServeConfig,
     tenants: &[TenantSpec],
     records: Vec<ReqRecord>,
     aux: RunAux,
+    device_trace: Vec<TraceEvent>,
+    trace_kernels: Vec<(u32, String, String)>,
 ) -> ServeReport {
     let n = records.len();
 
-    // ---- trace collection (opt-in; `cfg.trace == false` touches nothing
+    // ---- trace assembly (opt-in; `cfg.trace == false` touches nothing
     // in the simulation, so untraced runs stay byte-identical) ----
-    let (trace, trace_kernels) = if cfg.trace {
-        let mut events = backend.collect_traces();
+    let trace = if cfg.trace {
+        let mut events = device_trace;
         // Static routing is a pure function of the key, so only runs that
         // may place a request off its home device trace `Route` instants.
         let route_events = cfg.places_off_home();
@@ -275,9 +279,9 @@ pub(super) fn finish_run(
                 },
             });
         }
-        (events, backend.device(0).kernel_disassembly())
+        events
     } else {
-        (Vec::new(), Vec::new())
+        Vec::new()
     };
 
     // ---- measurement windows (same definition as OffloadSim's, via the

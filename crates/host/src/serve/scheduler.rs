@@ -22,25 +22,34 @@
 //! Every tie breaks explicitly, toward the lowest device index or the
 //! earliest queue position.
 //!
+//! # Where service times come from
+//!
+//! The loop asks one seam, a closure, for each admitted request's switch
+//! skew and kernel service time. [`super::run`] launches the kernel on
+//! the device simulator and runs it to completion; [`super::replay`]
+//! looks the time up in a measured list. Everything else (routing,
+//! admission, the mechanism's pre and post phases, slot release) is the
+//! same code for both.
+//!
 //! # Data-placement requirement
 //!
 //! Anything that can place a request off its home device — load-aware
 //! routing, work stealing, draining a device that owns data — requires a
 //! workload that can serve any key on any device
-//! ([`ServeWorkload::replicated`]). `serve_loop` enforces this up
-//! front with a panic rather than letting functional verification fail
-//! halfway through a run.
+//! ([`ServeWorkload::replicated`](super::ServeWorkload::replicated)).
+//! [`super::run`] enforces this up front with a panic rather than letting
+//! functional verification fail halfway through a run.
 
 use std::cmp::Reverse;
 use std::collections::VecDeque;
 
-use m2ndp_sim::{FEventQueue, Frequency};
+use m2ndp_sim::FEventQueue;
 
 use crate::offload::OffloadMechanism;
 
 use super::autoscale::{Autoscaler, ScaleDecision, ScaleEvent};
-use super::report::{finish_run, ReqRecord, RunAux, ServeReport};
-use super::{Request, ServeBackend, ServeConfig, ServeWorkload, TenantSpec};
+use super::report::{ReqRecord, RunAux};
+use super::{Request, ServeConfig, TenantSpec};
 use m2ndp_sim::trace::ScaleDir;
 
 /// The built-in scheduling policies, selectable via
@@ -227,14 +236,14 @@ enum Ev {
 }
 
 /// All mutable state of the admission loop, so the event handlers can be
-/// methods instead of a closure tangle.
-struct ServeLoop<'a, W: ?Sized> {
-    backend: &'a mut ServeBackend,
-    workload: &'a W,
+/// methods instead of a closure tangle. `S` is the service-time seam: it
+/// maps an admitted request's global arrival index, the request, its
+/// device and the admission time (ns) to the launch store's switch skew
+/// and the kernel's service time (both ns).
+struct ServeLoop<'a, S> {
+    serve: S,
     requests: &'a [Request],
     views: Vec<ReqView>,
-    clock: Frequency,
-    mechanism: OffloadMechanism,
     pre: f64,
     post: f64,
     direct: bool,
@@ -251,34 +260,24 @@ struct ServeLoop<'a, W: ?Sized> {
     scale_events: Vec<ScaleEvent>,
 }
 
-impl<'a, W: ServeWorkload + ?Sized> ServeLoop<'a, W> {
+impl<'a, S: FnMut(usize, &Request, usize, f64) -> (f64, f64)> ServeLoop<'a, S> {
     /// The loop's state before its first event: each request's home
-    /// device, and every device idle. An autoscaled fleet starts with its
-    /// `min_devices` active and the rest parked; without autoscaling every
-    /// device is active for the whole run.
+    /// device from `homes`, and every one of the `devices` idle. An
+    /// autoscaled fleet starts with its `min_devices` active and the rest
+    /// parked; without autoscaling every device is active for the whole
+    /// run.
     fn new(
-        backend: &'a mut ServeBackend,
-        workload: &'a W,
+        devices: usize,
+        homes: &[usize],
         cfg: &ServeConfig,
         tenants: &[TenantSpec],
         requests: &'a [Request],
+        serve: S,
     ) -> Self {
-        let ndev = backend.devices();
-        // Home device of each request: what the HdmRouter would pick
-        // (static placement).
         let views = requests
             .iter()
-            .map(|r| {
-                let home = match &*backend {
-                    ServeBackend::Device(_) => 0,
-                    ServeBackend::Fleet(fleet) => {
-                        let addr = workload.route_addr(r.key, ndev);
-                        fleet
-                            .router()
-                            .device_of(addr)
-                            .expect("workload routes inside the fleet HDM")
-                    }
-                };
+            .zip(homes)
+            .map(|(r, &home)| {
                 let tenant = &tenants[r.tenant as usize];
                 ReqView {
                     home,
@@ -288,8 +287,8 @@ impl<'a, W: ServeWorkload + ?Sized> ServeLoop<'a, W> {
             })
             .collect();
         let slots = cfg.model.max_concurrent().min(cfg.device_slots).max(1);
-        let initial_active = cfg.autoscale.map_or(ndev, |a| a.min_devices);
-        let devs = (0..ndev)
+        let initial_active = cfg.autoscale.map_or(devices, |a| a.min_devices);
+        let devs = (0..devices)
             .map(|d| {
                 let active = d < initial_active;
                 Dev {
@@ -306,12 +305,9 @@ impl<'a, W: ServeWorkload + ?Sized> ServeLoop<'a, W> {
             })
             .collect();
         Self {
-            clock: backend.clock(),
-            backend,
-            workload,
+            serve,
             requests,
             views,
-            mechanism: cfg.model.mechanism(),
             pre: cfg.model.pre_ns(),
             post: cfg.model.post_ns(),
             direct: cfg.model.mechanism() == OffloadMechanism::CxlIoDirect,
@@ -340,8 +336,8 @@ impl<'a, W: ServeWorkload + ?Sized> ServeLoop<'a, W> {
         }
     }
 
-    /// Admits from device `dev`'s queue while it has free slots, running
-    /// each admitted request's kernel on the simulator.
+    /// Admits from device `dev`'s queue while it has free slots, taking
+    /// each admitted request's service time from the seam.
     fn try_admit(&mut self, dev: usize, now: f64, events: &mut FEventQueue<Ev>) {
         while self.devs[dev].outstanding < self.slots && !self.devs[dev].queue.is_empty() {
             let d = &mut self.devs[dev];
@@ -353,19 +349,8 @@ impl<'a, W: ServeWorkload + ?Sized> ServeLoop<'a, W> {
             d.outstanding += 1;
             d.max_outstanding = d.max_outstanding.max(d.outstanding);
             let req = self.requests[i];
-            let args = self.workload.launch_args(&req, dev);
-
-            let (inst, switch_skew_ns) =
-                self.backend
-                    .launch(dev, now, self.mechanism, req.tenant, args);
-            let device = self.backend.device_mut(dev);
-            let t0 = device.now();
-            let done = device.run_until_finished(inst);
-            let service_ns = self.clock.ns_from_cycles(done - t0);
+            let (switch_skew_ns, service_ns) = (self.serve)(i, &req, dev, now);
             self.launches += 1;
-            self.workload
-                .verify(&req, dev, self.backend.device(dev))
-                .expect("request must verify functionally");
 
             let start = now + switch_skew_ns + self.pre;
             let kernel_done = start + service_ns;
@@ -494,29 +479,23 @@ impl<'a, W: ServeWorkload + ?Sized> ServeLoop<'a, W> {
 /// The admission loop: routes each request at arrival through
 /// `cfg.scheduler`, admits against live per-device slot pools, and (when
 /// configured) lets the autoscaler grow and shrink the active set
-/// mid-run. See the [module docs](self) for what off-home placement
-/// requires of the workload.
-pub(super) fn serve_loop<W: ServeWorkload + ?Sized>(
-    backend: &mut ServeBackend,
-    workload: &W,
+/// mid-run. `requests` are in global arrival order, `homes[i]` is request
+/// `i`'s home device among `devices`, and `serve` is the service-time
+/// seam (see `ServeLoop`). Returns the records in arrival order and the
+/// loop's own counters.
+pub(super) fn serve_loop(
+    devices: usize,
+    homes: &[usize],
     cfg: &ServeConfig,
     tenants: &[TenantSpec],
-    requests: Vec<Request>,
-) -> ServeReport {
-    let ndev = backend.devices();
-    assert!(
-        !cfg.places_off_home() || ndev == 1 || workload.replicated(),
-        "dynamic scheduling ({}) and autoscaling place requests off their \
-         home device, which requires a workload replicated on every device \
-         (ServeWorkload::replicated) — sharded workloads can only run the \
-         static schedulers on a fixed fleet",
-        cfg.scheduler.name()
-    );
+    requests: &[Request],
+    serve: impl FnMut(usize, &Request, usize, f64) -> (f64, f64),
+) -> (Vec<ReqRecord>, RunAux) {
     if let Some(auto_cfg) = &cfg.autoscale {
-        auto_cfg.validate(ndev);
+        auto_cfg.validate(devices);
     }
     let n = requests.len();
-    let mut st = ServeLoop::new(backend, workload, cfg, tenants, &requests);
+    let mut st = ServeLoop::new(devices, homes, cfg, tenants, requests, serve);
 
     let mut events: FEventQueue<Ev> = FEventQueue::new();
     for (i, r) in requests.iter().enumerate() {
@@ -584,14 +563,12 @@ pub(super) fn serve_loop<W: ServeWorkload + ?Sized>(
         device_time_ns: st.device_time_ns,
         scale_events: st.scale_events,
     };
-    finish_run(backend, cfg, tenants, records, aux)
+    (records, aux)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::KvServeWorkload;
-    use m2ndp_core::{CxlM2ndpDevice, M2ndpConfig};
 
     /// A loop device record with a `queue_len`-entry queue.
     fn dev(queue_len: usize, outstanding: u32, lifecycle: DeviceLifecycle) -> Dev {
@@ -682,9 +659,6 @@ mod tests {
     #[test]
     fn loop_reroutes_picks_outside_the_active_set_to_the_least_loaded_active() {
         use DeviceLifecycle::*;
-        let mut backend =
-            ServeBackend::Device(Box::new(CxlM2ndpDevice::new(M2ndpConfig::default_device())));
-        let wl = KvServeWorkload::build(&mut backend, 16, 0.9);
         let cfg = ServeConfig::with_defaults(OffloadMechanism::M2Func);
         let tenants = [TenantSpec::poisson("t", 1e6)];
         let requests = [Request {
@@ -693,7 +667,9 @@ mod tests {
             arrival_ns: 0.0,
             key: 0,
         }];
-        let mut st = ServeLoop::new(&mut backend, &wl, &cfg, &tenants, &requests);
+        let mut st = ServeLoop::new(5, &[0], &cfg, &tenants, &requests, |_, _, _, _| {
+            unreachable!("nothing is admitted")
+        });
         // Devices 3 and 4 tie on the least active load.
         st.devs = devs(&[
             (0, 0, Draining),

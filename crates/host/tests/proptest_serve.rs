@@ -168,6 +168,36 @@ proptest! {
 }
 
 proptest! {
+    /// `serve::replay` is the closed-form FIFO slot pool: over every
+    /// mechanism, slot count, rate and request budget it gives
+    /// `OffloadSim`'s per-request latencies, steady window and throughput
+    /// bit for bit, from the same seed's Poisson arrivals.
+    #[test]
+    fn replay_equals_the_closed_form_slot_pool(
+        mech_idx in 0u8..3,
+        slots_idx in 0usize..3,
+        rate in 1e4f64..1e9,
+        n in 1usize..=400,
+        seed in any::<u64>(),
+        service in proptest::collection::vec(50.0f64..5_000.0, 1..4),
+    ) {
+        let mech = mechanism(mech_idx);
+        let slots = [1, 2, 48][slots_idx];
+        let sim = OffloadSim::new(OffloadModel::with_defaults(mech), slots)
+            .run(n, rate, &service, seed);
+        let cfg = ServeConfig::with_defaults(mech).device_slots(slots).drain_frac(0.0);
+        let tenant = TenantSpec::poisson("replay", rate).requests(n).seed(seed);
+        let report = serve::replay(&service, &cfg, &[tenant]);
+        let got: Vec<u64> = report.records.iter().map(|r| r.latency_ns().to_bits()).collect();
+        let want: Vec<u64> = sim.latencies.samples().iter().map(|l| l.to_bits()).collect();
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(report.steady_window.0.to_bits(), sim.steady_window.0.to_bits());
+        prop_assert_eq!(report.steady_window.1.to_bits(), sim.steady_window.1.to_bits());
+        prop_assert_eq!(report.throughput.to_bits(), sim.throughput.to_bits());
+    }
+}
+
+proptest! {
     // Serving cases simulate real kernels: keep the budgets small.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
