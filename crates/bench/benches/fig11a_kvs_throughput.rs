@@ -1,7 +1,9 @@
 //! Fig. 11a: P95 latency–throughput curves of KVS_A under the three offload
 //! mechanisms.
 
-use m2ndp::host::offload::{OffloadMechanism, OffloadModel, OffloadSim};
+use m2ndp::host::offload::OffloadMechanism;
+use m2ndp::host::serve::{self, ServeConfig, TenantSpec};
+use m2ndp::sim::FHistogram;
 use m2ndp_bench::runner::kvs_service_times_ns;
 use m2ndp_bench::table::Table;
 
@@ -25,9 +27,15 @@ fn main() {
         .iter()
         .enumerate()
         {
-            let mut r = OffloadSim::new(OffloadModel::with_defaults(*mech), 48)
-                .run(8000, rate, &service, 7);
-            let p = r.latencies.percentile(0.95) / 1e3;
+            let cfg = ServeConfig::with_defaults(*mech).drain_frac(0.0);
+            let tenant = TenantSpec::poisson("kvs", rate).requests(8000).seed(7);
+            let r = serve::replay(&service, &cfg, &[tenant]);
+            // P95 over every request, warm-up included.
+            let mut all = FHistogram::new();
+            for rec in &r.records {
+                all.record(rec.latency_ns());
+            }
+            let p = all.percentile(0.95) / 1e3;
             sat[i] = sat[i].max(r.throughput);
             // Curves blow past 15 us once saturated (as in the figure).
             cells.push(if p > 1e4 {

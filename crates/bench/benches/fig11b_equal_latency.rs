@@ -4,7 +4,8 @@
 
 use m2ndp::cxl::CxlIoModel;
 use m2ndp::cxl::CxlLinkConfig;
-use m2ndp::host::offload::{OffloadMechanism, OffloadModel, OffloadSim};
+use m2ndp::host::offload::{OffloadMechanism, OffloadModel};
+use m2ndp::host::serve::{self, ServeConfig, TenantSpec};
 use m2ndp_bench::runner::kvs_service_times_ns;
 use m2ndp_bench::table::Table;
 
@@ -48,12 +49,14 @@ fn main() {
 
     // Throughput view: M2func/RB support concurrency, DR does not.
     let service = kvs_service_times_ns(100);
-    let m2_thr = OffloadSim::new(m2, 48)
-        .run(8000, 3e7, &service, 3)
-        .throughput;
-    let dr_thr = OffloadSim::new(dr, 48)
-        .run(8000, 3e7, &service, 3)
-        .throughput;
+    let throughput = |model: OffloadModel| {
+        let mut cfg = ServeConfig::with_defaults(model.mechanism()).drain_frac(0.0);
+        cfg.model = model;
+        let tenant = TenantSpec::poisson("kvs", 3e7).requests(8000).seed(3);
+        serve::replay(&service, &cfg, &[tenant]).throughput
+    };
+    let m2_thr = throughput(m2);
+    let dr_thr = throughput(dr);
     println!(
         "KVS_A throughput: M2func {:.2e}/s vs CXL.io_DR {:.2e}/s = {:.1}x (paper: 47.3x)",
         m2_thr,

@@ -29,7 +29,7 @@ use m2ndp::core::{CxlM2ndpDevice, DeviceStats, M2ndpConfig, StatValue};
 use m2ndp::cxl::{CxlSwitch, SwitchConfig};
 use m2ndp::host::cpu::{DataHome, HostCpu, HostCpuConfig};
 use m2ndp::host::nsu::NsuModel;
-use m2ndp::host::offload::{OffloadMechanism, OffloadModel, OffloadSim};
+use m2ndp::host::offload::{OffloadMechanism, OffloadModel};
 use m2ndp::host::serve;
 use m2ndp::sim::trace::ScaleDir;
 use m2ndp::sim::{par, Frequency, Snapshot as _};
@@ -786,9 +786,17 @@ pub fn run_cell(spec: &CellSpec) -> CellOut {
             let service = kvs_service_times_ns(200);
             // Offered load below direct-MMIO saturation (~440K/s), as in
             // the paper where DR degrades P95 but still serves.
-            let mut res = OffloadSim::new(OffloadModel::with_defaults(*mechanism), 48)
-                .run(10_000, 2.0e5, &service, *seed);
-            out(0, res.latencies.percentile(0.95), None, Vec::new())
+            let cfg = serve::ServeConfig::with_defaults(*mechanism).drain_frac(0.0);
+            let tenant = serve::TenantSpec::poisson("kvs", 2.0e5)
+                .requests(10_000)
+                .seed(*seed);
+            let report = serve::replay(&service, &cfg, &[tenant]);
+            // P95 over every request, warm-up included.
+            let mut all = m2ndp::sim::FHistogram::new();
+            for r in &report.records {
+                all.record(r.latency_ns());
+            }
+            out(0, all.percentile(0.95), None, Vec::new())
         }
         Work::DlrmPartition { devices } => {
             let n = *devices;

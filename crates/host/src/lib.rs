@@ -8,14 +8,14 @@
 //!   dependent load-to-use chains. Also models CPU-NDP (host-class cores
 //!   placed inside the CXL device, §IV-A).
 //! * [`offload`] — kernel-offload mechanisms: M²func over CXL.mem versus
-//!   the CXL.io ring-buffer and direct-MMIO schemes (Fig. 5), including
-//!   their concurrency limits, plus the open-loop throughput/tail-latency
-//!   simulation behind Figs. 1b, 10b and 11a.
-//! * [`serve`] — the event-driven multi-tenant serving runtime: open-loop
-//!   tenant streams admitted onto *real* device simulators (a standalone
-//!   [`m2ndp_core::CxlM2ndpDevice`] or a switched
+//!   the CXL.io ring-buffer and direct-MMIO schemes (Fig. 5), with their
+//!   pre/post costs and concurrency limits.
+//! * [`serve`] — the one admission loop every offload experiment runs on:
+//!   open-loop tenant streams admitted onto *real* device simulators (a
+//!   standalone [`m2ndp_core::CxlM2ndpDevice`] or a switched
 //!   [`m2ndp_core::fleet::Fleet`]), one actual kernel launch per request
-//!   (fig11c).
+//!   (figs. 11c, 15), or onto one device replaying measured kernel service
+//!   times (figs. 10b, 11a, 11b).
 //! * [`roofline`] — the Fig. 1a roofline analysis.
 //! * [`nsu`] — the NSU prior work \[81\]: host-translated addresses for every
 //!   NDP access, bottlenecked on the CXL link.
@@ -37,6 +37,6 @@ pub mod roofline;
 pub mod serve;
 
 pub use cpu::{HostCpu, HostCpuConfig};
-pub use offload::{OffloadMechanism, OffloadSim};
+pub use offload::OffloadMechanism;
 pub use roofline::Roofline;
 pub use serve::{ServeBackend, ServeConfig, TenantSpec};

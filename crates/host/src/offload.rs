@@ -1,6 +1,6 @@
-//! NDP offloading mechanisms and their end-to-end cost (Fig. 5), plus the
-//! open-loop request simulation behind the KVStore/DLRM tail-latency and
-//! throughput experiments (Figs. 1b, 10b, 11a).
+//! NDP offloading mechanisms and their end-to-end cost (Fig. 5). The
+//! admission loop that runs offloads under these costs is
+//! [`crate::serve`]'s.
 //!
 //! Three mechanisms launch kernels on the device:
 //!
@@ -12,8 +12,6 @@
 //!   since the device registers must not be overwritten (§II-C).
 
 use m2ndp_cxl::{CxlIoModel, CxlLinkConfig};
-use m2ndp_sim::rng::{exponential, seeded};
-use m2ndp_sim::FHistogram;
 
 /// A kernel-offload mechanism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,202 +98,6 @@ impl OffloadModel {
     }
 }
 
-/// Open-loop offload simulation: Poisson request arrivals, each request
-/// becomes one fine-grained NDP kernel; the device executes up to
-/// `device_slots` kernels concurrently (or 1 for direct MMIO). Produces the
-/// latency distribution for P95 reporting and the latency–throughput curves
-/// of Fig. 11a.
-#[derive(Debug)]
-pub struct OffloadSim {
-    model: OffloadModel,
-    /// Concurrent kernels the device itself sustains.
-    pub device_slots: u32,
-}
-
-/// Fraction of requests treated as warm-up and excluded from the
-/// steady-state throughput window (the latency histogram keeps every
-/// request: the warm-up phase is *under*-loaded, so including it can only
-/// understate the tail, never inflate it).
-pub const WARMUP_FRAC: f64 = 0.1;
-
-/// A steady-state measurement window over one open-loop run, shared by
-/// [`OffloadSim`] and the serving runtime ([`crate::serve`]) so the two
-/// throughput definitions cannot drift apart.
-#[derive(Debug, Clone, Copy)]
-pub struct SteadyWindow {
-    /// When the window opens (ns): the first measured request's arrival,
-    /// or the last warm-up completion if the empty-system ramp is still
-    /// draining (saturation).
-    pub open: f64,
-    /// When the window closes (ns): the last measured completion.
-    pub close: f64,
-    /// The measured request range `[start, end)` in arrival order (after
-    /// the warm-up prefix, before the drain suffix).
-    pub measured: (usize, usize),
-    /// Measured completions per second over `[open, close]`; 0.0 when the
-    /// window is empty or degenerate.
-    pub throughput: f64,
-}
-
-/// Computes the steady window over parallel arrival/completion arrays in
-/// arrival order: the first `warmup_frac` of requests are warm-up, the
-/// last `drain_frac` are drain, and throughput counts the remaining
-/// completions over `[open, close]` (see [`SteadyWindow`] field docs for
-/// the boundary definitions).
-///
-/// # Panics
-/// Panics if the arrays differ in length.
-pub fn steady_window(
-    arrivals: &[f64],
-    completions: &[f64],
-    warmup_frac: f64,
-    drain_frac: f64,
-) -> SteadyWindow {
-    assert_eq!(arrivals.len(), completions.len());
-    let n = arrivals.len();
-    if n == 0 {
-        return SteadyWindow {
-            open: 0.0,
-            close: 0.0,
-            measured: (0, 0),
-            throughput: 0.0,
-        };
-    }
-    let warm = (((n as f64) * warmup_frac) as usize).min(n - 1);
-    let drain = ((n as f64) * drain_frac) as usize;
-    let end = n.saturating_sub(drain).max(warm);
-    let warm_done = completions[..warm]
-        .iter()
-        .copied()
-        .fold(f64::NEG_INFINITY, f64::max);
-    let open = arrivals[warm].max(warm_done);
-    let close = completions[warm..end]
-        .iter()
-        .copied()
-        .fold(f64::NEG_INFINITY, f64::max);
-    let throughput = if close > open {
-        (end - warm) as f64 / ((close - open) * 1e-9)
-    } else {
-        0.0
-    };
-    SteadyWindow {
-        open,
-        close,
-        measured: (warm, end),
-        throughput,
-    }
-}
-
-/// Result of one open-loop run.
-#[derive(Debug)]
-pub struct OffloadRunResult {
-    /// End-to-end request latencies (ns, exact `observed - arrival` in
-    /// `f64` — no integer quantization of the sub-ns queueing components).
-    pub latencies: FHistogram,
-    /// Steady-state throughput (requests/s), measured over the window that
-    /// opens when the warm-up phase ([`WARMUP_FRAC`] of requests) is over —
-    /// the first measured request's arrival, or the last warm-up completion
-    /// if the system is still working through its ramp — and closes at the
-    /// last measured completion. The warm-up exclusion keeps short runs
-    /// from understating saturation throughput with the empty-system ramp;
-    /// measuring to the last *completion* (not arrival) keeps the count
-    /// and the interval consistent during drain.
-    pub throughput: f64,
-    /// The `[open, close]` measurement window (ns) behind `throughput`.
-    pub steady_window: (f64, f64),
-}
-
-impl OffloadSim {
-    /// Creates the simulation.
-    pub fn new(model: OffloadModel, device_slots: u32) -> Self {
-        Self {
-            model,
-            device_slots,
-        }
-    }
-
-    /// Runs `n_requests` arriving at `rate_per_sec` (Poisson), each with a
-    /// kernel service time drawn from `service_ns` (cycled). Deterministic
-    /// under `seed`.
-    pub fn run(
-        &self,
-        n_requests: usize,
-        rate_per_sec: f64,
-        service_ns: &[f64],
-        seed: u64,
-    ) -> OffloadRunResult {
-        let mut rng = seeded(seed);
-        let mean_gap_ns = 1e9 / rate_per_sec;
-        let mut arrivals = Vec::with_capacity(n_requests);
-        let mut t = 0.0f64;
-        for _ in 0..n_requests {
-            t += exponential(&mut rng, mean_gap_ns);
-            arrivals.push(t);
-        }
-        self.run_with_arrivals(&arrivals, service_ns)
-    }
-
-    /// Runs an explicit arrival trace (ns, non-decreasing) against the slot
-    /// pool. The event clock stays in `f64` ns end to end: slot-free times
-    /// are never rounded, so queueing delays keep their sub-ns components
-    /// even at arrival rates where they accumulate across thousands of
-    /// requests.
-    ///
-    /// Per request: `start = max(slot_free, arrival) + pre_ns` — the
-    /// pre-launch phase (doorbell/DMA for the ring buffer, the launch store
-    /// for M²func) is charged *after* admission, so it cannot overlap the
-    /// queue wait; `observed = start + service + post_ns`. Direct MMIO
-    /// holds its slot until `observed` (the device register must not be
-    /// overwritten before the host reads the result back, §II-C); the
-    /// other mechanisms free the slot at kernel completion.
-    ///
-    /// # Panics
-    /// Panics if `service_ns` is empty or `arrivals` is not sorted.
-    pub fn run_with_arrivals(&self, arrivals: &[f64], service_ns: &[f64]) -> OffloadRunResult {
-        assert!(!service_ns.is_empty());
-        assert!(
-            arrivals.windows(2).all(|w| w[0] <= w[1]),
-            "arrival trace must be non-decreasing"
-        );
-        let concurrency = self.model.max_concurrent().min(self.device_slots).max(1) as usize;
-
-        // Server pool of `concurrency` kernel slots; FIFO admission. The
-        // earliest-free slot (lowest index on ties) serves each request.
-        let mut slot_free = vec![0.0f64; concurrency];
-        let mut latencies = FHistogram::new();
-        let mut completions = Vec::with_capacity(arrivals.len());
-        for (i, &arr) in arrivals.iter().enumerate() {
-            let slot = slot_free
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(s, _)| s)
-                .expect("pool is non-empty");
-            let start = slot_free[slot].max(arr) + self.model.pre_ns();
-            let service = service_ns[i % service_ns.len()];
-            let kernel_done = start + service;
-            let observed = kernel_done + self.model.post_ns();
-            slot_free[slot] = if self.model.mechanism() == OffloadMechanism::CxlIoDirect {
-                observed
-            } else {
-                kernel_done
-            };
-            latencies.record(observed - arr);
-            completions.push(observed);
-        }
-
-        // Steady-state throughput: drop the warm-up prefix (no drain
-        // exclusion — this closed-form sim runs every request to
-        // completion and the tail is part of the figure).
-        let window = steady_window(arrivals, &completions, WARMUP_FRAC, 0.0);
-        OffloadRunResult {
-            latencies,
-            throughput: window.throughput,
-            steady_window: (window.open, window.close),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,138 +125,5 @@ mod tests {
         assert_eq!(dr.max_concurrent(), 1);
         let m2 = OffloadModel::with_defaults(OffloadMechanism::M2Func);
         assert_eq!(m2.max_concurrent(), 48);
-    }
-
-    #[test]
-    fn m2func_sustains_higher_throughput_than_direct() {
-        let service = vec![770.0]; // 0.77 µs P95 kernel runtime (§IV-C)
-        let rate = 1.0e7; // 10M req/s offered
-        let m2 = OffloadSim::new(OffloadModel::with_defaults(OffloadMechanism::M2Func), 48)
-            .run(20_000, rate, &service, 42);
-        let dr = OffloadSim::new(
-            OffloadModel::with_defaults(OffloadMechanism::CxlIoDirect),
-            48,
-        )
-        .run(20_000, rate, &service, 42);
-        assert!(
-            m2.throughput > 10.0 * dr.throughput,
-            "M2func {:.2e} vs direct {:.2e}",
-            m2.throughput,
-            dr.throughput
-        );
-    }
-
-    #[test]
-    fn ring_buffer_inflates_tail_latency_at_low_load() {
-        let service = vec![770.0];
-        let rate = 1.0e5; // light load: latency ≈ overhead + service
-        let mut m2 = OffloadSim::new(OffloadModel::with_defaults(OffloadMechanism::M2Func), 48)
-            .run(5_000, rate, &service, 7);
-        let mut rb = OffloadSim::new(
-            OffloadModel::with_defaults(OffloadMechanism::CxlIoRingBuffer),
-            48,
-        )
-        .run(5_000, rate, &service, 7);
-        let p95_m2 = m2.latencies.percentile(0.95);
-        let p95_rb = rb.latencies.percentile(0.95);
-        assert!(
-            p95_rb > 3.0 * p95_m2,
-            "RB P95 {p95_rb} should dwarf M2func P95 {p95_m2}"
-        );
-    }
-
-    #[test]
-    fn saturation_bends_the_latency_curve() {
-        let service = vec![770.0];
-        let sim = OffloadSim::new(OffloadModel::with_defaults(OffloadMechanism::M2Func), 48);
-        let mut low = sim.run(10_000, 1.0e6, &service, 3);
-        let mut high = sim.run(10_000, 2.0e8, &service, 3);
-        assert!(
-            high.latencies.percentile(0.95) > 2.0 * low.latencies.percentile(0.95),
-            "saturated P95 should blow up"
-        );
-    }
-
-    /// Regression (sub-ns precision): with a fractional-ns service time and
-    /// back-to-back arrivals, the single direct-MMIO slot advances by
-    /// exactly `pre + service + post` per request. The old implementation
-    /// quantized slot-free times with `.ceil() as u64`, drifting the clock
-    /// by up to 1 ns per request — thousands of ns over this run.
-    #[test]
-    fn f64_clock_accrues_no_quantization_drift() {
-        let dr = OffloadModel::with_defaults(OffloadMechanism::CxlIoDirect);
-        let (pre, post) = (dr.pre_ns(), dr.post_ns());
-        let service = 100.3;
-        let n = 4000;
-        let arrivals = vec![0.0; n];
-        let res = OffloadSim::new(dr, 1).run_with_arrivals(&arrivals, &[service]);
-        // Request i starts at i*(pre+service+post) + pre and is observed a
-        // full period later; all arrivals are at t=0.
-        let period = pre + service + post;
-        let expect_max = n as f64 * period;
-        let got_max = res.latencies.max();
-        assert!(
-            (got_max - expect_max).abs() < 1e-6,
-            "drift detected: max latency {got_max} vs exact {expect_max}"
-        );
-        let expect_mean = period * (n as f64 + 1.0) / 2.0;
-        assert!(
-            (res.latencies.mean() - expect_mean).abs() / expect_mean < 1e-12,
-            "mean {} vs exact {expect_mean}",
-            res.latencies.mean()
-        );
-    }
-
-    /// Regression (pre-launch overlap): the ring buffer's doorbell/DMA
-    /// phase must start only after a kernel slot frees up, not overlap the
-    /// queue wait.
-    #[test]
-    fn pre_launch_overhead_is_charged_after_admission() {
-        let rb = OffloadModel::with_defaults(OffloadMechanism::CxlIoRingBuffer);
-        let (pre, post) = (rb.pre_ns(), rb.post_ns());
-        let service = 1000.0;
-        // Two simultaneous arrivals, one slot: the second request queues
-        // behind the first kernel, then pays its own full pre phase.
-        let res = OffloadSim::new(rb, 1).run_with_arrivals(&[0.0, 0.0], &[service]);
-        let first = pre + service + post;
-        let second = (pre + service) + pre + service + post;
-        let mut sorted = res.latencies.samples().to_vec();
-        sorted.sort_by(f64::total_cmp);
-        assert!((sorted[0] - first).abs() < 1e-9, "first: {sorted:?}");
-        assert!(
-            (sorted[1] - second).abs() < 1e-9,
-            "second must pay pre after the queue wait: {sorted:?} vs {second}"
-        );
-    }
-
-    /// Regression (throughput window): a short saturated run must report
-    /// the steady-state service rate, not the figure diluted by measuring
-    /// from t = 0 across the empty-system ramp.
-    #[test]
-    fn throughput_is_measured_over_the_steady_window() {
-        let m2 = OffloadModel::with_defaults(OffloadMechanism::M2Func);
-        let (pre, _post) = (m2.pre_ns(), m2.post_ns());
-        let service = 770.0;
-        // Saturation: all arrivals at t=0, 48 slots each cycling every
-        // pre+service ns.
-        let res = OffloadSim::new(m2.clone(), 48).run_with_arrivals(&[0.0; 6000], &[service]);
-        let steady = 48.0 / ((pre + service) * 1e-9);
-        assert!(
-            (res.throughput - steady).abs() / steady < 0.02,
-            "windowed throughput {:.3e} vs steady-state {steady:.3e}",
-            res.throughput
-        );
-        let (open, close) = res.steady_window;
-        assert!(close > open);
-    }
-
-    #[test]
-    fn unsorted_trace_is_rejected() {
-        let m2 = OffloadModel::with_defaults(OffloadMechanism::M2Func);
-        let sim = OffloadSim::new(m2, 48);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sim.run_with_arrivals(&[10.0, 5.0], &[100.0])
-        }));
-        assert!(result.is_err(), "unsorted arrivals must panic");
     }
 }

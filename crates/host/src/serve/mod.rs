@@ -1,14 +1,16 @@
-//! Event-driven, multi-tenant request serving over *real* device
-//! simulators — the runtime behind the fig11c latency–throughput curves
-//! and the fig15 elastic-fleet study.
+//! Event-driven, multi-tenant request serving: the one admission loop
+//! every offload experiment runs on.
 //!
-//! Where [`crate::offload::OffloadSim`] replays a measured service-time
-//! distribution through a closed-form slot pool, this runtime drives the
-//! cycle-level simulators themselves: every admitted request becomes an
-//! actual kernel launch on a [`CxlM2ndpDevice`] — through the full M²func
-//! wire protocol ([`m2ndp_core::m2func`]) when the mechanism is M²func —
-//! or is routed through the `CxlSwitch`/`HdmRouter` to the owning device
-//! of a [`Fleet`], with the launch store charged on the switch ports.
+//! [`run`] drives the cycle-level simulators themselves (the fig11c
+//! latency–throughput curves and the fig15 elastic-fleet study): every
+//! admitted request becomes an actual kernel launch on a
+//! [`CxlM2ndpDevice`] — through the full M²func wire protocol
+//! ([`m2ndp_core::m2func`]) when the mechanism is M²func — or is routed
+//! through the `CxlSwitch`/`HdmRouter` to the owning device of a
+//! [`Fleet`], with the launch store charged on the switch ports.
+//! [`replay`] runs the same loop on one device, but each admitted request
+//! takes a measured kernel service time instead of a simulated one (the
+//! Fig. 10b/11a/11b mechanism comparisons).
 //!
 //! The pieces:
 //!
@@ -276,6 +278,10 @@ pub fn arrival_times(spec: &TenantSpec) -> Vec<f64> {
     (0..spec.requests).map(|seq| arrivals.next(seq)).collect()
 }
 
+/// Default fraction of requests, in global arrival order, treated as
+/// warm-up and excluded from the measured window.
+const WARMUP_FRAC: f64 = 0.1;
+
 /// Runtime parameters shared by all tenants.
 ///
 /// Construct with [`ServeConfig::with_defaults`] plus the chainable
@@ -330,7 +336,7 @@ impl ServeConfig {
         Self {
             model: OffloadModel::with_defaults(mechanism),
             device_slots: 48,
-            warmup_frac: crate::offload::WARMUP_FRAC,
+            warmup_frac: WARMUP_FRAC,
             drain_frac: 0.05,
             trace: false,
             scheduler: SchedulerKind::StaticFifo,
@@ -685,7 +691,7 @@ fn generate_requests(
 }
 
 // ---------------------------------------------------------------------------
-// The KVStore serving workloads (Figs. 1b/10b/11a/11c, fig15)
+// The KVStore serving workloads (fig11c, fig15)
 // ---------------------------------------------------------------------------
 
 /// A KVStore GET workload over the backend's devices, each holding its
@@ -1057,6 +1063,152 @@ mod tests {
             assert!(e.device < 4);
             assert!(e.t_ns > 0.0);
         }
+    }
+
+    /// Replay's default configuration in the figures: 48 slots, 10%
+    /// warm-up, no drain.
+    fn replay_cfg(mech: OffloadMechanism) -> ServeConfig {
+        ServeConfig::with_defaults(mech).drain_frac(0.0)
+    }
+
+    /// One tenant whose `n` requests all arrive at t = 0.
+    fn all_at_zero(n: usize) -> [TenantSpec; 1] {
+        [TenantSpec::trace("burst", vec![0.0]).requests(n)]
+    }
+
+    /// Every record's latency, warm-up included, as the figures read it.
+    fn all_latencies(report: &ServeReport) -> m2ndp_sim::FHistogram {
+        let mut all = m2ndp_sim::FHistogram::new();
+        for r in &report.records {
+            all.record(r.latency_ns());
+        }
+        all
+    }
+
+    fn p95_all(report: &ServeReport) -> f64 {
+        all_latencies(report).percentile(0.95)
+    }
+
+    /// With a fractional-ns service time and back-to-back arrivals, the
+    /// single direct-MMIO slot advances by exactly `pre + service + post`
+    /// per request: the `f64` event clock never rounds a slot-free time,
+    /// which would drift it by up to 1 ns per request.
+    #[test]
+    fn replay_clock_accrues_no_quantization_drift() {
+        let cfg = replay_cfg(OffloadMechanism::CxlIoDirect).device_slots(1);
+        let (pre, post) = (cfg.model.pre_ns(), cfg.model.post_ns());
+        let service = 100.3;
+        let n = 4000;
+        let report = replay(&[service], &cfg, &all_at_zero(n));
+        // Request i is observed (i + 1) periods after t = 0.
+        let period = pre + service + post;
+        let lat = all_latencies(&report);
+        let expect_max = n as f64 * period;
+        assert!(
+            (lat.max() - expect_max).abs() < 1e-6,
+            "drift detected: max latency {} vs exact {expect_max}",
+            lat.max()
+        );
+        let expect_mean = period * (n as f64 + 1.0) / 2.0;
+        assert!(
+            (lat.mean() - expect_mean).abs() / expect_mean < 1e-12,
+            "mean {} vs exact {expect_mean}",
+            lat.mean()
+        );
+    }
+
+    /// The ring buffer's doorbell/DMA phase starts only after a kernel
+    /// slot frees up; it does not overlap the queue wait.
+    #[test]
+    fn replay_charges_the_pre_phase_after_admission() {
+        let cfg = replay_cfg(OffloadMechanism::CxlIoRingBuffer).device_slots(1);
+        let (pre, post) = (cfg.model.pre_ns(), cfg.model.post_ns());
+        let service = 1000.0;
+        // Two simultaneous arrivals, one slot: the second request queues
+        // behind the first kernel, then pays its own full pre phase.
+        let report = replay(&[service], &cfg, &all_at_zero(2));
+        let first = pre + service + post;
+        let second = (pre + service) + pre + service + post;
+        let lat: Vec<f64> = report.records.iter().map(ReqRecord::latency_ns).collect();
+        assert!((lat[0] - first).abs() < 1e-9, "first: {lat:?}");
+        assert!(
+            (lat[1] - second).abs() < 1e-9,
+            "second must pay pre after the queue wait: {lat:?} vs {second}"
+        );
+    }
+
+    /// A short saturated run reports the steady-state service rate, not
+    /// the figure diluted by measuring from t = 0 across the empty-system
+    /// ramp.
+    #[test]
+    fn replay_measures_throughput_over_the_steady_window() {
+        let cfg = replay_cfg(OffloadMechanism::M2Func);
+        let service = 770.0;
+        // Saturation: all arrivals at t = 0, 48 slots each cycling every
+        // pre + service ns.
+        let report = replay(&[service], &cfg, &all_at_zero(6000));
+        let steady = 48.0 / ((cfg.model.pre_ns() + service) * 1e-9);
+        assert!(
+            (report.throughput - steady).abs() / steady < 0.02,
+            "windowed throughput {:.3e} vs steady-state {steady:.3e}",
+            report.throughput
+        );
+        let (open, close) = report.steady_window;
+        assert!(close > open);
+    }
+
+    #[test]
+    fn replay_m2func_sustains_higher_throughput_than_direct() {
+        let service = [770.0]; // 0.77 µs P95 kernel runtime (§IV-C)
+        let tenant = [TenantSpec::poisson("kvs", 1.0e7).requests(20_000).seed(42)];
+        let m2 = replay(&service, &replay_cfg(OffloadMechanism::M2Func), &tenant);
+        let dr = replay(
+            &service,
+            &replay_cfg(OffloadMechanism::CxlIoDirect),
+            &tenant,
+        );
+        assert!(
+            m2.throughput > 10.0 * dr.throughput,
+            "M2func {:.2e} vs direct {:.2e}",
+            m2.throughput,
+            dr.throughput
+        );
+    }
+
+    #[test]
+    fn replay_ring_buffer_inflates_tail_latency_at_low_load() {
+        let service = [770.0];
+        // Light load: latency ≈ overhead + service.
+        let tenant = [TenantSpec::poisson("kvs", 1.0e5).requests(5_000).seed(7)];
+        let m2 = p95_all(&replay(
+            &service,
+            &replay_cfg(OffloadMechanism::M2Func),
+            &tenant,
+        ));
+        let rb = p95_all(&replay(
+            &service,
+            &replay_cfg(OffloadMechanism::CxlIoRingBuffer),
+            &tenant,
+        ));
+        assert!(rb > 3.0 * m2, "RB P95 {rb} should dwarf M2func P95 {m2}");
+    }
+
+    #[test]
+    fn replay_saturation_bends_the_latency_curve() {
+        let cfg = replay_cfg(OffloadMechanism::M2Func);
+        let p95 = |rate: f64| {
+            let tenant = [TenantSpec::poisson("kvs", rate).requests(10_000).seed(3)];
+            p95_all(&replay(&[770.0], &cfg, &tenant))
+        };
+        let (low, high) = (p95(1.0e6), p95(2.0e8));
+        assert!(high > 2.0 * low, "saturated P95 {high} vs light {low}");
+    }
+
+    #[test]
+    #[should_panic(expected = "bad inter-arrival gap")]
+    fn replay_rejects_a_negative_trace_gap() {
+        let tenant = [TenantSpec::trace("t", vec![10.0, -5.0]).requests(2)];
+        let _ = replay(&[100.0], &replay_cfg(OffloadMechanism::M2Func), &tenant);
     }
 
     #[test]

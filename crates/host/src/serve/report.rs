@@ -284,11 +284,10 @@ pub(super) fn finish_run(
         Vec::new()
     };
 
-    // ---- measurement windows (same definition as OffloadSim's, via the
-    // shared helper, plus the drain-tail exclusion) ----
+    // ---- measurement window ----
     let arrivals_ns: Vec<f64> = records.iter().map(|r| r.arrival_ns).collect();
     let completions_ns: Vec<f64> = records.iter().map(|r| r.observed_ns).collect();
-    let window = crate::offload::steady_window(
+    let window = steady_window(
         &arrivals_ns,
         &completions_ns,
         cfg.warmup_frac,
@@ -342,5 +341,74 @@ pub(super) fn finish_run(
         scale_events: aux.scale_events,
         trace,
         trace_kernels,
+    }
+}
+
+/// A steady-state measurement window over one open-loop run.
+#[derive(Debug, Clone, Copy)]
+struct SteadyWindow {
+    /// When the window opens (ns): the first measured request's arrival,
+    /// or the last warm-up completion if the empty-system ramp is still
+    /// draining (saturation).
+    open: f64,
+    /// When the window closes (ns): the last measured completion.
+    close: f64,
+    /// The measured request range `[start, end)` in arrival order (after
+    /// the warm-up prefix, before the drain suffix).
+    measured: (usize, usize),
+    /// Measured completions per second over `[open, close]`; 0.0 when the
+    /// window is empty or degenerate.
+    throughput: f64,
+}
+
+/// Computes the steady window over parallel arrival/completion arrays in
+/// arrival order: the first `warmup_frac` of requests are warm-up, the
+/// last `drain_frac` are drain, and throughput counts the remaining
+/// completions over `[open, close]` (see [`SteadyWindow`] field docs for
+/// the boundary definitions). Excluding the warm-up keeps short runs from
+/// understating saturation throughput with the empty-system ramp;
+/// closing at the last *completion* (not arrival) keeps the count and the
+/// interval consistent during drain.
+///
+/// # Panics
+/// Panics if the arrays differ in length.
+fn steady_window(
+    arrivals: &[f64],
+    completions: &[f64],
+    warmup_frac: f64,
+    drain_frac: f64,
+) -> SteadyWindow {
+    assert_eq!(arrivals.len(), completions.len());
+    let n = arrivals.len();
+    if n == 0 {
+        return SteadyWindow {
+            open: 0.0,
+            close: 0.0,
+            measured: (0, 0),
+            throughput: 0.0,
+        };
+    }
+    let warm = (((n as f64) * warmup_frac) as usize).min(n - 1);
+    let drain = ((n as f64) * drain_frac) as usize;
+    let end = n.saturating_sub(drain).max(warm);
+    let warm_done = completions[..warm]
+        .iter()
+        .copied()
+        .fold(f64::NEG_INFINITY, f64::max);
+    let open = arrivals[warm].max(warm_done);
+    let close = completions[warm..end]
+        .iter()
+        .copied()
+        .fold(f64::NEG_INFINITY, f64::max);
+    let throughput = if close > open {
+        (end - warm) as f64 / ((close - open) * 1e-9)
+    } else {
+        0.0
+    };
+    SteadyWindow {
+        open,
+        close,
+        measured: (warm, end),
+        throughput,
     }
 }

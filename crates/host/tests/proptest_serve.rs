@@ -1,19 +1,20 @@
-//! Property tests for the fixed open-loop `OffloadSim` and the
-//! event-driven serving runtime: latencies are never below the mechanism
-//! overhead, FIFO admission preserves per-tenant order on every device,
-//! direct MMIO never exceeds one outstanding kernel, and a standalone
-//! device matches a 1-device fleet up to the switch hop.
+//! Property tests for the serving admission loop: replaying measured
+//! service times on one device equals the textbook FIFO c-server,
+//! latencies are never below the mechanism overhead, FIFO admission
+//! preserves per-tenant order on every device, direct MMIO never exceeds
+//! one outstanding kernel, and a standalone device matches a 1-device
+//! fleet up to the switch hop.
 //!
 //! The serving cases drive real device simulators, so they use small
-//! request budgets and few proptest cases; the closed-form `OffloadSim`
-//! cases are cheap and run at the usual counts.
+//! request budgets and few proptest cases; the replay cases are cheap and
+//! run at the usual counts.
 
 use std::collections::HashMap;
 
 use m2ndp_core::fleet::{Fleet, FleetConfig};
 use m2ndp_core::{CxlM2ndpDevice, M2ndpConfig};
 use m2ndp_cxl::SwitchConfig;
-use m2ndp_host::offload::{OffloadMechanism, OffloadModel, OffloadSim};
+use m2ndp_host::offload::{OffloadMechanism, OffloadModel};
 use m2ndp_host::serve::{self, KvServeWorkload, ServeBackend, ServeConfig, TenantSpec};
 use proptest::prelude::*;
 
@@ -25,6 +26,57 @@ fn mechanism(idx: u8) -> OffloadMechanism {
         1 => OffloadMechanism::CxlIoRingBuffer,
         _ => OffloadMechanism::CxlIoDirect,
     }
+}
+
+/// The textbook FIFO c-server the admission loop must equal on one
+/// device: request `i` (arrival order) takes the earliest-free of the
+/// `min(max_concurrent, slots)` slots, starts `pre` after the later of
+/// that slot's free time and its arrival, runs `service[i % len]`, and is
+/// observed `post` later. Direct MMIO holds its slot until then; the
+/// other mechanisms free it at kernel completion. Returns each request's
+/// `(latency, completion)`.
+fn fifo_c_server(
+    model: &OffloadModel,
+    slots: u32,
+    arrivals: &[f64],
+    service: &[f64],
+) -> Vec<(f64, f64)> {
+    let c = model.max_concurrent().min(slots).max(1) as usize;
+    let direct = model.mechanism() == OffloadMechanism::CxlIoDirect;
+    let mut free = vec![0.0f64; c];
+    let mut out = Vec::with_capacity(arrivals.len());
+    for (i, &arrival) in arrivals.iter().enumerate() {
+        let s = (0..c)
+            .min_by(|&a, &b| free[a].total_cmp(&free[b]))
+            .expect("c >= 1");
+        let kernel_done = free[s].max(arrival) + model.pre_ns() + service[i % service.len()];
+        let observed = kernel_done + model.post_ns();
+        free[s] = if direct { observed } else { kernel_done };
+        out.push((observed - arrival, observed));
+    }
+    out
+}
+
+/// The steady window `(open, close, throughput)` with a 10% warm-up and no
+/// drain: it opens at the first measured arrival or the last warm-up
+/// completion, whichever is later, and closes at the last completion.
+fn steady_window(arrivals: &[f64], completions: &[f64]) -> (f64, f64, f64) {
+    let n = arrivals.len();
+    let warm = ((n as f64 * 0.1) as usize).min(n - 1);
+    let open = completions[..warm]
+        .iter()
+        .copied()
+        .fold(arrivals[warm], f64::max);
+    let close = completions[warm..]
+        .iter()
+        .copied()
+        .fold(f64::NEG_INFINITY, f64::max);
+    let throughput = if close > open {
+        (n - warm) as f64 / ((close - open) * 1e-9)
+    } else {
+        0.0
+    };
+    (open, close, throughput)
 }
 
 fn small_cfg() -> M2ndpConfig {
@@ -75,22 +127,24 @@ fn serve_all(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Closed-form sim: every latency is at least the mechanism overhead
-    /// plus the smallest service time, and all are finite.
+    /// Replayed latencies are at least the mechanism overhead plus the
+    /// smallest service time, all finite, one per request.
     #[test]
-    fn offload_latencies_never_below_overhead(
+    fn replay_latencies_never_below_overhead(
         mech_idx in 0u8..3,
         rate in 1e4f64..1e9,
         n in 20usize..400,
         seed in any::<u64>(),
         service in proptest::collection::vec(50.0f64..5_000.0, 1..4),
     ) {
-        let model = OffloadModel::with_defaults(mechanism(mech_idx));
-        let overhead = model.overhead_ns();
+        let cfg = ServeConfig::with_defaults(mechanism(mech_idx)).drain_frac(0.0);
+        let overhead = cfg.model.overhead_ns();
         let min_service = service.iter().copied().fold(f64::INFINITY, f64::min);
-        let res = OffloadSim::new(model, 48).run(n, rate, &service, seed);
-        prop_assert_eq!(res.latencies.count(), n);
-        for &l in res.latencies.samples() {
+        let tenant = TenantSpec::poisson("replay", rate).requests(n).seed(seed);
+        let report = serve::replay(&service, &cfg, &[tenant]);
+        prop_assert_eq!(report.records.len(), n);
+        for r in &report.records {
+            let l = r.latency_ns();
             prop_assert!(l.is_finite());
             prop_assert!(
                 l >= overhead + min_service - 1e-9,
@@ -100,17 +154,19 @@ proptest! {
         }
     }
 
-    /// The steady-window throughput never exceeds the slot pool's service
-    /// capacity (with a small windowing tolerance) and is positive.
+    /// The replayed steady-window throughput never exceeds the slot
+    /// pool's service capacity (with a small windowing tolerance) and is
+    /// positive.
     #[test]
-    fn offload_throughput_is_bounded_by_capacity(
+    fn replay_throughput_is_bounded_by_capacity(
         mech_idx in 0u8..3,
         rate in 1e5f64..1e9,
         seed in any::<u64>(),
         service in 100.0f64..2_000.0,
     ) {
         let mech = mechanism(mech_idx);
-        let model = OffloadModel::with_defaults(mech);
+        let cfg = ServeConfig::with_defaults(mech).drain_frac(0.0);
+        let model = &cfg.model;
         let slots = f64::from(model.max_concurrent());
         // A slot is busy for pre+service (M2func/RB) or the full
         // round trip (direct MMIO).
@@ -120,12 +176,13 @@ proptest! {
             model.pre_ns() + service
         };
         let capacity = slots / (occupancy * 1e-9);
-        let res = OffloadSim::new(model, 48).run(600, rate, &[service], seed);
-        prop_assert!(res.throughput > 0.0);
+        let tenant = TenantSpec::poisson("replay", rate).requests(600).seed(seed);
+        let report = serve::replay(&[service], &cfg, &[tenant]);
+        prop_assert!(report.throughput > 0.0);
         prop_assert!(
-            res.throughput <= capacity * 1.05,
+            report.throughput <= capacity * 1.05,
             "throughput {:.3e} exceeds capacity {:.3e}",
-            res.throughput,
+            report.throughput,
             capacity
         );
     }
@@ -168,10 +225,11 @@ proptest! {
 }
 
 proptest! {
-    /// `serve::replay` is the closed-form FIFO slot pool: over every
-    /// mechanism, slot count, rate and request budget it gives
-    /// `OffloadSim`'s per-request latencies, steady window and throughput
-    /// bit for bit, from the same seed's Poisson arrivals.
+    /// `serve::replay` on one device is the textbook FIFO c-server
+    /// (`fifo_c_server`): over every mechanism, slot count, rate and
+    /// request budget, its per-request latencies and completions, steady
+    /// window and throughput equal the closed form's bit for bit, from the
+    /// same seed's Poisson arrivals.
     #[test]
     fn replay_equals_the_closed_form_slot_pool(
         mech_idx in 0u8..3,
@@ -181,19 +239,27 @@ proptest! {
         seed in any::<u64>(),
         service in proptest::collection::vec(50.0f64..5_000.0, 1..4),
     ) {
-        let mech = mechanism(mech_idx);
         let slots = [1, 2, 48][slots_idx];
-        let sim = OffloadSim::new(OffloadModel::with_defaults(mech), slots)
-            .run(n, rate, &service, seed);
-        let cfg = ServeConfig::with_defaults(mech).device_slots(slots).drain_frac(0.0);
+        let cfg = ServeConfig::with_defaults(mechanism(mech_idx))
+            .device_slots(slots)
+            .drain_frac(0.0);
         let tenant = TenantSpec::poisson("replay", rate).requests(n).seed(seed);
+        let arrivals = serve::arrival_times(&tenant);
+        let want = fifo_c_server(&cfg.model, slots, &arrivals, &service);
         let report = serve::replay(&service, &cfg, &[tenant]);
-        let got: Vec<u64> = report.records.iter().map(|r| r.latency_ns().to_bits()).collect();
-        let want: Vec<u64> = sim.latencies.samples().iter().map(|l| l.to_bits()).collect();
-        prop_assert_eq!(got, want);
-        prop_assert_eq!(report.steady_window.0.to_bits(), sim.steady_window.0.to_bits());
-        prop_assert_eq!(report.steady_window.1.to_bits(), sim.steady_window.1.to_bits());
-        prop_assert_eq!(report.throughput.to_bits(), sim.throughput.to_bits());
+        let bits = |v: f64| v.to_bits();
+        let got: Vec<(u64, u64)> = report
+            .records
+            .iter()
+            .map(|r| (bits(r.latency_ns()), bits(r.observed_ns)))
+            .collect();
+        let want_bits: Vec<(u64, u64)> = want.iter().map(|&(l, c)| (bits(l), bits(c))).collect();
+        prop_assert_eq!(got, want_bits);
+        let completions: Vec<f64> = want.iter().map(|&(_, c)| c).collect();
+        let (open, close, throughput) = steady_window(&arrivals, &completions);
+        prop_assert_eq!(bits(report.steady_window.0), bits(open));
+        prop_assert_eq!(bits(report.steady_window.1), bits(close));
+        prop_assert_eq!(bits(report.throughput), bits(throughput));
     }
 }
 

@@ -5,7 +5,9 @@
 //! cargo run --release --example kvstore_tail_latency
 //! ```
 
-use m2ndp::host::offload::{OffloadMechanism, OffloadModel, OffloadSim};
+use m2ndp::host::offload::OffloadMechanism;
+use m2ndp::host::serve::{self, ServeConfig, TenantSpec};
+use m2ndp::sim::FHistogram;
 use m2ndp::workloads::kvstore;
 use m2ndp::SystemBuilder;
 
@@ -48,15 +50,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("CXL.io ring buf  ", OffloadMechanism::CxlIoRingBuffer),
         ("CXL.io direct    ", OffloadMechanism::CxlIoDirect),
     ] {
-        let mut r = OffloadSim::new(OffloadModel::with_defaults(mech), 48).run(
-            10_000,
-            1.0e6,
-            &service_ns,
-            7,
-        );
+        let cfg = ServeConfig::with_defaults(mech).drain_frac(0.0);
+        let tenant = TenantSpec::poisson("kvs", 1.0e6).requests(10_000).seed(7);
+        let r = serve::replay(&service_ns, &cfg, &[tenant]);
+        // P95 over every request, warm-up included.
+        let mut all = FHistogram::new();
+        for rec in &r.records {
+            all.record(rec.latency_ns());
+        }
         println!(
             "  {label} P95 = {:>8.0} ns   throughput = {:.2e}/s",
-            r.latencies.percentile(0.95),
+            all.percentile(0.95),
             r.throughput
         );
     }
