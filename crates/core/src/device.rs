@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use m2ndp_cache::{Access, CacheResult, SectoredCache};
-use m2ndp_cxl::{BackInvalidation, CxlLink, CxlMemPacket, PacketFilter};
+use m2ndp_cxl::{BackInvalidation, CxlLink, PacketFilter, PacketKind};
 use m2ndp_mem::{AddressMapping, DramDevice, MainMemory, MemReq, ReqId, ReqIdAllocator};
 use m2ndp_noc::{Crossbar, CrossbarConfig};
 use m2ndp_sim::trace::{EventKind, Lane, TraceEvent, TraceSink, Tracer};
@@ -729,17 +729,12 @@ impl CxlM2ndpDevice {
     /// after the full link + device round trip.
     pub fn host_submit(&mut self, now: Cycle, addr: u64, bytes: u32, write: bool) -> ReqId {
         let id = self.ids.alloc();
-        let req = if write {
-            MemReq::write(id, addr, bytes)
+        let (req, kind) = if write {
+            (MemReq::write(id, addr, bytes), PacketKind::MemWrite)
         } else {
-            MemReq::read(id, addr, bytes)
+            (MemReq::read(id, addr, bytes), PacketKind::MemRead)
         };
-        let pkt = if write {
-            CxlMemPacket::write(req)
-        } else {
-            CxlMemPacket::read(req)
-        };
-        let arrival = self.link.send_m2s(now, pkt);
+        let arrival = self.link.send_m2s(now, kind, bytes);
         self.host_inbound.schedule(arrival, req);
         id
     }
@@ -877,17 +872,11 @@ impl CxlM2ndpDevice {
         if !req.write && self.cfg.dirty_host_ratio > 0.0 && req.addr < REMOTE_WINDOW_BASE {
             let outcome = self.bi.on_device_access(req.addr);
             if outcome.host_supplies_data {
-                let kind = req.kind;
-                let snoop = CxlMemPacket {
-                    kind: m2ndp_cxl::PacketKind::BackInvSnoop,
-                    req: MemReq::read(self.ids.alloc(), req.addr, req.bytes),
-                };
-                let snooped = self.link.send_s2m(now, snoop);
-                let supply = CxlMemPacket::write(MemReq::write(self.ids.alloc(), req.addr, 64));
-                let supplied = self.link.send_m2s(snooped, supply);
+                let snooped = self.link.send_s2m(now, PacketKind::BackInvSnoop, req.bytes);
+                let supplied = self.link.send_m2s(snooped, PacketKind::MemWrite, 64);
                 self.unit_deliveries.schedule(
                     supplied.max(now + outcome.extra_latency),
-                    (unit, kind, req.addr),
+                    (unit, req.kind, req.addr),
                 );
                 return;
             }
@@ -905,26 +894,21 @@ impl CxlM2ndpDevice {
         let mut arrival = sys.xbar_req.route(now, unit, channel, req.bytes);
         if remote {
             // Crossing the CXL link to the peer/expander memory.
-            let id = self.ids.alloc();
-            let mreq = MemReq::read(id, req.addr, req.bytes);
-            let pkt = if req.write {
-                CxlMemPacket::write(mreq)
+            let kind = if req.write {
+                PacketKind::MemWrite
             } else {
-                CxlMemPacket::read(mreq)
+                PacketKind::MemRead
             };
-            arrival = self.link.send_m2s(arrival, pkt).max(arrival);
+            arrival = self.link.send_m2s(arrival, kind, req.bytes).max(arrival);
             if self.cfg.charge_remote_responses && !req.write {
                 // The returning data shares the pull path's bandwidth (the
                 // switch ports in the §III-J configuration). Charged at
                 // request time: for the streaming workloads this models,
                 // completion is set by the bottleneck gate's serialization,
                 // which is order-independent.
-                let resp = CxlMemPacket::data_response(MemReq::read(
-                    self.ids.alloc(),
-                    req.addr,
-                    req.bytes,
-                ));
-                arrival = self.link.send_s2m(arrival, resp);
+                arrival = self
+                    .link
+                    .send_s2m(arrival, PacketKind::DataResponse, req.bytes);
             }
         }
         let token = L2Token {
@@ -1179,12 +1163,12 @@ impl CxlM2ndpDevice {
 
     fn transmit_host_responses(&mut self, now: Cycle) {
         while let Some((_, req)) = self.host_done.pop_due(now) {
-            let pkt = if req.write {
-                CxlMemPacket::ack(req)
+            let kind = if req.write {
+                PacketKind::NoDataResponse
             } else {
-                CxlMemPacket::data_response(req)
+                PacketKind::DataResponse
             };
-            let arrival = self.link.send_s2m(now, pkt);
+            let arrival = self.link.send_s2m(now, kind, req.bytes);
             self.host_completions.schedule(arrival, req);
         }
     }

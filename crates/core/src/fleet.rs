@@ -21,7 +21,7 @@
 //! run is reproducible regardless of how many sweep cells run concurrently
 //! around it.
 
-use m2ndp_cxl::{CxlSwitch, HdmRouter, SwitchConfig};
+use m2ndp_cxl::{CxlSwitch, HdmRouter, PacketKind, SwitchConfig};
 use m2ndp_sim::trace::{EventKind, Lane, TraceEvent, TraceSink};
 use m2ndp_sim::{Cycle, Frequency};
 
@@ -31,9 +31,8 @@ use crate::kernel::{KernelInstanceId, LaunchArgs};
 use crate::NdpApiError;
 
 /// Wire bytes one M²func launch store occupies on its way through the
-/// switch (a 64 B CXL.mem RwD flit plus header, as in
-/// [`m2ndp_cxl::CxlMemPacket`] accounting).
-pub const M2FUNC_OFFLOAD_BYTES: u32 = 80;
+/// switch: one CXL.mem write (RwD) of a 64 B line.
+pub const M2FUNC_OFFLOAD_BYTES: u32 = PacketKind::MemWrite.wire_bytes(64);
 
 /// Fleet parameters.
 #[derive(Debug, Clone)]

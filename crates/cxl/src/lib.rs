@@ -6,8 +6,9 @@
 //! * [`CxlLink`] — a CXL.mem port pair with per-direction bandwidth
 //!   (64 GB/s from CXL 3.0 / PCIe 6.0 ×8, Table IV) and a one-way latency
 //!   parameterized from the load-to-use figures (150/300/600 ns LtU);
-//! * [`packet`] — CXL.mem message types (M2S Req/RwD, S2M DRS/NDR, BI
-//!   channels) with wire sizes for bandwidth accounting;
+//! * [`PacketKind`] — CXL.mem message kinds (M2S Req/RwD, S2M DRS/NDR,
+//!   BISnp) and the one rule for their wire sizes: a link send is a kind
+//!   and a payload size, nothing more;
 //! * [`CxlIoModel`] — the µs-scale CXL.io/PCIe cost model for ring-buffer
 //!   and direct-MMIO offloading (Fig. 5) and for DMA;
 //! * [`PacketFilter`] — the M²func enabler at the device ingress: an
@@ -31,5 +32,5 @@ pub use bi::BackInvalidation;
 pub use filter::{FilterEntry, PacketFilter};
 pub use io::CxlIoModel;
 pub use link::{CxlLink, CxlLinkConfig};
-pub use packet::{CxlMemPacket, PacketKind};
+pub use packet::PacketKind;
 pub use switch::{CxlSwitch, HdmRouter, SwitchConfig, HDM_PAGE_BYTES};

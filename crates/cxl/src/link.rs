@@ -10,7 +10,7 @@
 
 use m2ndp_sim::{BandwidthGate, Cycle, Frequency};
 
-use crate::packet::CxlMemPacket;
+use crate::packet::PacketKind;
 
 /// Link parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,14 +71,16 @@ impl CxlLink {
         }
     }
 
-    /// Sends a host→device packet; returns its arrival cycle.
-    pub fn send_m2s(&mut self, now: Cycle, pkt: CxlMemPacket) -> Cycle {
-        self.m2s.send(now, u64::from(pkt.wire_bytes())) + self.latency
+    /// Sends a host→device message of `kind` for a `payload`-byte access;
+    /// returns its arrival cycle.
+    pub fn send_m2s(&mut self, now: Cycle, kind: PacketKind, payload: u32) -> Cycle {
+        self.m2s.send(now, u64::from(kind.wire_bytes(payload))) + self.latency
     }
 
-    /// Sends a device→host packet; returns its arrival cycle.
-    pub fn send_s2m(&mut self, now: Cycle, pkt: CxlMemPacket) -> Cycle {
-        self.s2m.send(now, u64::from(pkt.wire_bytes())) + self.latency
+    /// Sends a device→host message of `kind` for a `payload`-byte access;
+    /// returns its arrival cycle.
+    pub fn send_s2m(&mut self, now: Cycle, kind: PacketKind, payload: u32) -> Cycle {
+        self.s2m.send(now, u64::from(kind.wire_bytes(payload))) + self.latency
     }
 
     /// Wire bytes moved host→device.
@@ -95,17 +97,12 @@ impl CxlLink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use m2ndp_mem::{MemReq, ReqId};
 
     /// 75 ns one-way at 2 GHz.
     const ONE_WAY: Cycle = 150;
 
     fn link() -> CxlLink {
         CxlLink::new(CxlLinkConfig::default_150ns(), Frequency::ghz(2.0))
-    }
-
-    fn read_pkt(id: u64) -> CxlMemPacket {
-        CxlMemPacket::read(MemReq::read(ReqId(id), 0x1000, 64))
     }
 
     #[test]
@@ -117,17 +114,17 @@ mod tests {
     fn packet_arrives_after_serialization_and_latency() {
         let mut l = link();
         // A 16 B read header at 32 B/cycle is injected by cycle 1.
-        assert_eq!(l.send_m2s(0, read_pkt(1)), 1 + ONE_WAY);
+        assert_eq!(l.send_m2s(0, PacketKind::MemRead, 64), 1 + ONE_WAY);
         assert_eq!(l.m2s_bytes(), 16);
     }
 
     #[test]
     fn directions_are_independent() {
         let mut l = link();
-        for i in 0..100 {
-            l.send_m2s(0, read_pkt(i));
+        for _ in 0..100 {
+            l.send_m2s(0, PacketKind::MemRead, 64);
         }
-        assert_eq!(l.send_s2m(0, read_pkt(100)), 1 + ONE_WAY);
+        assert_eq!(l.send_s2m(0, PacketKind::NoDataResponse, 64), 1 + ONE_WAY);
         assert_eq!((l.m2s_bytes(), l.s2m_bytes()), (1600, 16));
     }
 
@@ -136,9 +133,8 @@ mod tests {
         let mut l = link();
         // 64 GB/s at 2 GHz = 32 B/cycle; an 80 B DRS occupies 2.5 cycles.
         let mut last = 0;
-        for i in 0..100 {
-            let pkt = CxlMemPacket::data_response(MemReq::read(ReqId(i), 0, 64));
-            last = l.send_s2m(0, pkt);
+        for _ in 0..100 {
+            last = l.send_s2m(0, PacketKind::DataResponse, 64);
         }
         // 100 * 80 B / 32 B-per-cycle = 250 cycles of serialization + wire.
         assert_eq!(last, 250 + ONE_WAY);
@@ -150,6 +146,6 @@ mod tests {
         let cfg = CxlLinkConfig::default_150ns().with_ltu_scale(4.0);
         assert!((cfg.load_to_use_ns() - 600.0).abs() < 1e-9);
         let mut l = CxlLink::new(cfg, Frequency::ghz(2.0));
-        assert_eq!(l.send_m2s(0, read_pkt(1)), 1 + 4 * ONE_WAY);
+        assert_eq!(l.send_m2s(0, PacketKind::MemRead, 64), 1 + 4 * ONE_WAY);
     }
 }

@@ -4,9 +4,8 @@
 //! subordinate-to-master (S2M) response channels; CXL 3.0's HDM-DB model
 //! adds back-invalidation (BI) channels (§II-B). For bandwidth accounting we
 //! charge each message its slot footprint inside the 256 B flits: 16 B for
-//! header-only messages, header + 64 B for data-carrying ones.
-
-use m2ndp_mem::MemReq;
+//! header-only messages, header + one 64 B data slot per started 64 B of
+//! payload for data-carrying ones.
 
 /// Wire size of a header-only CXL.mem message (bytes).
 pub const HEADER_BYTES: u32 = 16;
@@ -26,73 +25,26 @@ pub enum PacketKind {
     NoDataResponse,
     /// S2M BISnp — back-invalidation snoop to the host.
     BackInvSnoop,
-    /// M2S BIRsp — back-invalidation response from the host.
-    BackInvResponse,
 }
 
 impl PacketKind {
-    /// Bytes this message occupies on the wire.
-    pub fn wire_bytes(&self) -> u32 {
+    /// Bytes a message of this kind occupies on the wire when it belongs to
+    /// an access of `payload` bytes: the header alone for header-only
+    /// kinds, plus one data slot per started 64 B (at least one) for
+    /// data-carrying kinds.
+    pub const fn wire_bytes(self, payload: u32) -> u32 {
         match self {
-            PacketKind::MemRead
-            | PacketKind::NoDataResponse
-            | PacketKind::BackInvSnoop
-            | PacketKind::BackInvResponse => HEADER_BYTES,
-            PacketKind::MemWrite | PacketKind::DataResponse => HEADER_BYTES + DATA_BYTES,
-        }
-    }
-}
-
-/// A CXL.mem message in flight on a link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CxlMemPacket {
-    /// Message kind (sets the wire size).
-    pub kind: PacketKind,
-    /// The memory request this message belongs to.
-    pub req: MemReq,
-}
-
-impl CxlMemPacket {
-    /// A read request for `req`.
-    pub fn read(req: MemReq) -> Self {
-        Self {
-            kind: PacketKind::MemRead,
-            req,
-        }
-    }
-
-    /// A write (request-with-data) for `req`.
-    pub fn write(req: MemReq) -> Self {
-        Self {
-            kind: PacketKind::MemWrite,
-            req,
-        }
-    }
-
-    /// The data response completing `req`.
-    pub fn data_response(req: MemReq) -> Self {
-        Self {
-            kind: PacketKind::DataResponse,
-            req,
-        }
-    }
-
-    /// The no-data response completing a write `req`.
-    pub fn ack(req: MemReq) -> Self {
-        Self {
-            kind: PacketKind::NoDataResponse,
-            req,
-        }
-    }
-
-    /// Wire footprint: header, plus one data slot per 64 B of payload for
-    /// data-carrying messages.
-    pub fn wire_bytes(&self) -> u32 {
-        match self.kind {
             PacketKind::MemWrite | PacketKind::DataResponse => {
-                HEADER_BYTES + self.req.bytes.div_ceil(DATA_BYTES).max(1) * DATA_BYTES
+                let slots = if payload == 0 {
+                    1
+                } else {
+                    payload.div_ceil(DATA_BYTES)
+                };
+                HEADER_BYTES + slots * DATA_BYTES
             }
-            _ => self.kind.wire_bytes(),
+            PacketKind::MemRead | PacketKind::NoDataResponse | PacketKind::BackInvSnoop => {
+                HEADER_BYTES
+            }
         }
     }
 }
@@ -100,23 +52,23 @@ impl CxlMemPacket {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use m2ndp_mem::ReqId;
-
-    fn req(bytes: u32) -> MemReq {
-        MemReq::read(ReqId(1), 0x1000, bytes)
-    }
 
     #[test]
     fn header_only_messages_are_16_bytes() {
-        assert_eq!(PacketKind::MemRead.wire_bytes(), 16);
-        assert_eq!(PacketKind::NoDataResponse.wire_bytes(), 16);
-        assert_eq!(PacketKind::BackInvSnoop.wire_bytes(), 16);
+        for payload in [0, 64, 128] {
+            assert_eq!(PacketKind::MemRead.wire_bytes(payload), 16);
+            assert_eq!(PacketKind::NoDataResponse.wire_bytes(payload), 16);
+            assert_eq!(PacketKind::BackInvSnoop.wire_bytes(payload), 16);
+        }
     }
 
     #[test]
     fn data_messages_carry_cacheline() {
-        assert_eq!(CxlMemPacket::data_response(req(64)).wire_bytes(), 80);
-        assert_eq!(CxlMemPacket::data_response(req(32)).wire_bytes(), 80);
-        assert_eq!(CxlMemPacket::data_response(req(128)).wire_bytes(), 144);
+        for kind in [PacketKind::DataResponse, PacketKind::MemWrite] {
+            assert_eq!(kind.wire_bytes(64), 80);
+            assert_eq!(kind.wire_bytes(32), 80);
+            assert_eq!(kind.wire_bytes(0), 80);
+            assert_eq!(kind.wire_bytes(128), 144);
+        }
     }
 }

@@ -3,9 +3,8 @@
 
 use m2ndp_cxl::filter::Asid;
 use m2ndp_cxl::{
-    CxlLink, CxlLinkConfig, CxlMemPacket, FilterEntry, HdmRouter, PacketFilter, HDM_PAGE_BYTES,
+    CxlLink, CxlLinkConfig, FilterEntry, HdmRouter, PacketFilter, PacketKind, HDM_PAGE_BYTES,
 };
-use m2ndp_mem::{MemReq, ReqId};
 use m2ndp_sim::Frequency;
 use proptest::prelude::*;
 
@@ -69,16 +68,20 @@ proptest! {
         let mut now = 0u64;
         for (i, &(s2m, kind, gap)) in sends.iter().enumerate() {
             now += gap;
-            let req = MemReq::read(ReqId(i as u64), 0x1000, 32 << (kind % 3));
-            let pkt = match (s2m, kind) {
-                (false, 0) => CxlMemPacket::read(req),
-                (false, _) => CxlMemPacket::write(req),
-                (true, 0) => CxlMemPacket::ack(req),
-                (true, _) => CxlMemPacket::data_response(req),
+            let payload = 32 << (kind % 3);
+            let kind = match (s2m, kind) {
+                (false, 0) => PacketKind::MemRead,
+                (false, _) => PacketKind::MemWrite,
+                (true, 0) => PacketKind::NoDataResponse,
+                (true, _) => PacketKind::DataResponse,
             };
-            let wire = u64::from(pkt.wire_bytes());
+            let wire = u64::from(kind.wire_bytes(payload));
             let ser = wire as f64 / bytes_per_cycle;
-            let arrival = if s2m { link.send_s2m(now, pkt) } else { link.send_m2s(now, pkt) };
+            let arrival = if s2m {
+                link.send_s2m(now, kind, payload)
+            } else {
+                link.send_m2s(now, kind, payload)
+            };
             let d = usize::from(s2m);
             prop_assert!(arrival >= now + ser.ceil() as u64 + one_way,
                 "packet {i} arrived at {arrival}, before {now} + {ser} + {one_way}");
