@@ -798,7 +798,20 @@ impl CxlM2ndpDevice {
 
     /// Runs until `instance` finishes (plus drain of its traffic is not
     /// required for the completion stamp). Returns the completion cycle.
+    ///
+    /// # Panics
+    /// Panics at once if the engine never accepted `instance`, and as soon
+    /// as the device has no event left to jump to and nothing in it could
+    /// still make progress while `instance` is unfinished (a lost memory
+    /// response, say). The message names the instance, its status and the
+    /// cycle. Also panics after 2×10⁹ ticks without a finish.
     pub fn run_until_finished(&mut self, instance: KernelInstanceId) -> Cycle {
+        assert!(
+            self.engine.status(instance).is_some(),
+            "instance {} was never accepted by this device's engine (cycle {})",
+            instance.0,
+            self.now
+        );
         let mut guard = 0u64;
         // The finish record is looked up only when the finish count moved
         // (and once up front, for an instance that already finished).
@@ -814,15 +827,42 @@ impl CxlM2ndpDevice {
             self.tick();
             guard += 1;
             assert!(guard < 2_000_000_000, "instance never finished");
-            self.maybe_fast_forward();
+            if !self.maybe_fast_forward()
+                && self.engine.finished_at(instance).is_none()
+                && self.is_stuck()
+            {
+                panic!(
+                    "instance {} can never finish: it is {:?} at cycle {} and nothing in \
+                     the device can make progress",
+                    instance.0,
+                    self.engine.status(instance),
+                    self.now
+                );
+            }
         }
     }
 
+    /// Whether nothing in the device could still make progress: the engine
+    /// is quiescent, every L2 slice is idle (ready queue included), DRAM
+    /// is idle and the device's own event queues are empty. Cold path:
+    /// checked only when the fast-forward finds no event to jump to.
+    fn is_stuck(&self) -> bool {
+        let idle = |sys: &MemSystem| sys.slices.iter().all(L2Slice::is_idle) && sys.dram.is_idle();
+        self.engine.is_quiescent()
+            && self.unit_deliveries.is_empty()
+            && self.host_inbound.is_empty()
+            && self.host_done.is_empty()
+            && self.host_completions.is_empty()
+            && idle(&self.local)
+            && self.remote.as_ref().is_none_or(idle)
+    }
+
     /// Jumps `now` forward to the next scheduled event when the engine has
-    /// nothing ready this cycle.
-    fn maybe_fast_forward(&mut self) {
+    /// nothing ready this cycle. Returns `false` when it found no event to
+    /// jump to, and no ready slot or DRAM-blocked fetch either.
+    fn maybe_fast_forward(&mut self) -> bool {
         if self.engine.has_ready() {
-            return;
+            return true;
         }
         let mut next: Option<Cycle> = None;
         let mut fold = |c: Option<Cycle>| {
@@ -838,7 +878,7 @@ impl CxlM2ndpDevice {
         for s in self.local.active_slices() {
             fold(s.inbox.next_cycle());
             if !s.to_dram.is_empty() {
-                return; // work pending this cycle
+                return true; // work pending this cycle
             }
         }
         if let Some(r) = &self.remote {
@@ -848,11 +888,13 @@ impl CxlM2ndpDevice {
             }
         }
         fold(self.host_done.next_cycle());
-        if let Some(next) = next {
-            if next > self.now + 1 {
-                self.now = next;
-            }
+        let Some(next) = next else {
+            return false;
+        };
+        if next > self.now + 1 {
+            self.now = next;
         }
+        true
     }
 
     fn route_engine_requests(&mut self, now: Cycle) {
@@ -1307,6 +1349,29 @@ mod tests {
         );
         // No host involvement: link stays quiet.
         assert_eq!(stats.link_m2s_bytes, 0);
+    }
+
+    /// A kernel whose memory request is lost can never finish: the wait
+    /// fails as soon as nothing in the device can make progress instead of
+    /// spinning to the tick guard.
+    #[test]
+    #[should_panic(expected = "can never finish")]
+    fn a_lost_memory_request_fails_the_wait_at_once() {
+        let mut dev = small_device();
+        let base = 0x40_0000u64;
+        let kid = dev.register_kernel(vec_double());
+        let inst = dev.launch(LaunchArgs::new(kid, base, base + 1024)).unwrap();
+        // Tick the engine alone until a unit issues its first memory
+        // request, and drop that request.
+        let units = dev.cfg.engine.units as usize;
+        let mut lost = None;
+        while lost.is_none() {
+            let now = dev.now;
+            dev.engine.tick(now, &mut dev.mem);
+            lost = (0..units).find_map(|u| dev.engine.pop_outbound(u));
+            dev.now += 1;
+        }
+        dev.run_until_finished(inst);
     }
 
     #[test]

@@ -537,6 +537,22 @@ mod tests {
         run
     }
 
+    /// A device told to wait for an instance it never received fails at
+    /// once instead of spinning to the tick guard.
+    #[test]
+    #[should_panic(expected = "never accepted")]
+    fn waiting_on_an_instance_the_device_never_accepted_fails_at_once() {
+        let mut fleet = fleet(2);
+        let kids = register_everywhere(&mut fleet);
+        let base = 0x40_0000u64;
+        let (inst, _) = fleet
+            .launch_on(0, 0, LaunchArgs::new(kids[0], base, base + 1024))
+            .expect("launch");
+        // The launch reached device 0, but device 1 is told to wait for it.
+        fleet.last_instance[1] = Some(inst);
+        fleet.run_launched();
+    }
+
     #[test]
     fn fleet_of_one_matches_single_device_within_one_percent() {
         let elems = 32 << 10;
