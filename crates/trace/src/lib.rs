@@ -32,6 +32,7 @@ use m2ndp_cxl::SwitchConfig;
 use m2ndp_host::offload::OffloadMechanism;
 use m2ndp_host::serve::{self, ServeBackend, ServeConfig, TenantSpec};
 use m2ndp_sim::json::{report_json, Diagnostic, Json};
+use m2ndp_sim::FHistogram;
 
 /// Usage text printed on bad invocations.
 pub const USAGE: &str = "usage: m2ndp-trace <summary|top|export> [options]
@@ -297,14 +298,6 @@ pub fn request_summaries(path: &str, doc: &TraceDoc) -> Result<Vec<RequestSummar
     Ok(out)
 }
 
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
-}
-
 /// Per-tenant aggregate of a summary run.
 #[derive(Debug, Clone)]
 pub struct TenantAggregate {
@@ -314,9 +307,10 @@ pub struct TenantAggregate {
     pub count: u64,
     /// Mean duration of each phase (ns).
     pub phase_mean_ns: [f64; 4],
-    /// Median end-to-end latency (ns).
+    /// Median end-to-end latency (ns), by [`FHistogram`]'s nearest rank,
+    /// as in the serving report.
     pub p50_ns: f64,
-    /// Tail end-to-end latency (ns).
+    /// Tail end-to-end latency (ns), by the same rule.
     pub p95_ns: f64,
 }
 
@@ -339,14 +333,16 @@ pub fn tenant_aggregates(reqs: &[RequestSummary]) -> Vec<TenantAggregate> {
             for acc in &mut phase_mean_ns {
                 *acc /= n;
             }
-            let mut totals: Vec<f64> = rows.iter().map(|r| r.total_ns()).collect();
-            totals.sort_by(f64::total_cmp);
+            let mut totals = FHistogram::new();
+            for r in &rows {
+                totals.record(r.total_ns());
+            }
             TenantAggregate {
                 tenant,
                 count: rows.len() as u64,
                 phase_mean_ns,
-                p50_ns: percentile(&totals, 0.50),
-                p95_ns: percentile(&totals, 0.95),
+                p50_ns: totals.percentile(0.50),
+                p95_ns: totals.percentile(0.95),
             }
         })
         .collect()
@@ -815,6 +811,27 @@ pub fn main_impl(args: Vec<String>) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A tenant's p50 and p95 are the nearest-rank samples the serving
+    /// report picks: the `ceil(q·n)`-th smallest, at every tenant size.
+    #[test]
+    fn tenant_percentiles_use_the_nearest_rank() {
+        for n in 1..=40u64 {
+            // Latencies n, n - 1, ..., 1 ns, so the k-th smallest is k.
+            let reqs: Vec<RequestSummary> = (0..n)
+                .map(|seq| RequestSummary {
+                    tenant: 0,
+                    seq,
+                    device: 0,
+                    phases: [(n - seq) as f64, 0.0, 0.0, 0.0],
+                })
+                .collect();
+            let agg = &tenant_aggregates(&reqs)[0];
+            let rank = |q: f64| (q * n as f64).ceil();
+            assert_eq!(agg.p50_ns, rank(0.50), "p50 at n = {n}");
+            assert_eq!(agg.p95_ns, rank(0.95), "p95 at n = {n}");
+        }
+    }
 
     fn demo_doc() -> TraceDoc {
         let json = demo_trace(1, 2e5, 10);
