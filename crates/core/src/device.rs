@@ -800,11 +800,10 @@ impl CxlM2ndpDevice {
     /// required for the completion stamp). Returns the completion cycle.
     ///
     /// # Panics
-    /// Panics at once if the engine never accepted `instance`, and as soon
-    /// as the device has no event left to jump to and nothing in it could
-    /// still make progress while `instance` is unfinished (a lost memory
-    /// response, say). The message names the instance, its status and the
-    /// cycle. Also panics after 2×10⁹ ticks without a finish.
+    /// At once if the engine never accepted `instance`, or once no event is
+    /// left and nothing in the device can progress while `instance` is
+    /// unfinished (a lost memory response, say), naming the instance, its
+    /// status and the cycle; also after 2×10⁹ ticks without a finish.
     pub fn run_until_finished(&mut self, instance: KernelInstanceId) -> Cycle {
         assert!(
             self.engine.status(instance).is_some(),
@@ -827,18 +826,17 @@ impl CxlM2ndpDevice {
             self.tick();
             guard += 1;
             assert!(guard < 2_000_000_000, "instance never finished");
-            if !self.maybe_fast_forward()
+            let stuck = !self.maybe_fast_forward()
                 && self.engine.finished_at(instance).is_none()
-                && self.is_stuck()
-            {
-                panic!(
-                    "instance {} can never finish: it is {:?} at cycle {} and nothing in \
-                     the device can make progress",
-                    instance.0,
-                    self.engine.status(instance),
-                    self.now
-                );
-            }
+                && self.is_stuck();
+            assert!(
+                !stuck,
+                "instance {} can never finish: it is {:?} at cycle {} and nothing in \
+                 the device can make progress",
+                instance.0,
+                self.engine.status(instance),
+                self.now
+            );
         }
     }
 
@@ -1364,11 +1362,11 @@ mod tests {
         // Tick the engine alone until a unit issues its first memory
         // request, and drop that request.
         let units = dev.cfg.engine.units as usize;
-        let mut lost = None;
-        while lost.is_none() {
-            let now = dev.now;
-            dev.engine.tick(now, &mut dev.mem);
-            lost = (0..units).find_map(|u| dev.engine.pop_outbound(u));
+        while (0..units)
+            .find_map(|u| dev.engine.pop_outbound(u))
+            .is_none()
+        {
+            dev.engine.tick(dev.now, &mut dev.mem);
             dev.now += 1;
         }
         dev.run_until_finished(inst);

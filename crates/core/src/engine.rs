@@ -861,25 +861,11 @@ impl Engine {
     }
 
     /// Whether nothing in the engine can move until a memory response
-    /// arrives: the last spawn pass placed nothing and nothing enabled
-    /// another, no launch is queued, no iteration update is deferred, no
-    /// request waits to leave a unit, and no slot is ready to issue,
-    /// waiting on a timed wake-up or waiting on an L1D fill that has
-    /// already arrived. Cold path: walks every sub-core.
+    /// arrives: no tick, at any later cycle, would do more than
+    /// [`Self::tick_is_trivial`]'s nothing, because no launch, iteration
+    /// update, spawn, ready slot, wake-up or L1D fill is pending at all.
     pub(crate) fn is_quiescent(&self) -> bool {
-        self.spawn_exhausted
-            && self.queued.is_empty()
-            && self.pending_iter_update.is_empty()
-            && self.units.iter().all(|u| {
-                u.outbound.is_empty()
-                    && u.l1d
-                        .as_ref()
-                        .and_then(SectoredCache::next_ready_cycle)
-                        .is_none()
-                    && u.subcores
-                        .iter()
-                        .all(|sc| sc.ready.is_empty() && sc.wake.is_empty())
-            })
+        self.tick_is_trivial(Cycle::MAX)
     }
 
     /// Whether any slot is ready to issue right now.

@@ -30,22 +30,15 @@ pub struct OffloadModel {
     mechanism: OffloadMechanism,
     link: CxlLinkConfig,
     io: CxlIoModel,
-    max_concurrent: u32,
 }
 
 impl OffloadModel {
     /// Builds the model from the link/IO parameters in play.
     pub fn new(mechanism: OffloadMechanism, link: CxlLinkConfig, io: CxlIoModel) -> Self {
-        let max_concurrent = match mechanism {
-            OffloadMechanism::M2Func => 48,
-            OffloadMechanism::CxlIoRingBuffer => 48,
-            OffloadMechanism::CxlIoDirect => 1,
-        };
         Self {
             mechanism,
             link,
             io,
-            max_concurrent,
         }
     }
 
@@ -92,9 +85,13 @@ impl OffloadModel {
         z_ns + self.overhead_ns()
     }
 
-    /// Maximum concurrently outstanding kernels.
+    /// Maximum concurrently outstanding kernels (Table IV's 48; direct
+    /// MMIO's one register set, §II-C).
     pub fn max_concurrent(&self) -> u32 {
-        self.max_concurrent
+        match self.mechanism {
+            OffloadMechanism::M2Func | OffloadMechanism::CxlIoRingBuffer => 48,
+            OffloadMechanism::CxlIoDirect => 1,
+        }
     }
 }
 

@@ -278,10 +278,6 @@ pub fn arrival_times(spec: &TenantSpec) -> Vec<f64> {
     (0..spec.requests).map(|seq| arrivals.next(seq)).collect()
 }
 
-/// Default fraction of requests, in global arrival order, treated as
-/// warm-up and excluded from the measured window.
-const WARMUP_FRAC: f64 = 0.1;
-
 /// Runtime parameters shared by all tenants.
 ///
 /// Construct with [`ServeConfig::with_defaults`] plus the chainable
@@ -336,7 +332,7 @@ impl ServeConfig {
         Self {
             model: OffloadModel::with_defaults(mechanism),
             device_slots: 48,
-            warmup_frac: WARMUP_FRAC,
+            warmup_frac: 0.1,
             drain_frac: 0.05,
             trace: false,
             scheduler: SchedulerKind::StaticFifo,
@@ -348,13 +344,6 @@ impl ServeConfig {
     #[must_use]
     pub fn device_slots(mut self, device_slots: u32) -> Self {
         self.device_slots = device_slots;
-        self
-    }
-
-    /// Sets the warm-up fraction excluded from measurement (default 0.1).
-    #[must_use]
-    pub fn warmup_frac(mut self, warmup_frac: f64) -> Self {
-        self.warmup_frac = warmup_frac;
         self
     }
 
@@ -505,12 +494,13 @@ impl ServeBackend {
     }
 
     /// Detaches every sink, returning all device events merged in device
-    /// index order.
-    fn collect_traces(&mut self) -> Vec<TraceEvent> {
-        match self {
+    /// index order, and the registered kernels' disassembly.
+    fn collect_traces(&mut self) -> (Vec<TraceEvent>, Vec<(u32, String, String)>) {
+        let events = match self {
             ServeBackend::Device(d) => d.take_trace(),
             ServeBackend::Fleet(f) => f.take_traces(),
-        }
+        };
+        (events, self.device(0).kernel_disassembly())
     }
 
     /// Launches `args` on device `dev` at host time `now_ns` and returns
@@ -600,24 +590,23 @@ pub fn run<W: ServeWorkload>(
     // placement).
     let homes: Vec<usize> = requests
         .iter()
-        .map(|r| match &*backend {
-            ServeBackend::Device(_) => 0,
-            ServeBackend::Fleet(fleet) => {
+        .map(|r| {
+            backend.fleet().map_or(0, |fleet| {
                 let addr = workload.route_addr(r.key, ndev);
                 fleet
                     .router()
                     .device_of(addr)
                     .expect("workload routes inside the fleet HDM")
-            }
+            })
         })
         .collect();
     let clock = backend.clock();
-    let mechanism = cfg.model.mechanism();
     let workload = &*workload;
     let (records, aux) =
         scheduler::serve_loop(ndev, &homes, cfg, tenants, &requests, |_, req, dev, now| {
             let args = workload.launch_args(req, dev);
-            let (inst, switch_skew_ns) = backend.launch(dev, now, mechanism, req.tenant, args);
+            let (inst, switch_skew_ns) =
+                backend.launch(dev, now, cfg.model.mechanism(), req.tenant, args);
             let device = backend.device_mut(dev);
             let t0 = device.now();
             let done = device.run_until_finished(inst);
@@ -628,12 +617,9 @@ pub fn run<W: ServeWorkload>(
             (switch_skew_ns, service_ns)
         });
     let (device_trace, kernels) = if cfg.trace {
-        (
-            backend.collect_traces(),
-            backend.device(0).kernel_disassembly(),
-        )
+        backend.collect_traces()
     } else {
-        (Vec::new(), Vec::new())
+        Default::default()
     };
     finish_run(cfg, tenants, records, aux, device_trace, kernels)
 }
@@ -1076,6 +1062,13 @@ mod tests {
         [TenantSpec::trace("burst", vec![0.0]).requests(n)]
     }
 
+    /// Replays a 0.77 µs GET kernel (the §IV-C P95) for `n` Poisson
+    /// requests at `rate`.
+    fn kvs(mech: OffloadMechanism, rate: f64, n: usize, seed: u64) -> ServeReport {
+        let tenant = TenantSpec::poisson("kvs", rate).requests(n).seed(seed);
+        replay(&[770.0], &replay_cfg(mech), &[tenant])
+    }
+
     /// Every record's latency, warm-up included, as the figures read it.
     fn all_latencies(report: &ServeReport) -> m2ndp_sim::FHistogram {
         let mut all = m2ndp_sim::FHistogram::new();
@@ -1083,10 +1076,6 @@ mod tests {
             all.record(r.latency_ns());
         }
         all
-    }
-
-    fn p95_all(report: &ServeReport) -> f64 {
-        all_latencies(report).percentile(0.95)
     }
 
     /// With a fractional-ns service time and back-to-back arrivals, the
@@ -1159,47 +1148,26 @@ mod tests {
 
     #[test]
     fn replay_m2func_sustains_higher_throughput_than_direct() {
-        let service = [770.0]; // 0.77 µs P95 kernel runtime (§IV-C)
-        let tenant = [TenantSpec::poisson("kvs", 1.0e7).requests(20_000).seed(42)];
-        let m2 = replay(&service, &replay_cfg(OffloadMechanism::M2Func), &tenant);
-        let dr = replay(
-            &service,
-            &replay_cfg(OffloadMechanism::CxlIoDirect),
-            &tenant,
-        );
-        assert!(
-            m2.throughput > 10.0 * dr.throughput,
-            "M2func {:.2e} vs direct {:.2e}",
-            m2.throughput,
-            dr.throughput
-        );
+        let m2 = kvs(OffloadMechanism::M2Func, 1.0e7, 20_000, 42).throughput;
+        let dr = kvs(OffloadMechanism::CxlIoDirect, 1.0e7, 20_000, 42).throughput;
+        assert!(m2 > 10.0 * dr, "M2func {m2:.2e} vs direct {dr:.2e}");
     }
 
     #[test]
     fn replay_ring_buffer_inflates_tail_latency_at_low_load() {
-        let service = [770.0];
         // Light load: latency ≈ overhead + service.
-        let tenant = [TenantSpec::poisson("kvs", 1.0e5).requests(5_000).seed(7)];
-        let m2 = p95_all(&replay(
-            &service,
-            &replay_cfg(OffloadMechanism::M2Func),
-            &tenant,
-        ));
-        let rb = p95_all(&replay(
-            &service,
-            &replay_cfg(OffloadMechanism::CxlIoRingBuffer),
-            &tenant,
-        ));
+        let p95 = |mech| all_latencies(&kvs(mech, 1.0e5, 5_000, 7)).percentile(0.95);
+        let (m2, rb) = (
+            p95(OffloadMechanism::M2Func),
+            p95(OffloadMechanism::CxlIoRingBuffer),
+        );
         assert!(rb > 3.0 * m2, "RB P95 {rb} should dwarf M2func P95 {m2}");
     }
 
     #[test]
     fn replay_saturation_bends_the_latency_curve() {
-        let cfg = replay_cfg(OffloadMechanism::M2Func);
-        let p95 = |rate: f64| {
-            let tenant = [TenantSpec::poisson("kvs", rate).requests(10_000).seed(3)];
-            p95_all(&replay(&[770.0], &cfg, &tenant))
-        };
+        let p95 =
+            |rate| all_latencies(&kvs(OffloadMechanism::M2Func, rate, 10_000, 3)).percentile(0.95);
         let (low, high) = (p95(1.0e6), p95(2.0e8));
         assert!(high > 2.0 * low, "saturated P95 {high} vs light {low}");
     }

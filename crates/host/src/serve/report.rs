@@ -204,8 +204,6 @@ impl ServeReport {
 pub(super) struct RunAux {
     /// Peak concurrently outstanding kernels per device.
     pub max_outstanding: Vec<u32>,
-    /// Total kernel launches.
-    pub launches: u64,
     /// Device-busy integral (ns).
     pub device_time_ns: f64,
     /// Autoscaler lifecycle transitions (empty without autoscaling).
@@ -284,16 +282,32 @@ pub(super) fn finish_run(
         Vec::new()
     };
 
-    // ---- measurement window ----
-    let arrivals_ns: Vec<f64> = records.iter().map(|r| r.arrival_ns).collect();
-    let completions_ns: Vec<f64> = records.iter().map(|r| r.observed_ns).collect();
-    let window = steady_window(
-        &arrivals_ns,
-        &completions_ns,
-        cfg.warmup_frac,
-        cfg.drain_frac,
-    );
-    let measured = &records[window.measured.0..window.measured.1];
+    // ---- steady window: in arrival order, the first `warmup_frac` of
+    // requests are warm-up and the last `drain_frac` drain. The window
+    // opens at the first measured arrival, or at the last warm-up
+    // completion if the empty-system ramp is still draining, and closes at
+    // the last measured completion. ----
+    let warm = ((n as f64 * cfg.warmup_frac) as usize).min(n.saturating_sub(1));
+    let end = n
+        .saturating_sub((n as f64 * cfg.drain_frac) as usize)
+        .max(warm);
+    let latest = |rs: &[ReqRecord]| {
+        rs.iter()
+            .fold(f64::NEG_INFINITY, |m, r| m.max(r.observed_ns))
+    };
+    let (open, close) = match records.get(warm) {
+        Some(first) => (
+            first.arrival_ns.max(latest(&records[..warm])),
+            latest(&records[warm..end]),
+        ),
+        None => (0.0, 0.0),
+    };
+    let throughput = if close > open {
+        (end - warm) as f64 / ((close - open) * 1e-9)
+    } else {
+        0.0
+    };
+    let measured = &records[warm..end];
     let span = records
         .iter()
         .map(|r| r.arrival_ns)
@@ -331,84 +345,15 @@ pub(super) fn finish_run(
     ServeReport {
         tenants: tenant_reports,
         combined,
-        throughput: window.throughput,
+        throughput,
         offered_per_sec,
-        steady_window: (window.open, window.close),
+        steady_window: (open, close),
         max_outstanding: aux.max_outstanding,
-        launches: aux.launches,
+        launches: n as u64,
         records,
         device_time_ns: aux.device_time_ns,
         scale_events: aux.scale_events,
         trace,
         trace_kernels,
-    }
-}
-
-/// A steady-state measurement window over one open-loop run.
-#[derive(Debug, Clone, Copy)]
-struct SteadyWindow {
-    /// When the window opens (ns): the first measured request's arrival,
-    /// or the last warm-up completion if the empty-system ramp is still
-    /// draining (saturation).
-    open: f64,
-    /// When the window closes (ns): the last measured completion.
-    close: f64,
-    /// The measured request range `[start, end)` in arrival order (after
-    /// the warm-up prefix, before the drain suffix).
-    measured: (usize, usize),
-    /// Measured completions per second over `[open, close]`; 0.0 when the
-    /// window is empty or degenerate.
-    throughput: f64,
-}
-
-/// Computes the steady window over parallel arrival/completion arrays in
-/// arrival order: the first `warmup_frac` of requests are warm-up, the
-/// last `drain_frac` are drain, and throughput counts the remaining
-/// completions over `[open, close]` (see [`SteadyWindow`] field docs for
-/// the boundary definitions). Excluding the warm-up keeps short runs from
-/// understating saturation throughput with the empty-system ramp;
-/// closing at the last *completion* (not arrival) keeps the count and the
-/// interval consistent during drain.
-///
-/// # Panics
-/// Panics if the arrays differ in length.
-fn steady_window(
-    arrivals: &[f64],
-    completions: &[f64],
-    warmup_frac: f64,
-    drain_frac: f64,
-) -> SteadyWindow {
-    assert_eq!(arrivals.len(), completions.len());
-    let n = arrivals.len();
-    if n == 0 {
-        return SteadyWindow {
-            open: 0.0,
-            close: 0.0,
-            measured: (0, 0),
-            throughput: 0.0,
-        };
-    }
-    let warm = (((n as f64) * warmup_frac) as usize).min(n - 1);
-    let drain = ((n as f64) * drain_frac) as usize;
-    let end = n.saturating_sub(drain).max(warm);
-    let warm_done = completions[..warm]
-        .iter()
-        .copied()
-        .fold(f64::NEG_INFINITY, f64::max);
-    let open = arrivals[warm].max(warm_done);
-    let close = completions[warm..end]
-        .iter()
-        .copied()
-        .fold(f64::NEG_INFINITY, f64::max);
-    let throughput = if close > open {
-        (end - warm) as f64 / ((close - open) * 1e-9)
-    } else {
-        0.0
-    };
-    SteadyWindow {
-        open,
-        close,
-        measured: (warm, end),
-        throughput,
     }
 }

@@ -254,7 +254,6 @@ struct ServeLoop<'a, S> {
     active_count: usize,
     /// Closed active intervals, integrated (ns).
     device_time_ns: f64,
-    launches: u64,
     completed: usize,
     records: Vec<(usize, ReqRecord)>,
     scale_events: Vec<ScaleEvent>,
@@ -317,7 +316,6 @@ impl<'a, S: FnMut(usize, &Request, usize, f64) -> (f64, f64)> ServeLoop<'a, S> {
             devs,
             active_count: initial_active,
             device_time_ns: 0.0,
-            launches: 0,
             completed: 0,
             records: Vec::with_capacity(requests.len()),
             scale_events: Vec::new(),
@@ -350,7 +348,6 @@ impl<'a, S: FnMut(usize, &Request, usize, f64) -> (f64, f64)> ServeLoop<'a, S> {
             d.max_outstanding = d.max_outstanding.max(d.outstanding);
             let req = self.requests[i];
             let (switch_skew_ns, service_ns) = (self.serve)(i, &req, dev, now);
-            self.launches += 1;
 
             let start = now + switch_skew_ns + self.pre;
             let kernel_done = start + service_ns;
@@ -559,7 +556,6 @@ pub(super) fn serve_loop(
     let records: Vec<ReqRecord> = tagged.into_iter().map(|(_, r)| r).collect();
     let aux = RunAux {
         max_outstanding: st.devs.iter().map(|d| d.max_outstanding).collect(),
-        launches: st.launches,
         device_time_ns: st.device_time_ns,
         scale_events: st.scale_events,
     };

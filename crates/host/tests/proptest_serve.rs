@@ -29,54 +29,46 @@ fn mechanism(idx: u8) -> OffloadMechanism {
 }
 
 /// The textbook FIFO c-server the admission loop must equal on one
-/// device: request `i` (arrival order) takes the earliest-free of the
-/// `min(max_concurrent, slots)` slots, starts `pre` after the later of
-/// that slot's free time and its arrival, runs `service[i % len]`, and is
-/// observed `post` later. Direct MMIO holds its slot until then; the
-/// other mechanisms free it at kernel completion. Returns each request's
-/// `(latency, completion)`.
+/// device: request `i` takes the earliest-free of `min(max_concurrent,
+/// slots)` slots, starts `pre` after the later of its arrival and that
+/// slot's free time, runs `service[i % len]`, and is observed `post`
+/// later; only direct MMIO holds its slot until then. Returns each
+/// request's `(latency, completion)` and the steady window `[open, close,
+/// throughput]` after a 10% warm-up (open: the later of the first
+/// measured arrival and the last warm-up completion).
 fn fifo_c_server(
     model: &OffloadModel,
     slots: u32,
     arrivals: &[f64],
     service: &[f64],
-) -> Vec<(f64, f64)> {
-    let c = model.max_concurrent().min(slots).max(1) as usize;
+) -> (Vec<(f64, f64)>, [f64; 3]) {
+    let mut free = vec![0.0f64; model.max_concurrent().min(slots).max(1) as usize];
     let direct = model.mechanism() == OffloadMechanism::CxlIoDirect;
-    let mut free = vec![0.0f64; c];
-    let mut out = Vec::with_capacity(arrivals.len());
+    let mut done = Vec::with_capacity(arrivals.len());
     for (i, &arrival) in arrivals.iter().enumerate() {
-        let s = (0..c)
+        let s = (0..free.len())
             .min_by(|&a, &b| free[a].total_cmp(&free[b]))
-            .expect("c >= 1");
+            .expect("a slot");
         let kernel_done = free[s].max(arrival) + model.pre_ns() + service[i % service.len()];
         let observed = kernel_done + model.post_ns();
         free[s] = if direct { observed } else { kernel_done };
-        out.push((observed - arrival, observed));
+        done.push((observed - arrival, observed));
     }
-    out
-}
-
-/// The steady window `(open, close, throughput)` with a 10% warm-up and no
-/// drain: it opens at the first measured arrival or the last warm-up
-/// completion, whichever is later, and closes at the last completion.
-fn steady_window(arrivals: &[f64], completions: &[f64]) -> (f64, f64, f64) {
-    let n = arrivals.len();
-    let warm = ((n as f64 * 0.1) as usize).min(n - 1);
-    let open = completions[..warm]
+    let warm = ((done.len() as f64 * 0.1) as usize).min(done.len() - 1);
+    let open = done[..warm]
         .iter()
-        .copied()
+        .map(|d| d.1)
         .fold(arrivals[warm], f64::max);
-    let close = completions[warm..]
+    let close = done[warm..]
         .iter()
-        .copied()
+        .map(|d| d.1)
         .fold(f64::NEG_INFINITY, f64::max);
     let throughput = if close > open {
-        (n - warm) as f64 / ((close - open) * 1e-9)
+        (done.len() - warm) as f64 / ((close - open) * 1e-9)
     } else {
         0.0
     };
-    (open, close, throughput)
+    (done, [open, close, throughput])
 }
 
 fn small_cfg() -> M2ndpConfig {
@@ -225,11 +217,10 @@ proptest! {
 }
 
 proptest! {
-    /// `serve::replay` on one device is the textbook FIFO c-server
-    /// (`fifo_c_server`): over every mechanism, slot count, rate and
-    /// request budget, its per-request latencies and completions, steady
-    /// window and throughput equal the closed form's bit for bit, from the
-    /// same seed's Poisson arrivals.
+    /// `serve::replay` is `fifo_c_server`: over every mechanism, slot
+    /// count, rate and request budget, its per-request latencies and
+    /// completions, steady window and throughput equal the closed form's
+    /// bit for bit, from the same seed's Poisson arrivals.
     #[test]
     fn replay_equals_the_closed_form_slot_pool(
         mech_idx in 0u8..3,
@@ -245,21 +236,16 @@ proptest! {
             .drain_frac(0.0);
         let tenant = TenantSpec::poisson("replay", rate).requests(n).seed(seed);
         let arrivals = serve::arrival_times(&tenant);
-        let want = fifo_c_server(&cfg.model, slots, &arrivals, &service);
-        let report = serve::replay(&service, &cfg, &[tenant]);
-        let bits = |v: f64| v.to_bits();
-        let got: Vec<(u64, u64)> = report
-            .records
-            .iter()
-            .map(|r| (bits(r.latency_ns()), bits(r.observed_ns)))
-            .collect();
-        let want_bits: Vec<(u64, u64)> = want.iter().map(|&(l, c)| (bits(l), bits(c))).collect();
-        prop_assert_eq!(got, want_bits);
-        let completions: Vec<f64> = want.iter().map(|&(_, c)| c).collect();
-        let (open, close, throughput) = steady_window(&arrivals, &completions);
-        prop_assert_eq!(bits(report.steady_window.0), bits(open));
-        prop_assert_eq!(bits(report.steady_window.1), bits(close));
-        prop_assert_eq!(bits(report.throughput), bits(throughput));
+        let (done, window) = fifo_c_server(&cfg.model, slots, &arrivals, &service);
+        let r = serve::replay(&service, &cfg, &[tenant]);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let got: Vec<f64> = r.records.iter().flat_map(|r| [r.latency_ns(), r.observed_ns]).collect();
+        let want: Vec<f64> = done.iter().flat_map(|&(l, c)| [l, c]).collect();
+        prop_assert_eq!(bits(&got), bits(&want));
+        prop_assert_eq!(
+            bits(&[r.steady_window.0, r.steady_window.1, r.throughput]),
+            bits(&window)
+        );
     }
 }
 

@@ -818,18 +818,15 @@ mod tests {
     fn tenant_percentiles_use_the_nearest_rank() {
         for n in 1..=40u64 {
             // Latencies n, n - 1, ..., 1 ns, so the k-th smallest is k.
-            let reqs: Vec<RequestSummary> = (0..n)
-                .map(|seq| RequestSummary {
-                    tenant: 0,
-                    seq,
-                    device: 0,
-                    phases: [(n - seq) as f64, 0.0, 0.0, 0.0],
-                })
-                .collect();
-            let agg = &tenant_aggregates(&reqs)[0];
-            let rank = |q: f64| (q * n as f64).ceil();
-            assert_eq!(agg.p50_ns, rank(0.50), "p50 at n = {n}");
-            assert_eq!(agg.p95_ns, rank(0.95), "p95 at n = {n}");
+            let row = |seq| RequestSummary {
+                tenant: 0,
+                seq,
+                device: 0,
+                phases: [(n - seq) as f64, 0.0, 0.0, 0.0],
+            };
+            let agg = &tenant_aggregates(&(0..n).map(row).collect::<Vec<_>>())[0];
+            assert_eq!(agg.p50_ns, (0.50 * n as f64).ceil(), "p50 at n = {n}");
+            assert_eq!(agg.p95_ns, (0.95 * n as f64).ceil(), "p95 at n = {n}");
         }
     }
 
