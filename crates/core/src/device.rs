@@ -1354,11 +1354,11 @@ mod tests {
     }
 
     /// A kernel whose memory request is lost can never finish: the wait
-    /// fails as soon as nothing in the device can make progress instead of
-    /// spinning to the tick guard.
+    /// fails within 1024 ticks of nothing in the device being able to make
+    /// progress instead of spinning to the tick guard.
     #[test]
     #[should_panic(expected = "can never finish")]
-    fn a_lost_memory_request_fails_the_wait_at_once() {
+    fn a_lost_memory_request_fails_the_wait_fast() {
         let mut dev = small_device();
         let base = 0x40_0000u64;
         let kid = dev.register_kernel(vec_double());
