@@ -115,7 +115,9 @@ fn graph_cfg() -> graph::GraphConfig {
     }
 }
 
-fn dlrm_cfg(batch: u32) -> dlrm::DlrmConfig {
+/// The bench DLRM SLS workload at `batch` (the fleet figures shard it at
+/// batch 256).
+pub(crate) fn dlrm_cfg(batch: u32) -> dlrm::DlrmConfig {
     dlrm::DlrmConfig {
         table_rows: 64 << 10,
         dim: 64,
@@ -235,12 +237,7 @@ pub fn run_on_device(
         GpuWorkload::Opt27 | GpuWorkload::Opt30 => {
             let cfg = opt_cfg(workload == GpuWorkload::Opt30);
             let data = opt::generate(cfg, dev.memory_mut());
-            let kernels = opt::OptKernels {
-                gemv: dev.register_kernel(opt::gemv_kernel()),
-                scores: dev.register_kernel(opt::scores_kernel()),
-                softmax: dev.register_kernel(opt::softmax_kernel()),
-                wsum: dev.register_kernel(opt::weighted_sum_kernel()),
-            };
+            let kernels = opt::OptKernels::register(dev);
             for (_k, launch) in opt::decode_step_launches(&data, &kernels, spad_units) {
                 let inst = dev.launch(launch).expect("launch");
                 dev.run_until_finished(inst);

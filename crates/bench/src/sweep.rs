@@ -39,7 +39,7 @@ use m2ndp::SystemBuilder;
 use crate::json::Json;
 use crate::platforms::{Platform, Variant, SCALE};
 use crate::runner::{
-    kvs_baseline_latencies_ns, kvs_service_times_ns, p95, run_on_device, GpuWorkload,
+    dlrm_cfg, kvs_baseline_latencies_ns, kvs_service_times_ns, p95, run_on_device, GpuWorkload,
 };
 use crate::{geomean, table::Table};
 
@@ -231,19 +231,6 @@ fn fleet_device_cfg() -> M2ndpConfig {
     let mut cfg = M2ndpConfig::default_device();
     cfg.engine.units = 32 / SCALE;
     cfg
-}
-
-/// The total DLRM SLS workload the fleet figures shard (matches the
-/// Fig. 12b partition cells' shape at batch 256).
-fn fleet_dlrm_cfg() -> dlrm::DlrmConfig {
-    dlrm::DlrmConfig {
-        table_rows: 64 << 10,
-        dim: 64,
-        lookups: 80,
-        batch: 256,
-        zipf_theta: 0.9,
-        seed: 0xD12A,
-    }
 }
 
 /// The total OPT decode step the fleet figures tensor-shard.
@@ -799,16 +786,10 @@ pub fn run_cell(spec: &CellSpec) -> CellOut {
             out(0, all.percentile(0.95), None, Vec::new())
         }
         Work::DlrmPartition { devices } => {
-            let n = *devices;
+            // Device 0's shard of `Work::FleetDlrm` (its seed is the
+            // unsharded one).
+            let cfg = dlrm::shard(dlrm_cfg(256), *devices)[0];
             let mut dev = SystemBuilder::m2ndp().units(32 / SCALE).build();
-            let cfg = dlrm::DlrmConfig {
-                table_rows: (64 << 10) / u64::from(n),
-                dim: 64,
-                lookups: 80 / n.min(80),
-                batch: 256,
-                zipf_theta: 0.9,
-                seed: 0xD12A,
-            };
             let data = dlrm::generate(cfg, dev.memory_mut());
             let kid = dev.register_kernel(dlrm::kernel());
             let stats_at_start = dev.stats();
@@ -825,24 +806,17 @@ pub fn run_cell(spec: &CellSpec) -> CellOut {
             )
         }
         Work::OptPartition { big, devices } => {
-            let n = *devices;
+            // Device 0's tensor-parallel shard, as in `Work::FleetOpt`.
+            let hidden = if *big { 512 } else { 256 };
+            let full = opt::OptConfig {
+                hidden,
+                ffn: 4 * hidden,
+                ..fleet_opt_cfg()
+            };
+            let cfg = opt::tensor_parallel(full, *devices)[0];
             let mut dev = SystemBuilder::m2ndp().units(32 / SCALE).build();
-            let full = if *big { 512 } else { 256 };
-            let cfg = opt::OptConfig {
-                hidden: full,
-                heads: 8,
-                ffn: (full * 4) / n,
-                layers: 1,
-                context: 128 / n.min(128),
-                seed: 7,
-            };
             let data = opt::generate(cfg, dev.memory_mut());
-            let kernels = opt::OptKernels {
-                gemv: dev.register_kernel(opt::gemv_kernel()),
-                scores: dev.register_kernel(opt::scores_kernel()),
-                softmax: dev.register_kernel(opt::softmax_kernel()),
-                wsum: dev.register_kernel(opt::weighted_sum_kernel()),
-            };
+            let kernels = opt::OptKernels::register(&mut dev);
             let units = dev.config().engine.units;
             let stats_at_start = dev.stats();
             let start = dev.now();
@@ -867,7 +841,7 @@ pub fn run_cell(spec: &CellSpec) -> CellOut {
                 switch: SwitchConfig::default(),
                 hdm_bytes_per_device: 1 << 30,
             });
-            let shards = dlrm::shard(fleet_dlrm_cfg(), n);
+            let shards = dlrm::shard(dlrm_cfg(256), n);
             let mut datas = Vec::new();
             for (d, cfg) in shards.iter().enumerate() {
                 let data = dlrm::generate(*cfg, fleet.device_mut(d).memory_mut());
@@ -905,12 +879,7 @@ pub fn run_cell(spec: &CellSpec) -> CellOut {
             for (d, cfg) in opt::tensor_parallel(base, n).iter().enumerate() {
                 let data = opt::generate(*cfg, fleet.device_mut(d).memory_mut());
                 let dev = fleet.device_mut(d);
-                let kernels = opt::OptKernels {
-                    gemv: dev.register_kernel(opt::gemv_kernel()),
-                    scores: dev.register_kernel(opt::scores_kernel()),
-                    softmax: dev.register_kernel(opt::softmax_kernel()),
-                    wsum: dev.register_kernel(opt::weighted_sum_kernel()),
-                };
+                let kernels = opt::OptKernels::register(dev);
                 let units = dev.config().engine.units;
                 let pool = fleet.shard_base(d);
                 for (_k, launch) in opt::decode_step_launches(&data, &kernels, units) {
@@ -942,12 +911,7 @@ pub fn run_cell(spec: &CellSpec) -> CellOut {
             let start = dev.now();
             let done = if *is_opt {
                 let data = opt::generate(fleet_opt_cfg(), dev.memory_mut());
-                let kernels = opt::OptKernels {
-                    gemv: dev.register_kernel(opt::gemv_kernel()),
-                    scores: dev.register_kernel(opt::scores_kernel()),
-                    softmax: dev.register_kernel(opt::softmax_kernel()),
-                    wsum: dev.register_kernel(opt::weighted_sum_kernel()),
-                };
+                let kernels = opt::OptKernels::register(&mut dev);
                 let units = dev.config().engine.units;
                 let mut done = start;
                 for (_k, launch) in opt::decode_step_launches(&data, &kernels, units) {
@@ -957,7 +921,7 @@ pub fn run_cell(spec: &CellSpec) -> CellOut {
                 opt::verify(&data, dev.memory()).expect("opt verifies");
                 done
             } else {
-                let data = dlrm::generate(fleet_dlrm_cfg(), dev.memory_mut());
+                let data = dlrm::generate(dlrm_cfg(256), dev.memory_mut());
                 let kid = dev.register_kernel(dlrm::kernel());
                 let inst = dev.launch(dlrm::launch(&data, kid)).expect("launch");
                 let done = dev.run_until_finished(inst);
@@ -971,7 +935,7 @@ pub fn run_cell(spec: &CellSpec) -> CellOut {
         Work::SwitchNdpRun { memories } => {
             let mut sw = SwitchNdp::new(&fleet_device_cfg(), SwitchConfig::default(), *memories);
             let dev = sw.device_mut();
-            let data = dlrm::generate(fleet_dlrm_cfg(), dev.memory_mut());
+            let data = dlrm::generate(dlrm_cfg(256), dev.memory_mut());
             let kid = dev.register_kernel(dlrm::kernel());
             let start = dev.now();
             let inst = dev.launch(dlrm::launch(&data, kid)).expect("launch");

@@ -23,6 +23,7 @@
 //! static fleet's `devices × makespan`.
 
 use m2ndp_sim::trace::ScaleDir;
+use m2ndp_sim::FHistogram;
 
 /// One autoscaler lifecycle transition, as recorded in
 /// [`ServeReport::scale_events`](super::ServeReport::scale_events) and
@@ -175,15 +176,16 @@ impl Autoscaler {
         }
     }
 
-    /// Window P95 via nearest-rank on a sorted copy (the window is small).
+    /// Window P95 by [`FHistogram`]'s nearest rank (the window is small).
     fn window_p95(&self) -> Option<f64> {
         if self.window.is_empty() {
             return None;
         }
-        let mut sorted = self.window.clone();
-        sorted.sort_by(f64::total_cmp);
-        let rank = ((sorted.len() as f64) * 0.95).ceil() as usize;
-        Some(sorted[rank.clamp(1, sorted.len()) - 1])
+        let mut h = FHistogram::new();
+        for &latency_ns in &self.window {
+            h.record(latency_ns);
+        }
+        Some(h.percentile(0.95))
     }
 
     /// Evaluate the policy at a tick. `active` counts Active devices

@@ -11,8 +11,8 @@
 use std::collections::HashMap;
 
 use crate::instr::{
-    AmoOp, BranchCond, FCmpOp, FpOp, Instr, IntOp, Precision, Sew, VAddrMode, VCmpOp, VFpOp,
-    VIntOp, VOperand, VRedOp, Width,
+    AmoOp, BranchCond, FCmpOp, FpOp, Instr, IntOp, Precision, Sew, Spelled, VAddrMode, VCmpOp,
+    VFpOp, VIntOp, VOperand, VRedOp, Width,
 };
 use crate::program::Program;
 
@@ -225,12 +225,9 @@ fn split_operands(s: &str) -> Vec<String> {
 }
 
 fn sew_from_suffix(s: &str, line: usize) -> Result<Sew, AsmError> {
-    match s {
-        "8" => Ok(Sew::E8),
-        "16" => Ok(Sew::E16),
-        "32" => Ok(Sew::E32),
-        "64" => Ok(Sew::E64),
-        _ => err(line, format!("bad element width `{s}`")),
+    match Sew::from_spelling(s) {
+        Some(sew) => Ok(sew),
+        None => err(line, format!("bad element width `{s}`")),
     }
 }
 
@@ -354,22 +351,66 @@ fn parse_instr(
         return parse_vector(m, ops, ln);
     }
 
-    let int_rr = |op: IntOp, ops: &[String]| -> Result<Instr, AsmError> {
-        Ok(Instr::Op {
+    // The forms spelled by the op tables: ALU ops, loads, stores, branches.
+    if let Some(op) = IntOp::from_spelling(m) {
+        need(3)?;
+        return Ok(Instr::Op {
             op,
             rd: xreg(&ops[0], ln)?,
             rs1: xreg(&ops[1], ln)?,
             rs2: xreg(&ops[2], ln)?,
-        })
-    };
-    let int_ri = |op: IntOp, ops: &[String]| -> Result<Instr, AsmError> {
-        Ok(Instr::OpImm {
+        });
+    }
+    if let Some(&op) = IntOp::ALL.iter().find(|op| op.imm_spelling() == Some(m)) {
+        need(3)?;
+        return Ok(Instr::OpImm {
             op,
             rd: xreg(&ops[0], ln)?,
             rs1: xreg(&ops[1], ln)?,
             imm: imm(&ops[2], ln)?,
-        })
+        });
+    }
+    // `l{w}` sign-extends and `l{w}u` zero-extends.
+    let load = m.strip_prefix('l').and_then(|w| match w.strip_suffix('u') {
+        Some(w) => Width::from_spelling(w).map(|width| (width, false)),
+        None => Width::from_spelling(w).map(|width| (width, true)),
+    });
+    if let Some((width, signed)) = load {
+        need(2)?;
+        let (offset, rs1) = mem_operand(&ops[1], ln)?;
+        return Ok(Instr::Load {
+            width,
+            signed,
+            rd: xreg(&ops[0], ln)?,
+            rs1,
+            offset,
+        });
+    }
+    if let Some(width) = m.strip_prefix('s').and_then(Width::from_spelling) {
+        need(2)?;
+        let (offset, rs1) = mem_operand(&ops[1], ln)?;
+        return Ok(Instr::Store {
+            width,
+            rs2: xreg(&ops[0], ln)?,
+            rs1,
+            offset,
+        });
+    }
+    let branch = match m {
+        "bgt" => Some((BranchCond::Lt, 1, 0)),
+        "ble" => Some((BranchCond::Ge, 1, 0)), // ble a,b == bge b,a
+        _ => BranchCond::from_spelling(m).map(|cond| (cond, 0, 1)),
     };
+    if let Some((cond, rs1, rs2)) = branch {
+        need(3)?;
+        let target = lookup_label(labels, &ops[2], ln)?;
+        return Ok(Instr::Branch {
+            cond,
+            rs1: xreg(&ops[rs1], ln)?,
+            rs2: xreg(&ops[rs2], ln)?,
+            target,
+        });
+    }
 
     match m {
         "li" => {
@@ -429,101 +470,6 @@ fn parse_instr(
                 rd: xreg(&ops[0], ln)?,
                 rs1: 0,
                 rs2: xreg(&ops[1], ln)?,
-            })
-        }
-        "add" | "sub" | "and" | "or" | "xor" | "sll" | "srl" | "sra" | "slt" | "sltu" | "mul"
-        | "mulh" | "div" | "divu" | "rem" | "remu" => {
-            need(3)?;
-            let op = match m {
-                "add" => IntOp::Add,
-                "sub" => IntOp::Sub,
-                "and" => IntOp::And,
-                "or" => IntOp::Or,
-                "xor" => IntOp::Xor,
-                "sll" => IntOp::Sll,
-                "srl" => IntOp::Srl,
-                "sra" => IntOp::Sra,
-                "slt" => IntOp::Slt,
-                "sltu" => IntOp::Sltu,
-                "mul" => IntOp::Mul,
-                "mulh" => IntOp::Mulh,
-                "div" => IntOp::Div,
-                "divu" => IntOp::Divu,
-                "rem" => IntOp::Rem,
-                _ => IntOp::Remu,
-            };
-            int_rr(op, &ops)
-        }
-        "addi" | "andi" | "ori" | "xori" | "slli" | "srli" | "srai" | "slti" | "sltiu" => {
-            need(3)?;
-            let op = match m {
-                "addi" => IntOp::Add,
-                "andi" => IntOp::And,
-                "ori" => IntOp::Or,
-                "xori" => IntOp::Xor,
-                "slli" => IntOp::Sll,
-                "srli" => IntOp::Srl,
-                "srai" => IntOp::Sra,
-                "slti" => IntOp::Slt,
-                _ => IntOp::Sltu,
-            };
-            int_ri(op, &ops)
-        }
-        "lb" | "lh" | "lw" | "ld" | "lbu" | "lhu" | "lwu" | "ldu" => {
-            need(2)?;
-            let (width, signed) = match m {
-                "lb" => (Width::B, true),
-                "lh" => (Width::H, true),
-                "lw" => (Width::W, true),
-                "ld" => (Width::D, true),
-                "lbu" => (Width::B, false),
-                "lhu" => (Width::H, false),
-                "lwu" => (Width::W, false),
-                _ => (Width::D, false),
-            };
-            let (offset, rs1) = mem_operand(&ops[1], ln)?;
-            Ok(Instr::Load {
-                width,
-                signed,
-                rd: xreg(&ops[0], ln)?,
-                rs1,
-                offset,
-            })
-        }
-        "sb" | "sh" | "sw" | "sd" => {
-            need(2)?;
-            let width = match m {
-                "sb" => Width::B,
-                "sh" => Width::H,
-                "sw" => Width::W,
-                _ => Width::D,
-            };
-            let (offset, rs1) = mem_operand(&ops[1], ln)?;
-            Ok(Instr::Store {
-                width,
-                rs2: xreg(&ops[0], ln)?,
-                rs1,
-                offset,
-            })
-        }
-        "beq" | "bne" | "blt" | "bge" | "bltu" | "bgeu" | "bgt" | "ble" => {
-            need(3)?;
-            let target = lookup_label(labels, &ops[2], ln)?;
-            let (cond, rs1, rs2) = match m {
-                "beq" => (BranchCond::Eq, 0, 1),
-                "bne" => (BranchCond::Ne, 0, 1),
-                "blt" => (BranchCond::Lt, 0, 1),
-                "bge" => (BranchCond::Ge, 0, 1),
-                "bltu" => (BranchCond::Ltu, 0, 1),
-                "bgeu" => (BranchCond::Geu, 0, 1),
-                "bgt" => (BranchCond::Lt, 1, 0),
-                _ => (BranchCond::Ge, 1, 0), // ble a,b == bge b,a
-            };
-            Ok(Instr::Branch {
-                cond,
-                rs1: xreg(&ops[rs1], ln)?,
-                rs2: xreg(&ops[rs2], ln)?,
-                target,
             })
         }
         "beqz" | "bnez" | "bltz" | "bgez" | "blez" | "bgtz" => {
@@ -612,19 +558,11 @@ fn parse_instr(
                 line: ln,
                 message: format!("bad AMO mnemonic `{m}`"),
             })?;
-            let op = match op_str {
-                "add" => AmoOp::Add,
-                "swap" => AmoOp::Swap,
-                "min" => AmoOp::Min,
-                "max" => AmoOp::Max,
-                "and" => AmoOp::And,
-                "or" => AmoOp::Or,
-                "xor" => AmoOp::Xor,
-                _ => return err(ln, format!("unsupported AMO `{m}`")),
+            let Some(op) = AmoOp::from_spelling(op_str) else {
+                return err(ln, format!("unsupported AMO `{m}`"));
             };
-            let width = match width_str {
-                "w" => Width::W,
-                "d" => Width::D,
+            let width = match Width::from_spelling(width_str) {
+                Some(width @ (Width::W | Width::D)) => width,
                 _ => return err(ln, format!("AMO width must be .w or .d: `{m}`")),
             };
             let (off, rs1) = mem_operand(&ops[2], ln)?;
@@ -645,10 +583,9 @@ fn parse_instr(
 }
 
 fn precision(suffix: &str, ln: usize) -> Result<Precision, AsmError> {
-    match suffix {
-        "s" => Ok(Precision::S),
-        "d" => Ok(Precision::D),
-        _ => err(ln, format!("bad precision suffix `.{suffix}`")),
+    match Precision::from_spelling(suffix) {
+        Some(p) => Ok(p),
+        None => err(ln, format!("bad precision suffix `.{suffix}`")),
     }
 }
 
@@ -733,6 +670,49 @@ fn parse_float(m: &str, ops: Vec<String>, ln: usize) -> Result<Instr, AsmError> 
             let mut parts = m.split('.');
             let base = parts.next().unwrap_or("");
             let rest: Vec<&str> = parts.collect();
+            let suffix = rest.first().copied().unwrap_or("");
+            // `fmv`/`fneg`/`fabs` are sign injections of a register with itself.
+            let pseudo = match base {
+                "fmv" => Some(FpOp::Sgnj),
+                "fneg" => Some(FpOp::Sgnjn),
+                "fabs" => Some(FpOp::Sgnjx),
+                _ => None,
+            };
+            let unary = pseudo.or(FpOp::from_spelling(base).filter(|op| op.is_unary()));
+            if let Some(op) = unary {
+                need(2)?;
+                let p = precision(suffix, ln)?;
+                let rs1 = freg(&ops[1], ln)?;
+                return Ok(Instr::FOp {
+                    op,
+                    precision: p,
+                    rd: freg(&ops[0], ln)?,
+                    rs1,
+                    rs2: if op.is_unary() { 0 } else { rs1 },
+                });
+            }
+            if let Some(op) = FpOp::from_spelling(base) {
+                need(3)?;
+                let p = precision(suffix, ln)?;
+                return Ok(Instr::FOp {
+                    op,
+                    precision: p,
+                    rd: freg(&ops[0], ln)?,
+                    rs1: freg(&ops[1], ln)?,
+                    rs2: freg(&ops[2], ln)?,
+                });
+            }
+            if let Some(op) = FCmpOp::from_spelling(base) {
+                need(3)?;
+                let p = precision(suffix, ln)?;
+                return Ok(Instr::FCmp {
+                    op,
+                    precision: p,
+                    rd: xreg(&ops[0], ln)?,
+                    rs1: freg(&ops[1], ln)?,
+                    rs2: freg(&ops[2], ln)?,
+                });
+            }
             match base {
                 "fcvt" => {
                     // fcvt.<to>.<from> [rtz]
@@ -768,71 +748,13 @@ fn parse_float(m: &str, ops: Vec<String>, ln: usize) -> Result<Instr, AsmError> 
                 }
                 "fmadd" => {
                     need(4)?;
-                    let p = precision(rest.first().copied().unwrap_or(""), ln)?;
+                    let p = precision(suffix, ln)?;
                     Ok(Instr::FMadd {
                         precision: p,
                         rd: freg(&ops[0], ln)?,
                         rs1: freg(&ops[1], ln)?,
                         rs2: freg(&ops[2], ln)?,
                         rs3: freg(&ops[3], ln)?,
-                    })
-                }
-                "feq" | "flt" | "fle" => {
-                    need(3)?;
-                    let p = precision(rest.first().copied().unwrap_or(""), ln)?;
-                    let op = match base {
-                        "feq" => FCmpOp::Eq,
-                        "flt" => FCmpOp::Lt,
-                        _ => FCmpOp::Le,
-                    };
-                    Ok(Instr::FCmp {
-                        op,
-                        precision: p,
-                        rd: xreg(&ops[0], ln)?,
-                        rs1: freg(&ops[1], ln)?,
-                        rs2: freg(&ops[2], ln)?,
-                    })
-                }
-                "fsqrt" | "fexp" | "fmv" | "fneg" | "fabs" => {
-                    need(2)?;
-                    let p = precision(rest.first().copied().unwrap_or(""), ln)?;
-                    let (op, rs2_same) = match base {
-                        "fsqrt" => (FpOp::Sqrt, false),
-                        "fexp" => (FpOp::Exp, false),
-                        "fmv" => (FpOp::Sgnj, true),
-                        "fneg" => (FpOp::Sgnjn, true),
-                        _ => (FpOp::Sgnjx, true),
-                    };
-                    let rs1 = freg(&ops[1], ln)?;
-                    Ok(Instr::FOp {
-                        op,
-                        precision: p,
-                        rd: freg(&ops[0], ln)?,
-                        rs1,
-                        rs2: if rs2_same { rs1 } else { 0 },
-                    })
-                }
-                "fadd" | "fsub" | "fmul" | "fdiv" | "fmin" | "fmax" | "fsgnj" | "fsgnjn"
-                | "fsgnjx" => {
-                    need(3)?;
-                    let p = precision(rest.first().copied().unwrap_or(""), ln)?;
-                    let op = match base {
-                        "fadd" => FpOp::Add,
-                        "fsub" => FpOp::Sub,
-                        "fmul" => FpOp::Mul,
-                        "fdiv" => FpOp::Div,
-                        "fmin" => FpOp::Min,
-                        "fmax" => FpOp::Max,
-                        "fsgnj" => FpOp::Sgnj,
-                        "fsgnjn" => FpOp::Sgnjn,
-                        _ => FpOp::Sgnjx,
-                    };
-                    Ok(Instr::FOp {
-                        op,
-                        precision: p,
-                        rd: freg(&ops[0], ln)?,
-                        rs1: freg(&ops[1], ln)?,
-                        rs2: freg(&ops[2], ln)?,
                     })
                 }
                 _ => err(ln, format!("unknown float mnemonic `{m}`")),
@@ -943,15 +865,9 @@ fn parse_vector(m: &str, ops: Vec<String>, ln: usize) -> Result<Instr, AsmError>
     if let Some(rest) = m.strip_prefix("vamo") {
         if let Some(body) = rest.strip_suffix(".v") {
             if let Some(pos) = body.find("ei") {
-                let op = match &body[..pos] {
-                    "add" => AmoOp::Add,
-                    "swap" => AmoOp::Swap,
-                    "min" => AmoOp::Min,
-                    "max" => AmoOp::Max,
-                    "and" => AmoOp::And,
-                    "or" => AmoOp::Or,
-                    "xor" => AmoOp::Xor,
-                    other => return err(ln, format!("unsupported vector AMO `{other}`")),
+                let op_str = &body[..pos];
+                let Some(op) = AmoOp::from_spelling(op_str) else {
+                    return err(ln, format!("unsupported vector AMO `{op_str}`"));
                 };
                 let eew = sew_from_suffix(&body[pos + 2..], ln)?;
                 need(3)?;
@@ -1028,108 +944,58 @@ fn parse_vector(m: &str, ops: Vec<String>, ln: usize) -> Result<Instr, AsmError>
         }
     };
 
-    match base {
-        "vadd" | "vsub" | "vmul" | "vand" | "vor" | "vxor" | "vsll" | "vsrl" | "vmin" | "vmax" => {
-            need(3)?;
-            let op = match base {
-                "vadd" => VIntOp::Add,
-                "vsub" => VIntOp::Sub,
-                "vmul" => VIntOp::Mul,
-                "vand" => VIntOp::And,
-                "vor" => VIntOp::Or,
-                "vxor" => VIntOp::Xor,
-                "vsll" => VIntOp::Sll,
-                "vsrl" => VIntOp::Srl,
-                "vmin" => VIntOp::Min,
-                _ => VIntOp::Max,
-            };
-            Ok(Instr::VIntOp {
-                op,
-                vd: vreg(&ops[0], ln)?,
-                vs2: vreg(&ops[1], ln)?,
-                operand: operand(&ops[2])?,
-                masked,
-            })
-        }
-        "vfadd" | "vfsub" | "vfmul" | "vfdiv" | "vfmin" | "vfmax" => {
-            need(3)?;
-            let op = match base {
-                "vfadd" => VFpOp::Add,
-                "vfsub" => VFpOp::Sub,
-                "vfmul" => VFpOp::Mul,
-                "vfdiv" => VFpOp::Div,
-                "vfmin" => VFpOp::Min,
-                _ => VFpOp::Max,
-            };
-            Ok(Instr::VFpOp {
-                op,
-                vd: vreg(&ops[0], ln)?,
-                vs2: vreg(&ops[1], ln)?,
-                operand: operand(&ops[2])?,
-                masked,
-            })
-        }
-        "vfmacc" => {
+    if let Some(op) = VIntOp::from_spelling(base) {
+        need(3)?;
+        return Ok(Instr::VIntOp {
+            op,
+            vd: vreg(&ops[0], ln)?,
+            vs2: vreg(&ops[1], ln)?,
+            operand: operand(&ops[2])?,
+            masked,
+        });
+    }
+    if let Some(op) = VFpOp::from_spelling(base) {
+        need(if op == VFpOp::Exp { 2 } else { 3 })?;
+        let vd = vreg(&ops[0], ln)?;
+        let (vs2, operand) = match op {
             // vfmacc.vv vd, vs1, vs2  /  vfmacc.vf vd, fs1, vs2
-            need(3)?;
-            Ok(Instr::VFpOp {
-                op: VFpOp::Macc,
-                vd: vreg(&ops[0], ln)?,
-                vs2: vreg(&ops[2], ln)?,
-                operand: operand(&ops[1])?,
-                masked,
-            })
-        }
-        "vfexp" => {
-            need(2)?;
-            Ok(Instr::VFpOp {
-                op: VFpOp::Exp,
-                vd: vreg(&ops[0], ln)?,
-                vs2: vreg(&ops[1], ln)?,
-                operand: VOperand::Imm(0),
-                masked,
-            })
-        }
-        "vredsum" | "vredmax" | "vredmin" | "vfredusum" | "vfredosum" | "vfredsum" | "vfredmax"
-        | "vfredmin" => {
-            need(3)?;
-            let op = match base {
-                "vredsum" => VRedOp::Sum,
-                "vredmax" => VRedOp::Max,
-                "vredmin" => VRedOp::Min,
-                "vfredmax" => VRedOp::FMax,
-                "vfredmin" => VRedOp::FMin,
-                _ => VRedOp::FSum,
-            };
-            Ok(Instr::VRed {
-                op,
-                vd: vreg(&ops[0], ln)?,
-                vs2: vreg(&ops[1], ln)?,
-                vs1: vreg(&ops[2], ln)?,
-            })
-        }
-        "vmseq" | "vmsne" | "vmslt" | "vmsle" | "vmsgt" | "vmsge" | "vmflt" | "vmfle" | "vmfeq"
-        | "vmfge" => {
-            need(3)?;
-            let op = match base {
-                "vmseq" => VCmpOp::Eq,
-                "vmsne" => VCmpOp::Ne,
-                "vmslt" => VCmpOp::Lt,
-                "vmsle" => VCmpOp::Le,
-                "vmsgt" => VCmpOp::Gt,
-                "vmsge" => VCmpOp::Ge,
-                "vmflt" => VCmpOp::FLt,
-                "vmfle" => VCmpOp::FLe,
-                "vmfeq" => VCmpOp::FEq,
-                _ => VCmpOp::FGe,
-            };
-            Ok(Instr::VCmp {
-                op,
-                vd: vreg(&ops[0], ln)?,
-                vs2: vreg(&ops[1], ln)?,
-                operand: operand(&ops[2])?,
-            })
-        }
+            VFpOp::Macc => (vreg(&ops[2], ln)?, operand(&ops[1])?),
+            VFpOp::Exp => (vreg(&ops[1], ln)?, VOperand::Imm(0)),
+            _ => (vreg(&ops[1], ln)?, operand(&ops[2])?),
+        };
+        return Ok(Instr::VFpOp {
+            op,
+            vd,
+            vs2,
+            operand,
+            masked,
+        });
+    }
+    // `vfredosum` and `vfredsum` are accepted names of the float sum.
+    let red = match base {
+        "vfredosum" | "vfredsum" => Some(VRedOp::FSum),
+        _ => VRedOp::from_spelling(base),
+    };
+    if let Some(op) = red {
+        need(3)?;
+        return Ok(Instr::VRed {
+            op,
+            vd: vreg(&ops[0], ln)?,
+            vs2: vreg(&ops[1], ln)?,
+            vs1: vreg(&ops[2], ln)?,
+        });
+    }
+    if let Some(op) = VCmpOp::from_spelling(base) {
+        need(3)?;
+        return Ok(Instr::VCmp {
+            op,
+            vd: vreg(&ops[0], ln)?,
+            vs2: vreg(&ops[1], ln)?,
+            operand: operand(&ops[2])?,
+        });
+    }
+
+    match base {
         "vid" => {
             need(1)?;
             Ok(Instr::Vid {

@@ -15,10 +15,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use crate::instr::{
-    AmoOp, BranchCond, FCmpOp, FpOp, Instr, IntOp, Precision, Sew, VAddrMode, VCmpOp, VFpOp,
-    VIntOp, VOperand, VRedOp, Width,
-};
+use crate::instr::{Instr, Precision, Spelled, VAddrMode, VFpOp, VOperand, Width};
 use crate::program::Program;
 
 /// Disassembly error: the instruction has no spelling in the dialect.
@@ -45,66 +42,6 @@ fn derr<T>(index: usize, message: impl Into<String>) -> Result<T, DisasmError> {
     })
 }
 
-fn int_op_mnemonic(op: IntOp) -> &'static str {
-    match op {
-        IntOp::Add => "add",
-        IntOp::Sub => "sub",
-        IntOp::And => "and",
-        IntOp::Or => "or",
-        IntOp::Xor => "xor",
-        IntOp::Sll => "sll",
-        IntOp::Srl => "srl",
-        IntOp::Sra => "sra",
-        IntOp::Slt => "slt",
-        IntOp::Sltu => "sltu",
-        IntOp::Mul => "mul",
-        IntOp::Mulh => "mulh",
-        IntOp::Div => "div",
-        IntOp::Divu => "divu",
-        IntOp::Rem => "rem",
-        IntOp::Remu => "remu",
-    }
-}
-
-/// Immediate-form mnemonic, or `None` for ops with no `i` spelling.
-fn int_imm_mnemonic(op: IntOp) -> Option<&'static str> {
-    Some(match op {
-        IntOp::Add => "addi",
-        IntOp::And => "andi",
-        IntOp::Or => "ori",
-        IntOp::Xor => "xori",
-        IntOp::Sll => "slli",
-        IntOp::Srl => "srli",
-        IntOp::Sra => "srai",
-        IntOp::Slt => "slti",
-        IntOp::Sltu => "sltiu",
-        _ => return None,
-    })
-}
-
-fn amo_name(op: AmoOp) -> &'static str {
-    match op {
-        AmoOp::Add => "add",
-        AmoOp::Swap => "swap",
-        AmoOp::Min => "min",
-        AmoOp::Max => "max",
-        AmoOp::And => "and",
-        AmoOp::Or => "or",
-        AmoOp::Xor => "xor",
-    }
-}
-
-fn precision_suffix(p: Precision) -> &'static str {
-    match p {
-        Precision::S => "s",
-        Precision::D => "d",
-    }
-}
-
-fn sew_bits(s: Sew) -> u32 {
-    s.bytes() * 8
-}
-
 /// `.vv`-family suffix selected by the operand kind.
 fn vkind(operand: &VOperand) -> &'static str {
     match operand {
@@ -121,6 +58,14 @@ fn voperand(operand: &VOperand) -> String {
         VOperand::Scalar(r) => format!("x{r}"),
         VOperand::Imm(i) => format!("{i}"),
         VOperand::Float(r) => format!("f{r}"),
+    }
+}
+
+/// The memory-width letter of a float precision (`flw`, `fmv.x.d`).
+fn fwidth(p: Precision) -> &'static str {
+    match p {
+        Precision::S => "w",
+        Precision::D => "d",
     }
 }
 
@@ -142,9 +87,9 @@ fn render(
         Instr::Li { rd, imm } => format!("li x{rd}, {imm}"),
         Instr::Lui { rd, imm } => format!("lui x{rd}, {imm}"),
         Instr::Op { op, rd, rs1, rs2 } => {
-            format!("{} x{rd}, x{rs1}, x{rs2}", int_op_mnemonic(*op))
+            format!("{} x{rd}, x{rs1}, x{rs2}", op.spelling())
         }
-        Instr::OpImm { op, rd, rs1, imm } => match int_imm_mnemonic(*op) {
+        Instr::OpImm { op, rd, rs1, imm } => match op.imm_spelling() {
             Some(m) => format!("{m} x{rd}, x{rs1}, {imm}"),
             None => {
                 return derr(
@@ -160,48 +105,21 @@ fn render(
             rs1,
             offset,
         } => {
-            let m = match (width, signed) {
-                (Width::B, true) => "lb",
-                (Width::H, true) => "lh",
-                (Width::W, true) => "lw",
-                (Width::D, true) => "ld",
-                (Width::B, false) => "lbu",
-                (Width::H, false) => "lhu",
-                (Width::W, false) => "lwu",
-                (Width::D, false) => "ldu",
-            };
-            format!("{m} x{rd}, {offset}(x{rs1})")
+            let u = if *signed { "" } else { "u" };
+            format!("l{}{u} x{rd}, {offset}(x{rs1})", width.spelling())
         }
         Instr::Store {
             width,
             rs2,
             rs1,
             offset,
-        } => {
-            let m = match width {
-                Width::B => "sb",
-                Width::H => "sh",
-                Width::W => "sw",
-                Width::D => "sd",
-            };
-            format!("{m} x{rs2}, {offset}(x{rs1})")
-        }
+        } => format!("s{} x{rs2}, {offset}(x{rs1})", width.spelling()),
         Instr::Branch {
             cond,
             rs1,
             rs2,
             target,
-        } => {
-            let m = match cond {
-                BranchCond::Eq => "beq",
-                BranchCond::Ne => "bne",
-                BranchCond::Lt => "blt",
-                BranchCond::Ge => "bge",
-                BranchCond::Ltu => "bltu",
-                BranchCond::Geu => "bgeu",
-            };
-            format!("{m} x{rs1}, x{rs2}, {}", label_for(*target))
-        }
+        } => format!("{} x{rs1}, x{rs2}, {}", cond.spelling(), label_for(*target)),
         Instr::Jal { rd, target } => format!("jal x{rd}, {}", label_for(*target)),
         Instr::Jalr { rd, rs1, offset } => format!("jalr x{rd}, {offset}(x{rs1})"),
         Instr::Amo {
@@ -211,12 +129,14 @@ fn render(
             rs2,
             rs1,
         } => {
-            let w = match width {
-                Width::W => "w",
-                Width::D => "d",
-                _ => return derr(idx, "AMO width must be W or D"),
-            };
-            format!("amo{}.{w} x{rd}, x{rs2}, (x{rs1})", amo_name(*op))
+            if !matches!(width, Width::W | Width::D) {
+                return derr(idx, "AMO width must be W or D");
+            }
+            format!(
+                "amo{}.{} x{rd}, x{rs2}, (x{rs1})",
+                op.spelling(),
+                width.spelling()
+            )
         }
         Instr::Fence => "fence".to_string(),
         Instr::Halt => "halt".to_string(),
@@ -226,25 +146,13 @@ fn render(
             rd,
             rs1,
             offset,
-        } => {
-            let m = match precision {
-                Precision::S => "flw",
-                Precision::D => "fld",
-            };
-            format!("{m} f{rd}, {offset}(x{rs1})")
-        }
+        } => format!("fl{} f{rd}, {offset}(x{rs1})", fwidth(*precision)),
         Instr::FStore {
             precision,
             rs2,
             rs1,
             offset,
-        } => {
-            let m = match precision {
-                Precision::S => "fsw",
-                Precision::D => "fsd",
-            };
-            format!("{m} f{rs2}, {offset}(x{rs1})")
-        }
+        } => format!("fs{} f{rs2}, {offset}(x{rs1})", fwidth(*precision)),
         Instr::FOp {
             op,
             precision,
@@ -252,30 +160,13 @@ fn render(
             rs1,
             rs2,
         } => {
-            let p = precision_suffix(*precision);
-            match op {
-                FpOp::Sqrt | FpOp::Exp => {
-                    if *rs2 != 0 {
-                        return derr(idx, format!("unary `{op:?}` requires rs2 = 0"));
-                    }
-                    let m = if *op == FpOp::Sqrt { "fsqrt" } else { "fexp" };
-                    format!("{m}.{p} f{rd}, f{rs1}")
-                }
-                _ => {
-                    let m = match op {
-                        FpOp::Add => "fadd",
-                        FpOp::Sub => "fsub",
-                        FpOp::Mul => "fmul",
-                        FpOp::Div => "fdiv",
-                        FpOp::Min => "fmin",
-                        FpOp::Max => "fmax",
-                        FpOp::Sgnj => "fsgnj",
-                        FpOp::Sgnjn => "fsgnjn",
-                        FpOp::Sgnjx => "fsgnjx",
-                        FpOp::Sqrt | FpOp::Exp => unreachable!(),
-                    };
-                    format!("{m}.{p} f{rd}, f{rs1}, f{rs2}")
-                }
+            let (m, p) = (op.spelling(), precision.spelling());
+            if !op.is_unary() {
+                format!("{m}.{p} f{rd}, f{rs1}, f{rs2}")
+            } else if *rs2 == 0 {
+                format!("{m}.{p} f{rd}, f{rs1}")
+            } else {
+                return derr(idx, format!("unary `{op:?}` requires rs2 = 0"));
             }
         }
         Instr::FMadd {
@@ -286,7 +177,7 @@ fn render(
             rs3,
         } => format!(
             "fmadd.{} f{rd}, f{rs1}, f{rs2}, f{rs3}",
-            precision_suffix(*precision)
+            precision.spelling()
         ),
         Instr::FCmp {
             op,
@@ -294,14 +185,11 @@ fn render(
             rd,
             rs1,
             rs2,
-        } => {
-            let m = match op {
-                FCmpOp::Eq => "feq",
-                FCmpOp::Lt => "flt",
-                FCmpOp::Le => "fle",
-            };
-            format!("{m}.{} x{rd}, f{rs1}, f{rs2}", precision_suffix(*precision))
-        }
+        } => format!(
+            "{}.{} x{rd}, f{rs1}, f{rs2}",
+            op.spelling(),
+            precision.spelling()
+        ),
         Instr::FCvtFromInt {
             precision,
             rd,
@@ -309,7 +197,7 @@ fn render(
             signed,
         } => {
             let from = if *signed { "l" } else { "lu" };
-            format!("fcvt.{}.{from} f{rd}, x{rs1}", precision_suffix(*precision))
+            format!("fcvt.{}.{from} f{rd}, x{rs1}", precision.spelling())
         }
         Instr::FCvtToInt {
             precision,
@@ -318,21 +206,13 @@ fn render(
             signed,
         } => {
             let to = if *signed { "l" } else { "lu" };
-            format!("fcvt.{to}.{} x{rd}, f{rs1}", precision_suffix(*precision))
+            format!("fcvt.{to}.{} x{rd}, f{rs1}", precision.spelling())
         }
         Instr::FMvToInt { precision, rd, rs1 } => {
-            let w = match precision {
-                Precision::S => "w",
-                Precision::D => "d",
-            };
-            format!("fmv.x.{w} x{rd}, f{rs1}")
+            format!("fmv.x.{} x{rd}, f{rs1}", fwidth(*precision))
         }
         Instr::FMvFromInt { precision, rd, rs1 } => {
-            let w = match precision {
-                Precision::S => "w",
-                Precision::D => "d",
-            };
-            format!("fmv.{w}.x f{rd}, x{rs1}")
+            format!("fmv.{}.x f{rd}, x{rs1}", fwidth(*precision))
         }
         Instr::FCvtPrec { to, rd, rs1 } => {
             let m = match to {
@@ -343,7 +223,7 @@ fn render(
         }
 
         Instr::Vsetvli { rd, rs1, sew } => {
-            format!("vsetvli x{rd}, x{rs1}, e{}", sew_bits(*sew))
+            format!("vsetvli x{rd}, x{rs1}, e{}", sew.spelling())
         }
         Instr::VLoad {
             eew,
@@ -352,7 +232,7 @@ fn render(
             mode,
             masked,
         } => {
-            let e = sew_bits(*eew);
+            let e = eew.spelling();
             let msk = mask_suffix(*masked);
             match mode {
                 VAddrMode::Unit => format!("vle{e}.v v{vd}, (x{rs1}){msk}"),
@@ -367,7 +247,7 @@ fn render(
             mode,
             masked,
         } => {
-            let e = sew_bits(*eew);
+            let e = eew.spelling();
             let msk = mask_suffix(*masked);
             match mode {
                 VAddrMode::Unit => format!("vse{e}.v v{vs3}, (x{rs1}){msk}"),
@@ -381,26 +261,13 @@ fn render(
             vs2,
             operand,
             masked,
-        } => {
-            let m = match op {
-                VIntOp::Add => "vadd",
-                VIntOp::Sub => "vsub",
-                VIntOp::Mul => "vmul",
-                VIntOp::And => "vand",
-                VIntOp::Or => "vor",
-                VIntOp::Xor => "vxor",
-                VIntOp::Sll => "vsll",
-                VIntOp::Srl => "vsrl",
-                VIntOp::Min => "vmin",
-                VIntOp::Max => "vmax",
-            };
-            format!(
-                "{m}.{} v{vd}, v{vs2}, {}{}",
-                vkind(operand),
-                voperand(operand),
-                mask_suffix(*masked)
-            )
-        }
+        } => format!(
+            "{}.{} v{vd}, v{vs2}, {}{}",
+            op.spelling(),
+            vkind(operand),
+            voperand(operand),
+            mask_suffix(*masked)
+        ),
         Instr::VFpOp {
             op,
             vd,
@@ -408,72 +275,33 @@ fn render(
             operand,
             masked,
         } => {
-            let msk = mask_suffix(*masked);
+            let (m, msk) = (op.spelling(), mask_suffix(*masked));
+            let (k, o) = (vkind(operand), voperand(operand));
             match op {
-                VFpOp::Macc => format!(
-                    "vfmacc.{} v{vd}, {}, v{vs2}{msk}",
-                    vkind(operand),
-                    voperand(operand)
-                ),
+                VFpOp::Macc => format!("{m}.{k} v{vd}, {o}, v{vs2}{msk}"),
                 VFpOp::Exp => {
                     if *operand != VOperand::Imm(0) {
                         return derr(idx, "vfexp requires operand Imm(0)");
                     }
-                    format!("vfexp.v v{vd}, v{vs2}{msk}")
+                    format!("{m}.v v{vd}, v{vs2}{msk}")
                 }
-                _ => {
-                    let m = match op {
-                        VFpOp::Add => "vfadd",
-                        VFpOp::Sub => "vfsub",
-                        VFpOp::Mul => "vfmul",
-                        VFpOp::Div => "vfdiv",
-                        VFpOp::Min => "vfmin",
-                        VFpOp::Max => "vfmax",
-                        VFpOp::Macc | VFpOp::Exp => unreachable!(),
-                    };
-                    format!(
-                        "{m}.{} v{vd}, v{vs2}, {}{msk}",
-                        vkind(operand),
-                        voperand(operand)
-                    )
-                }
+                _ => format!("{m}.{k} v{vd}, v{vs2}, {o}{msk}"),
             }
         }
         Instr::VRed { op, vd, vs2, vs1 } => {
-            let m = match op {
-                VRedOp::Sum => "vredsum",
-                VRedOp::Max => "vredmax",
-                VRedOp::Min => "vredmin",
-                VRedOp::FSum => "vfredusum",
-                VRedOp::FMax => "vfredmax",
-                VRedOp::FMin => "vfredmin",
-            };
-            format!("{m}.vs v{vd}, v{vs2}, v{vs1}")
+            format!("{}.vs v{vd}, v{vs2}, v{vs1}", op.spelling())
         }
         Instr::VCmp {
             op,
             vd,
             vs2,
             operand,
-        } => {
-            let m = match op {
-                VCmpOp::Eq => "vmseq",
-                VCmpOp::Ne => "vmsne",
-                VCmpOp::Lt => "vmslt",
-                VCmpOp::Le => "vmsle",
-                VCmpOp::Gt => "vmsgt",
-                VCmpOp::Ge => "vmsge",
-                VCmpOp::FLt => "vmflt",
-                VCmpOp::FLe => "vmfle",
-                VCmpOp::FEq => "vmfeq",
-                VCmpOp::FGe => "vmfge",
-            };
-            format!(
-                "{m}.{} v{vd}, v{vs2}, {}",
-                vkind(operand),
-                voperand(operand)
-            )
-        }
+        } => format!(
+            "{}.{} v{vd}, v{vs2}, {}",
+            op.spelling(),
+            vkind(operand),
+            voperand(operand)
+        ),
         Instr::VMv { vd, operand } => match operand {
             VOperand::Vector(r) => format!("vmv.v.v v{vd}, v{r}"),
             VOperand::Scalar(r) => format!("vmv.v.x v{vd}, x{r}"),
@@ -507,8 +335,8 @@ fn render(
             masked,
         } => format!(
             "vamo{}ei{}.v v{vd}, (x{rs1}), v{vs2}{}",
-            amo_name(*op),
-            sew_bits(*eew),
+            op.spelling(),
+            eew.spelling(),
             mask_suffix(*masked)
         ),
     };
@@ -598,6 +426,7 @@ pub fn disassemble(program: &Program) -> Result<String, DisasmError> {
 mod tests {
     use super::*;
     use crate::asm::assemble;
+    use crate::instr::{AmoOp, BranchCond, IntOp};
 
     fn roundtrip(src: &str) {
         let p = assemble(src).expect("assemble");

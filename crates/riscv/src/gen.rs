@@ -19,8 +19,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::instr::{
-    AmoOp, BranchCond, FCmpOp, FpOp, Instr, IntOp, Precision, Sew, VAddrMode, VCmpOp, VFpOp,
-    VIntOp, VOperand, VRedOp, Width,
+    AmoOp, BranchCond, FCmpOp, FpOp, Instr, IntOp, Precision, Sew, Spelled, VAddrMode, VCmpOp,
+    VFpOp, VIntOp, VOperand, VRedOp, Width,
 };
 use crate::program::Program;
 
@@ -39,22 +39,14 @@ fn imm(rng: &mut StdRng) -> i64 {
     }
 }
 
-fn width(rng: &mut StdRng) -> Width {
-    match rng.gen_range(0..4u8) {
-        0 => Width::B,
-        1 => Width::H,
-        2 => Width::W,
-        _ => Width::D,
-    }
-}
-
-fn sew(rng: &mut StdRng) -> Sew {
-    match rng.gen_range(0..4u8) {
-        0 => Sew::E8,
-        1 => Sew::E16,
-        2 => Sew::E32,
-        _ => Sew::E64,
-    }
+/// One variant of an op enum, drawn uniformly over its table.
+///
+/// The index comes from a `u8` range, the type each seed's stream was
+/// recorded with: the vendored `rand` draws every integer range alike, but
+/// upstream `rand` samples `u8` and `usize` ranges differently.
+fn pick<T: Spelled>(rng: &mut StdRng) -> T {
+    let n = u8::try_from(T::ALL.len()).expect("op tables have under 256 entries");
+    T::ALL[usize::from(rng.gen_range(0..n))]
 }
 
 fn precision(rng: &mut StdRng) -> Precision {
@@ -65,52 +57,13 @@ fn precision(rng: &mut StdRng) -> Precision {
     }
 }
 
-fn amo_op(rng: &mut StdRng) -> AmoOp {
-    match rng.gen_range(0..7u8) {
-        0 => AmoOp::Add,
-        1 => AmoOp::Swap,
-        2 => AmoOp::Min,
-        3 => AmoOp::Max,
-        4 => AmoOp::And,
-        5 => AmoOp::Or,
-        _ => AmoOp::Xor,
-    }
-}
-
-fn int_op(rng: &mut StdRng) -> IntOp {
-    match rng.gen_range(0..16u8) {
-        0 => IntOp::Add,
-        1 => IntOp::Sub,
-        2 => IntOp::And,
-        3 => IntOp::Or,
-        4 => IntOp::Xor,
-        5 => IntOp::Sll,
-        6 => IntOp::Srl,
-        7 => IntOp::Sra,
-        8 => IntOp::Slt,
-        9 => IntOp::Sltu,
-        10 => IntOp::Mul,
-        11 => IntOp::Mulh,
-        12 => IntOp::Div,
-        13 => IntOp::Divu,
-        14 => IntOp::Rem,
-        _ => IntOp::Remu,
-    }
-}
-
 /// One of the nine ops that have an immediate-form mnemonic.
 fn int_imm_op(rng: &mut StdRng) -> IntOp {
-    match rng.gen_range(0..9u8) {
-        0 => IntOp::Add,
-        1 => IntOp::And,
-        2 => IntOp::Or,
-        3 => IntOp::Xor,
-        4 => IntOp::Sll,
-        5 => IntOp::Srl,
-        6 => IntOp::Sra,
-        7 => IntOp::Slt,
-        _ => IntOp::Sltu,
-    }
+    let i = rng.gen_range(0..9u8);
+    let mut imm_ops = IntOp::ALL.iter().filter(|op| op.imm_spelling().is_some());
+    *imm_ops
+        .nth(usize::from(i))
+        .expect("nine ops have an immediate form")
 }
 
 fn voperand(rng: &mut StdRng) -> VOperand {
@@ -148,7 +101,7 @@ pub fn gen_instr(rng: &mut StdRng, len: usize) -> Instr {
             imm: imm(rng),
         },
         2 => Instr::Op {
-            op: int_op(rng),
+            op: pick(rng),
             rd: xr(rng),
             rs1: xr(rng),
             rs2: xr(rng),
@@ -160,27 +113,20 @@ pub fn gen_instr(rng: &mut StdRng, len: usize) -> Instr {
             imm: imm(rng),
         },
         4 => Instr::Load {
-            width: width(rng),
+            width: pick(rng),
             signed: rng.gen_bool(0.5),
             rd: xr(rng),
             rs1: xr(rng),
             offset: imm(rng),
         },
         5 => Instr::Store {
-            width: width(rng),
+            width: pick(rng),
             rs2: xr(rng),
             rs1: xr(rng),
             offset: imm(rng),
         },
         6 => Instr::Branch {
-            cond: match rng.gen_range(0..6u8) {
-                0 => BranchCond::Eq,
-                1 => BranchCond::Ne,
-                2 => BranchCond::Lt,
-                3 => BranchCond::Ge,
-                4 => BranchCond::Ltu,
-                _ => BranchCond::Geu,
-            },
+            cond: pick(rng),
             rs1: xr(rng),
             rs2: xr(rng),
             target: target(rng),
@@ -195,7 +141,7 @@ pub fn gen_instr(rng: &mut StdRng, len: usize) -> Instr {
             offset: imm(rng),
         },
         9 => Instr::Amo {
-            op: amo_op(rng),
+            op: pick(rng),
             width: if rng.gen_bool(0.5) {
                 Width::W
             } else {
@@ -220,25 +166,9 @@ pub fn gen_instr(rng: &mut StdRng, len: usize) -> Instr {
             offset: imm(rng),
         },
         14 => {
-            let op = match rng.gen_range(0..11u8) {
-                0 => FpOp::Add,
-                1 => FpOp::Sub,
-                2 => FpOp::Mul,
-                3 => FpOp::Div,
-                4 => FpOp::Min,
-                5 => FpOp::Max,
-                6 => FpOp::Sqrt,
-                7 => FpOp::Exp,
-                8 => FpOp::Sgnj,
-                9 => FpOp::Sgnjn,
-                _ => FpOp::Sgnjx,
-            };
+            let op = pick::<FpOp>(rng);
             // Unary SFU ops carry rs2 = 0 in assembler-image form.
-            let rs2 = if matches!(op, FpOp::Sqrt | FpOp::Exp) {
-                0
-            } else {
-                xr(rng)
-            };
+            let rs2 = if op.is_unary() { 0 } else { xr(rng) };
             Instr::FOp {
                 op,
                 precision: precision(rng),
@@ -255,11 +185,7 @@ pub fn gen_instr(rng: &mut StdRng, len: usize) -> Instr {
             rs3: xr(rng),
         },
         16 => Instr::FCmp {
-            op: match rng.gen_range(0..3u8) {
-                0 => FCmpOp::Eq,
-                1 => FCmpOp::Lt,
-                _ => FCmpOp::Le,
-            },
+            op: pick(rng),
             precision: precision(rng),
             rd: xr(rng),
             rs1: xr(rng),
@@ -295,51 +221,31 @@ pub fn gen_instr(rng: &mut StdRng, len: usize) -> Instr {
         22 => Instr::Vsetvli {
             rd: xr(rng),
             rs1: xr(rng),
-            sew: sew(rng),
+            sew: pick(rng),
         },
         23 => Instr::VLoad {
-            eew: sew(rng),
+            eew: pick(rng),
             vd: xr(rng),
             rs1: xr(rng),
             mode: vaddr_mode(rng),
             masked: rng.gen_bool(0.25),
         },
         24 => Instr::VStore {
-            eew: sew(rng),
+            eew: pick(rng),
             vs3: xr(rng),
             rs1: xr(rng),
             mode: vaddr_mode(rng),
             masked: rng.gen_bool(0.25),
         },
         25 => Instr::VIntOp {
-            op: match rng.gen_range(0..10u8) {
-                0 => VIntOp::Add,
-                1 => VIntOp::Sub,
-                2 => VIntOp::Mul,
-                3 => VIntOp::And,
-                4 => VIntOp::Or,
-                5 => VIntOp::Xor,
-                6 => VIntOp::Sll,
-                7 => VIntOp::Srl,
-                8 => VIntOp::Min,
-                _ => VIntOp::Max,
-            },
+            op: pick(rng),
             vd: xr(rng),
             vs2: xr(rng),
             operand: voperand(rng),
             masked: rng.gen_bool(0.25),
         },
         26 => {
-            let op = match rng.gen_range(0..8u8) {
-                0 => VFpOp::Add,
-                1 => VFpOp::Sub,
-                2 => VFpOp::Mul,
-                3 => VFpOp::Div,
-                4 => VFpOp::Macc,
-                5 => VFpOp::Min,
-                6 => VFpOp::Max,
-                _ => VFpOp::Exp,
-            };
+            let op = pick::<VFpOp>(rng);
             // vfexp.v's operand slot is fixed at Imm(0) by the assembler.
             let operand = if op == VFpOp::Exp {
                 VOperand::Imm(0)
@@ -355,31 +261,13 @@ pub fn gen_instr(rng: &mut StdRng, len: usize) -> Instr {
             }
         }
         27 => Instr::VRed {
-            op: match rng.gen_range(0..6u8) {
-                0 => VRedOp::Sum,
-                1 => VRedOp::Max,
-                2 => VRedOp::Min,
-                3 => VRedOp::FSum,
-                4 => VRedOp::FMax,
-                _ => VRedOp::FMin,
-            },
+            op: pick(rng),
             vd: xr(rng),
             vs2: xr(rng),
             vs1: xr(rng),
         },
         28 => Instr::VCmp {
-            op: match rng.gen_range(0..10u8) {
-                0 => VCmpOp::Eq,
-                1 => VCmpOp::Ne,
-                2 => VCmpOp::Lt,
-                3 => VCmpOp::Le,
-                4 => VCmpOp::Gt,
-                5 => VCmpOp::Ge,
-                6 => VCmpOp::FLt,
-                7 => VCmpOp::FLe,
-                8 => VCmpOp::FEq,
-                _ => VCmpOp::FGe,
-            },
+            op: pick(rng),
             vd: xr(rng),
             vs2: xr(rng),
             operand: voperand(rng),
@@ -422,8 +310,8 @@ pub fn gen_instr(rng: &mut StdRng, len: usize) -> Instr {
             }
         }
         _ => Instr::VAmo {
-            op: amo_op(rng),
-            eew: sew(rng),
+            op: pick(rng),
+            eew: pick(rng),
             vd: xr(rng),
             rs1: xr(rng),
             vs2: xr(rng),

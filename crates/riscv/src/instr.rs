@@ -2,6 +2,41 @@
 //!
 //! Operands follow hardware register numbering: `x0`–`x31` (x0 hardwired to
 //! zero), `f0`–`f31`, `v0`–`v31`. The assembler accepts ABI names too.
+//!
+//! Each op enum carries its one canonical spelling (the crate-private
+//! `Spelled` tables): the disassembler renders it, the assembler looks it
+//! up, and the generators draw from the same variant list.
+
+/// An op enum's variants and the canonical spelling of each.
+pub(crate) trait Spelled: Copy + 'static {
+    /// Every variant, in declaration order (the generators draw by index).
+    const ALL: &'static [Self];
+
+    /// The canonical spelling, as the disassembler writes it.
+    fn spelling(self) -> &'static str;
+
+    /// The variant spelled `s`.
+    fn from_spelling(s: &str) -> Option<Self> {
+        Self::ALL.iter().copied().find(|op| op.spelling() == s)
+    }
+}
+
+/// Implements `Spelled` from one list of `Variant => "spelling"` pairs in
+/// declaration order. The list is `ALL`, and the `match` it expands to has
+/// no catch-all arm, so a variant missing from the list does not compile.
+macro_rules! spelled {
+    ($ty:ident { $($variant:ident => $spelling:literal,)+ }) => {
+        impl Spelled for $ty {
+            const ALL: &'static [Self] = &[$(Self::$variant),+];
+
+            fn spelling(self) -> &'static str {
+                match self {
+                    $(Self::$variant => $spelling,)+
+                }
+            }
+        }
+    };
+}
 
 /// Integer ALU operations (register-register and register-immediate forms).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +83,49 @@ impl IntOp {
             IntOp::Mul | IntOp::Mulh | IntOp::Div | IntOp::Divu | IntOp::Rem | IntOp::Remu
         )
     }
+
+    /// Immediate-form mnemonic, or `None` for ops with no `i` spelling.
+    pub(crate) fn imm_spelling(self) -> Option<&'static str> {
+        Some(match self {
+            IntOp::Add => "addi",
+            IntOp::And => "andi",
+            IntOp::Or => "ori",
+            IntOp::Xor => "xori",
+            IntOp::Sll => "slli",
+            IntOp::Srl => "srli",
+            IntOp::Sra => "srai",
+            IntOp::Slt => "slti",
+            IntOp::Sltu => "sltiu",
+            IntOp::Sub
+            | IntOp::Mul
+            | IntOp::Mulh
+            | IntOp::Div
+            | IntOp::Divu
+            | IntOp::Rem
+            | IntOp::Remu => return None,
+        })
+    }
 }
+
+// Register-form mnemonics.
+spelled!(IntOp {
+    Add => "add",
+    Sub => "sub",
+    And => "and",
+    Or => "or",
+    Xor => "xor",
+    Sll => "sll",
+    Srl => "srl",
+    Sra => "sra",
+    Slt => "slt",
+    Sltu => "sltu",
+    Mul => "mul",
+    Mulh => "mulh",
+    Div => "div",
+    Divu => "divu",
+    Rem => "rem",
+    Remu => "remu",
+});
 
 /// Branch conditions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,6 +143,16 @@ pub enum BranchCond {
     /// Greater or equal (unsigned).
     Geu,
 }
+
+// Branch mnemonics.
+spelled!(BranchCond {
+    Eq => "beq",
+    Ne => "bne",
+    Lt => "blt",
+    Ge => "bge",
+    Ltu => "bltu",
+    Geu => "bgeu",
+});
 
 /// Memory access widths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,6 +179,15 @@ impl Width {
     }
 }
 
+// The width letter of loads (`l{w}`, `l{w}u`), stores (`s{w}`) and AMOs
+// (`.{w}`).
+spelled!(Width {
+    B => "b",
+    H => "h",
+    W => "w",
+    D => "d",
+});
+
 /// Atomic memory operations (A extension).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AmoOp {
@@ -111,6 +207,17 @@ pub enum AmoOp {
     Xor,
 }
 
+// The op part of `amo{op}.{w}` and `vamo{op}ei{eew}.v`.
+spelled!(AmoOp {
+    Add => "add",
+    Swap => "swap",
+    Min => "min",
+    Max => "max",
+    And => "and",
+    Or => "or",
+    Xor => "xor",
+});
+
 /// Floating-point precision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Precision {
@@ -129,6 +236,12 @@ impl Precision {
         }
     }
 }
+
+// The precision suffix of float mnemonics (`fadd.{p}`).
+spelled!(Precision {
+    S => "s",
+    D => "d",
+});
 
 /// Scalar floating-point computations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,6 +270,28 @@ pub enum FpOp {
     Sgnjx,
 }
 
+impl FpOp {
+    /// Whether the op reads one source (its `rs2` is 0 in assembler images).
+    pub(crate) fn is_unary(self) -> bool {
+        matches!(self, FpOp::Sqrt | FpOp::Exp)
+    }
+}
+
+// Float mnemonics before the precision suffix.
+spelled!(FpOp {
+    Add => "fadd",
+    Sub => "fsub",
+    Mul => "fmul",
+    Div => "fdiv",
+    Min => "fmin",
+    Max => "fmax",
+    Sqrt => "fsqrt",
+    Exp => "fexp",
+    Sgnj => "fsgnj",
+    Sgnjn => "fsgnjn",
+    Sgnjx => "fsgnjx",
+});
+
 /// Scalar float comparisons (write 0/1 to an integer register).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FCmpOp {
@@ -167,6 +302,13 @@ pub enum FCmpOp {
     /// Less or equal.
     Le,
 }
+
+// Float compare mnemonics before the precision suffix.
+spelled!(FCmpOp {
+    Eq => "feq",
+    Lt => "flt",
+    Le => "fle",
+});
 
 /// Selected element width for vector operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,6 +335,14 @@ impl Sew {
     }
 }
 
+// Element width in bits, as in `e{sew}`, `vle{eew}.v` and `vamo…ei{eew}.v`.
+spelled!(Sew {
+    E8 => "8",
+    E16 => "16",
+    E32 => "32",
+    E64 => "64",
+});
+
 /// Vector integer operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VIntOp {
@@ -218,6 +368,20 @@ pub enum VIntOp {
     Max,
 }
 
+// Vector integer mnemonics before the operand-kind suffix.
+spelled!(VIntOp {
+    Add => "vadd",
+    Sub => "vsub",
+    Mul => "vmul",
+    And => "vand",
+    Or => "vor",
+    Xor => "vxor",
+    Sll => "vsll",
+    Srl => "vsrl",
+    Min => "vmin",
+    Max => "vmax",
+});
+
 /// Vector floating-point operations (SEW selects f32/f64).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VFpOp {
@@ -239,6 +403,18 @@ pub enum VFpOp {
     Exp,
 }
 
+// Vector float mnemonics before the operand-kind suffix.
+spelled!(VFpOp {
+    Add => "vfadd",
+    Sub => "vfsub",
+    Mul => "vfmul",
+    Div => "vfdiv",
+    Macc => "vfmacc",
+    Min => "vfmin",
+    Max => "vfmax",
+    Exp => "vfexp",
+});
+
 /// Vector reductions (scalar result in element 0 of vd).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VRedOp {
@@ -255,6 +431,16 @@ pub enum VRedOp {
     /// Float min.
     FMin,
 }
+
+// Reduction mnemonics before the `.vs` suffix.
+spelled!(VRedOp {
+    Sum => "vredsum",
+    Max => "vredmax",
+    Min => "vredmin",
+    FSum => "vfredusum",
+    FMax => "vfredmax",
+    FMin => "vfredmin",
+});
 
 /// Vector compares, writing a mask (bit per element) into vd.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -280,6 +466,20 @@ pub enum VCmpOp {
     /// Float greater or equal.
     FGe,
 }
+
+// Vector compare mnemonics before the operand-kind suffix.
+spelled!(VCmpOp {
+    Eq => "vmseq",
+    Ne => "vmsne",
+    Lt => "vmslt",
+    Le => "vmsle",
+    Gt => "vmsgt",
+    Ge => "vmsge",
+    FLt => "vmflt",
+    FLe => "vmfle",
+    FEq => "vmfeq",
+    FGe => "vmfge",
+});
 
 /// Second source operand of a vector instruction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -714,6 +914,28 @@ mod tests {
         assert_eq!(Width::B.bytes(), 1);
         assert_eq!(Width::D.bytes(), 8);
         assert_eq!(Sew::E32.bytes(), 4);
+    }
+
+    #[test]
+    fn op_tables_list_each_variant_once_in_declaration_order() {
+        fn check<T: Spelled + PartialEq + std::fmt::Debug>(discriminant: fn(T) -> usize) {
+            for (i, &op) in T::ALL.iter().enumerate() {
+                assert_eq!(discriminant(op), i, "{op:?} out of declaration order");
+                assert_eq!(T::from_spelling(op.spelling()), Some(op), "{op:?}");
+            }
+        }
+        check::<IntOp>(|op| op as usize);
+        check::<BranchCond>(|op| op as usize);
+        check::<Width>(|op| op as usize);
+        check::<AmoOp>(|op| op as usize);
+        check::<Precision>(|op| op as usize);
+        check::<FpOp>(|op| op as usize);
+        check::<FCmpOp>(|op| op as usize);
+        check::<Sew>(|op| op as usize);
+        check::<VIntOp>(|op| op as usize);
+        check::<VFpOp>(|op| op as usize);
+        check::<VRedOp>(|op| op as usize);
+        check::<VCmpOp>(|op| op as usize);
     }
 
     #[test]

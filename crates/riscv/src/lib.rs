@@ -13,7 +13,7 @@
 //! * [`disasm`] — the inverse: canonical text from a [`Program`], with
 //!   label reconstruction, satisfying `assemble(disassemble(p)) == p`;
 //! * [`gen`] — seeded random instruction/program generators used by the
-//!   round-trip and differential property tests (and the fuzz-style CLI);
+//!   round-trip and differential property tests;
 //! * [`exec`] — a functional executor: [`exec::ThreadCtx`] holds one
 //!   µthread's architectural state; [`exec::step_group`] decodes an
 //!   instruction once and executes it across a whole SIMT group against a

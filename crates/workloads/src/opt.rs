@@ -12,7 +12,7 @@
 //! then each µthread computes the 8 output elements mapped to its 32 B of
 //! the output vector — the µthread pool region — streaming 8 weight rows.
 
-use m2ndp_core::{KernelId, KernelSpec, LaunchArgs};
+use m2ndp_core::{CxlM2ndpDevice, KernelId, KernelSpec, LaunchArgs};
 use m2ndp_mem::MainMemory;
 use m2ndp_riscv::assemble;
 
@@ -241,6 +241,19 @@ pub struct OptKernels {
     pub softmax: KernelId,
     /// Weighted-sum kernel id.
     pub wsum: KernelId,
+}
+
+impl OptKernels {
+    /// Registers the four decode-step kernels on `dev`, in the order gemv,
+    /// scores, softmax, wsum.
+    pub fn register(dev: &mut CxlM2ndpDevice) -> Self {
+        Self {
+            gemv: dev.register_kernel(gemv_kernel()),
+            scores: dev.register_kernel(scores_kernel()),
+            softmax: dev.register_kernel(softmax_kernel()),
+            wsum: dev.register_kernel(weighted_sum_kernel()),
+        }
+    }
 }
 
 /// The launch sequence for one decode step (run sequentially; each launch

@@ -35,12 +35,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         kvstore::verify_get(&data, device.memory(), req, (i % 64) as u32)
             .map_err(std::io::Error::other)?;
     }
-    let mut sorted = service_ns.clone();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    let mut kernel = FHistogram::new();
+    for &ns in &service_ns {
+        kernel.record(ns);
+    }
     println!(
         "GET kernel runtime on the device: p50 {:.0} ns, p95 {:.0} ns (paper: 0.77 us P95)",
-        sorted[sorted.len() / 2],
-        sorted[(sorted.len() * 95) / 100]
+        kernel.percentile(0.5),
+        kernel.percentile(0.95)
     );
 
     // End-to-end P95 under each offload mechanism at 1M req/s.

@@ -25,12 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cfg.hidden, cfg.heads, cfg.ffn, cfg.layers, cfg.context
     );
     let data = opt::generate(cfg, device.memory_mut());
-    let kernels = opt::OptKernels {
-        gemv: device.register_kernel(opt::gemv_kernel()),
-        scores: device.register_kernel(opt::scores_kernel()),
-        softmax: device.register_kernel(opt::softmax_kernel()),
-        wsum: device.register_kernel(opt::weighted_sum_kernel()),
-    };
+    let kernels = opt::OptKernels::register(&mut device);
     let units = device.config().engine.units;
     let start = device.now();
     for (i, (_k, launch)) in opt::decode_step_launches(&data, &kernels, units)

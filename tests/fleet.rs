@@ -123,12 +123,7 @@ fn tensor_parallel_opt_verifies_and_allreduce_is_switch_traffic() {
     for (d, cfg) in opt::tensor_parallel(base, n as u32).iter().enumerate() {
         let data = opt::generate(*cfg, fleet.device_mut(d).memory_mut());
         let dev = fleet.device_mut(d);
-        let kernels = opt::OptKernels {
-            gemv: dev.register_kernel(opt::gemv_kernel()),
-            scores: dev.register_kernel(opt::scores_kernel()),
-            softmax: dev.register_kernel(opt::softmax_kernel()),
-            wsum: dev.register_kernel(opt::weighted_sum_kernel()),
-        };
+        let kernels = opt::OptKernels::register(dev);
         let units = dev.config().engine.units;
         let pool = fleet.shard_base(d);
         for (_k, launch) in opt::decode_step_launches(&data, &kernels, units) {

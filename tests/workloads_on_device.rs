@@ -209,12 +209,7 @@ fn opt_decode_step_on_device_matches_reference() {
         seed: 21,
     };
     let data = opt::generate(cfg, dev.memory_mut());
-    let kernels = opt::OptKernels {
-        gemv: dev.register_kernel(opt::gemv_kernel()),
-        scores: dev.register_kernel(opt::scores_kernel()),
-        softmax: dev.register_kernel(opt::softmax_kernel()),
-        wsum: dev.register_kernel(opt::weighted_sum_kernel()),
-    };
+    let kernels = opt::OptKernels::register(&mut dev);
     let units = dev.config().engine.units;
     for (_kid, launch) in opt::decode_step_launches(&data, &kernels, units) {
         let inst = dev.launch(launch).unwrap();
