@@ -269,26 +269,26 @@ pub struct CacheStats {
     pub stalls: Counter,
 }
 
+/// A line's state beside its tag. A line is valid exactly when its slot in
+/// [`SectoredCache::tags`] holds a tag other than [`INVALID_TAG`].
 #[derive(Debug, Clone)]
 struct Line {
-    tag: u64,
     valid_sectors: u32,
     dirty_sectors: u32,
     last_used: u64,
-    valid: bool,
 }
 
 impl Line {
-    fn empty() -> Self {
-        Self {
-            tag: 0,
-            valid_sectors: 0,
-            dirty_sectors: 0,
-            last_used: 0,
-            valid: false,
-        }
-    }
+    const EMPTY: Self = Self {
+        valid_sectors: 0,
+        dirty_sectors: 0,
+        last_used: 0,
+    };
 }
+
+/// The tag of an invalid line. No line address equals it: lines are at
+/// least 2 B and aligned, so every line address is even.
+const INVALID_TAG: u64 = u64::MAX;
 
 #[derive(Debug)]
 struct MshrEntry<T> {
@@ -307,16 +307,28 @@ const MSHR_NIL: u32 = u32::MAX;
 /// `T` is the owner's request token type (popped from [`Self::pop_ready`]
 /// when fills complete).
 ///
-/// Storage is a single flat `lines` array indexed `set * ways + way`
-/// (better locality than a `Vec<Vec<_>>` of sets and one less indirection
-/// per probe), and MSHRs are found through a line-address hash index rather
-/// than a linear scan.
+/// Storage is two flat arrays indexed `set * ways + way` (better locality
+/// than a `Vec<Vec<_>>` of sets and one less indirection per probe): the
+/// packed `tags` that a probe scans, and the `lines` state it touches only
+/// on a match or an allocation. MSHRs are found through a line-address hash
+/// index rather than a linear scan. The address arithmetic is shifts and
+/// masks fixed at construction.
 #[derive(Debug)]
 pub struct SectoredCache<T> {
     config: CacheConfig,
-    /// All lines, flat: `lines[set * ways .. (set + 1) * ways]` is one set.
+    /// Every line's tag, flat: `tags[set * ways .. (set + 1) * ways]` is
+    /// one set, [`INVALID_TAG`] for an invalid line.
+    tags: Vec<u64>,
+    /// Every line's sector masks and LRU stamp, indexed like `tags`.
     lines: Vec<Line>,
     num_sets: u64,
+    /// `num_sets - 1` when the set count is a power of two; `None` selects
+    /// the modulo path.
+    set_mask: Option<u64>,
+    /// `log2(line_bytes)`.
+    line_shift: u32,
+    /// `log2(sector_bytes)`.
+    sector_shift: u32,
     ways: usize,
     mshrs: Vec<MshrEntry<T>>,
     /// Hash buckets mapping a line address to a chain of `mshrs` indices.
@@ -331,22 +343,30 @@ impl<T> SectoredCache<T> {
     ///
     /// # Panics
     /// Panics if geometry is inconsistent (non-power-of-two line/sector
-    /// sizes, zero sets, more than 32 sectors per line).
+    /// sizes, lines under 2 B, zero sets, more than 32 sectors per line).
     pub fn new(config: CacheConfig) -> Self {
         assert!(config.line_bytes.is_power_of_two());
+        assert!(
+            config.line_bytes >= 2,
+            "a 1 B line could have the invalid tag"
+        );
         assert!(config.sector_bytes.is_power_of_two());
         assert!(config.sector_bytes <= config.line_bytes);
         assert!(config.sectors_per_line() <= 32, "sector mask is a u32");
         let num_sets = config.sets();
         assert!(num_sets > 0, "cache must have at least one set");
         let ways = config.ways as usize;
-        let lines = vec![Line::empty(); num_sets as usize * ways];
+        let lines = num_sets as usize * ways;
         // ~2x-load-factor bucket array keeps chains at length 0 or 1.
         let buckets = (config.mshr_entries.max(1) * 2).next_power_of_two();
         Self {
-            config,
-            lines,
+            tags: vec![INVALID_TAG; lines],
+            lines: vec![Line::EMPTY; lines],
             num_sets,
+            set_mask: num_sets.is_power_of_two().then(|| num_sets - 1),
+            line_shift: config.line_bytes.trailing_zeros(),
+            sector_shift: config.sector_bytes.trailing_zeros(),
+            config,
             ways,
             mshrs: Vec::new(),
             mshr_heads: vec![MSHR_NIL; buckets],
@@ -360,8 +380,14 @@ impl<T> SectoredCache<T> {
         addr & !(self.config.line_bytes as u64 - 1)
     }
 
-    fn set_index(&self, line_addr: u64) -> usize {
-        ((line_addr / self.config.line_bytes as u64) % self.num_sets) as usize
+    /// The first `tags`/`lines` index of `line_addr`'s set.
+    fn set_start(&self, line_addr: u64) -> usize {
+        let block = line_addr >> self.line_shift;
+        let set = match self.set_mask {
+            Some(mask) => block & mask,
+            None => block % self.num_sets,
+        };
+        set as usize * self.ways
     }
 
     /// Hash bucket for an MSHR line address (Fibonacci multiplicative hash;
@@ -437,25 +463,24 @@ impl<T> SectoredCache<T> {
 
     /// Bitmask of sectors within the line covered by `[addr, addr+bytes)`.
     fn sector_mask(&self, addr: u64, bytes: u32) -> u32 {
-        let line = self.line_addr(addr);
-        let first = ((addr - line) / self.config.sector_bytes as u64) as u32;
-        let last = ((addr + bytes as u64 - 1 - line) / self.config.sector_bytes as u64) as u32;
+        let off = addr & (self.config.line_bytes as u64 - 1);
+        let first = (off >> self.sector_shift) as u32;
+        let last = ((off + bytes as u64 - 1) >> self.sector_shift) as u32;
         debug_assert!(
             last < self.config.sectors_per_line(),
             "access crosses a line boundary: addr {addr:#x} bytes {bytes}"
         );
-        let mut mask = 0;
-        for s in first..=last {
-            mask |= 1 << s;
-        }
-        mask
+        (u32::MAX >> (31 - last)) & (u32::MAX << first)
     }
 
+    /// The valid line holding `line_addr`, found by scanning its set's
+    /// packed tags.
     fn find_line(&mut self, line_addr: u64) -> Option<&mut Line> {
-        let start = self.set_index(line_addr) * self.ways;
-        self.lines[start..start + self.ways]
-            .iter_mut()
-            .find(|l| l.valid && l.tag == line_addr)
+        let start = self.set_start(line_addr);
+        let way = self.tags[start..start + self.ways]
+            .iter()
+            .position(|&t| t == line_addr)?;
+        Some(&mut self.lines[start + way])
     }
 
     /// Presents one access. See [`CacheResult`] for the contract.
@@ -581,21 +606,28 @@ impl<T> SectoredCache<T> {
     /// Allocates a line for `line_addr`, returning a dirty-victim writeback
     /// (addr, bytes) if one was evicted.
     fn allocate(&mut self, line_addr: u64, clock: u64) -> Option<(u64, u32)> {
-        let start = self.set_index(line_addr) * self.ways;
+        let start = self.set_start(line_addr);
+        let tags = &mut self.tags[start..start + self.ways];
+        let lines = &mut self.lines[start..start + self.ways];
         // First minimal element in way order — identical victim choice to
         // `min_by_key` over the old per-set `Vec`.
-        let victim = self.lines[start..start + self.ways]
-            .iter_mut()
-            .min_by_key(|l| if l.valid { l.last_used } else { 0 })
+        let way = (0..self.ways)
+            .min_by_key(|&w| {
+                if tags[w] == INVALID_TAG {
+                    0
+                } else {
+                    lines[w].last_used
+                }
+            })
             .expect("ways is non-empty");
-        let wb = if victim.valid && victim.dirty_sectors != 0 {
+        let victim = &mut lines[way];
+        let wb = if tags[way] != INVALID_TAG && victim.dirty_sectors != 0 {
             let dirty = victim.dirty_sectors.count_ones() * self.config.sector_bytes;
-            Some((victim.tag, dirty))
+            Some((tags[way], dirty))
         } else {
             None
         };
-        victim.tag = line_addr;
-        victim.valid = true;
+        tags[way] = line_addr;
         victim.valid_sectors = 0;
         victim.dirty_sectors = 0;
         victim.last_used = clock;
@@ -605,10 +637,7 @@ impl<T> SectoredCache<T> {
     /// Delivers one fetched sector; completed waiters become poppable.
     pub fn fill(&mut self, now: Cycle, sector_addr: u64) {
         let line_addr = self.line_addr(sector_addr);
-        let sector_bit = {
-            let off = (sector_addr - line_addr) / self.config.sector_bytes as u64;
-            1u32 << off
-        };
+        let sector_bit = 1u32 << ((sector_addr - line_addr) >> self.sector_shift);
         if let Some(line) = self.find_line(line_addr) {
             line.valid_sectors |= sector_bit;
         }
@@ -646,10 +675,10 @@ impl<T> SectoredCache<T> {
     /// regardless of how lines or MSHRs are stored internally.
     pub fn fingerprint(&self, fp: &mut Fingerprint) {
         fp.mix(self.lines.len() as u64);
-        for line in &self.lines {
-            if line.valid {
+        for (&tag, line) in self.tags.iter().zip(&self.lines) {
+            if tag != INVALID_TAG {
                 fp.mix(1);
-                fp.mix(line.tag);
+                fp.mix(tag);
                 fp.mix(u64::from(line.valid_sectors));
                 fp.mix(u64::from(line.dirty_sectors));
                 fp.mix(line.last_used);

@@ -1,22 +1,27 @@
 //! Property tests: the sectored cache never strands a request token and
-//! fetches only what was asked for, and the flat-array / hash-indexed
+//! fetches only what was asked for, and the packed-tag / hash-indexed
 //! implementation stays fingerprint-equivalent to a naive nested-`Vec` +
-//! linear-scan reference model.
+//! linear-scan reference model on both write policies.
 
 use m2ndp_cache::{Access, CacheConfig, CacheResult, SectoredCache, WritePolicy};
 use m2ndp_sim::fingerprint::Fingerprint;
 use proptest::prelude::*;
 
-/// Naive reference model of the read path: per-set `Vec<Vec<Line>>`
-/// storage and linear-scan MSHRs — the representation the optimized cache
-/// replaced. It implements the same algorithm straight from the spec, so
-/// fingerprint equality proves the flat array + hash index are a pure
+/// Naive reference model: per-set `Vec<Vec<Line>>` storage with a valid
+/// flag beside each tag, linear-scan MSHRs and division/modulo address
+/// arithmetic — the representation the optimized cache replaced. It
+/// implements the same algorithm straight from the spec, write-through
+/// forwarding and write-back write-allocate included, so fingerprint
+/// equality proves the packed tags, shifts and hash index are a pure
 /// representation change.
 mod naive {
+    use m2ndp_cache::{CacheConfig, WritePolicy};
+
     #[derive(Clone)]
     pub struct Line {
         pub tag: u64,
         pub valid_sectors: u32,
+        pub dirty_sectors: u32,
         pub last_used: u64,
         pub valid: bool,
     }
@@ -31,32 +36,85 @@ mod naive {
         pub hit_latency: u64,
         pub line_bytes: u64,
         pub sector_bytes: u64,
+        pub write_back: bool,
     }
 
     pub enum Result {
         Hit,
+        Forward,
         Merged,
-        Miss { fetch_mask: u32 },
+        Miss {
+            fetch_mask: u32,
+            writeback: Option<(u64, u32)>,
+        },
         Stalled,
     }
 
     impl Cache {
+        pub fn new(config: &CacheConfig) -> Self {
+            let line_bytes = u64::from(config.line_bytes);
+            let ways = config.ways as usize;
+            let sets = config.capacity_bytes / (ways as u64 * line_bytes);
+            let empty = Line {
+                tag: 0,
+                valid_sectors: 0,
+                dirty_sectors: 0,
+                last_used: 0,
+                valid: false,
+            };
+            Self {
+                sets: vec![vec![empty; ways]; sets as usize],
+                mshrs: Vec::new(),
+                ready: std::collections::VecDeque::new(),
+                use_clock: 0,
+                mshr_entries: config.mshr_entries,
+                hit_latency: config.hit_latency,
+                line_bytes,
+                sector_bytes: u64::from(config.sector_bytes),
+                write_back: config.write_policy == WritePolicy::WriteBack,
+            }
+        }
+
         fn set_of(&self, line_addr: u64) -> usize {
             ((line_addr / self.line_bytes) % self.sets.len() as u64) as usize
         }
 
-        pub fn access(&mut self, addr: u64, bytes: u32, token: usize) -> Result {
+        fn find(&mut self, line_addr: u64) -> Option<&mut Line> {
+            let set = self.set_of(line_addr);
+            self.sets[set]
+                .iter_mut()
+                .find(|l| l.valid && l.tag == line_addr)
+        }
+
+        pub fn access(
+            &mut self,
+            now: u64,
+            addr: u64,
+            bytes: u32,
+            write: bool,
+            token: usize,
+        ) -> Result {
             self.use_clock += 1;
             let clock = self.use_clock;
             let line_addr = addr & !(self.line_bytes - 1);
             let first = ((addr - line_addr) / self.sector_bytes) as u32;
             let last = ((addr + bytes as u64 - 1 - line_addr) / self.sector_bytes) as u32;
             let need: u32 = (first..=last).fold(0, |m, s| m | (1 << s));
-            let set = self.set_of(line_addr);
-            if let Some(line) = self.sets[set]
-                .iter_mut()
-                .find(|l| l.valid && l.tag == line_addr)
-            {
+            let write_back = self.write_back;
+            if write && !write_back {
+                if let Some(line) = self.find(line_addr) {
+                    line.valid_sectors |= need;
+                    line.last_used = clock;
+                }
+                return Result::Forward;
+            }
+            if let Some(line) = self.find(line_addr) {
+                if write {
+                    line.valid_sectors |= need;
+                    line.dirty_sectors |= need;
+                    line.last_used = clock;
+                    return Result::Hit;
+                }
                 if line.valid_sectors & need == need {
                     line.last_used = clock;
                     return Result::Hit;
@@ -73,31 +131,46 @@ mod naive {
                 *pending |= missing_new;
                 return Result::Miss {
                     fetch_mask: missing_new,
+                    writeback: None,
                 };
             }
             if self.mshrs.len() >= self.mshr_entries {
                 return Result::Stalled;
             }
+            let set = self.set_of(line_addr);
+            let sector_bytes = self.sector_bytes as u32;
             let victim = self.sets[set]
                 .iter_mut()
                 .min_by_key(|l| if l.valid { l.last_used } else { 0 })
                 .expect("ways non-empty");
+            let writeback = (victim.valid && victim.dirty_sectors != 0)
+                .then(|| (victim.tag, victim.dirty_sectors.count_ones() * sector_bytes));
             victim.tag = line_addr;
             victim.valid = true;
             victim.valid_sectors = 0;
+            victim.dirty_sectors = 0;
             victim.last_used = clock;
+            if write {
+                // Write-allocate: the written sectors need no fetch.
+                victim.valid_sectors |= need;
+                victim.dirty_sectors |= need;
+                self.ready.push_back((now + self.hit_latency, token));
+                return Result::Miss {
+                    fetch_mask: 0,
+                    writeback,
+                };
+            }
             self.mshrs.push((line_addr, need, vec![token]));
-            Result::Miss { fetch_mask: need }
+            Result::Miss {
+                fetch_mask: need,
+                writeback,
+            }
         }
 
         pub fn fill(&mut self, now: u64, sector_addr: u64) {
             let line_addr = sector_addr & !(self.line_bytes - 1);
             let bit = 1u32 << ((sector_addr - line_addr) / self.sector_bytes);
-            let set = self.set_of(line_addr);
-            if let Some(line) = self.sets[set]
-                .iter_mut()
-                .find(|l| l.valid && l.tag == line_addr)
-            {
+            if let Some(line) = self.find(line_addr) {
                 line.valid_sectors |= bit;
             }
             let Some(pos) = self.mshrs.iter().position(|(la, _, _)| *la == line_addr) else {
@@ -130,7 +203,7 @@ mod naive {
                         fp.mix(1);
                         fp.mix(line.tag);
                         fp.mix(u64::from(line.valid_sectors));
-                        fp.mix(0); // write-through read path: never dirty
+                        fp.mix(u64::from(line.dirty_sectors));
                         fp.mix(line.last_used);
                     } else {
                         fp.mix(0);
@@ -233,72 +306,74 @@ proptest! {
         }
     }
 
-    /// The optimized cache (flat line array, hash-indexed MSHRs) stays
-    /// fingerprint-equivalent to the naive nested-`Vec` + linear-scan
-    /// reference under random read/fill/pop interleavings.
+}
+
+// The reference-model law takes the default case count, so
+// `PROPTEST_CASES` raises it (CI runs it at 4096).
+proptest! {
+    /// The optimized cache (packed tags, shift/mask or modulo set index,
+    /// hash-indexed MSHRs) stays fingerprint-equivalent to the naive
+    /// reference under random read/write/fill/pop interleavings, on both
+    /// write policies and at power-of-two and other set counts: hits,
+    /// merges, stalls, fetch sets, write-allocated dirty sectors and every
+    /// dirty victim's writeback address and bytes agree.
     #[test]
     fn fingerprint_matches_naive_reference(
+        write_back in 0u8..2,
+        sets in 1u64..6,
         // (op kind, raw address, size selector); ops encoded as tuples
         // because the vendored proptest stub has no `prop_oneof`.
-        ops in prop::collection::vec((0u8..4, 0u64..2048, 0u8..3), 1..150),
+        ops in prop::collection::vec((0u8..5, 0u64..3072, 0u8..4), 1..150),
     ) {
         let config = CacheConfig {
-            capacity_bytes: 1024, // 4 sets x 2 ways: plenty of conflicts
+            capacity_bytes: sets * 2 * 128, // 2 ways: plenty of conflicts
             ways: 2,
             line_bytes: 128,
             sector_bytes: 32,
             hit_latency: 2,
-            write_policy: WritePolicy::WriteThrough,
+            write_policy: if write_back == 1 {
+                WritePolicy::WriteBack
+            } else {
+                WritePolicy::WriteThrough
+            },
             mshr_entries: 3, // small: exercises the Stalled path
         };
         let mut opt: SectoredCache<usize> = SectoredCache::new(config.clone());
-        let mut naive = naive::Cache {
-            sets: (0..4)
-                .map(|_| {
-                    (0..2)
-                        .map(|_| naive::Line {
-                            tag: 0,
-                            valid_sectors: 0,
-                            last_used: 0,
-                            valid: false,
-                        })
-                        .collect()
-                })
-                .collect(),
-            mshrs: Vec::new(),
-            ready: std::collections::VecDeque::new(),
-            use_clock: 0,
-            mshr_entries: 3,
-            hit_latency: 2,
-            line_bytes: 128,
-            sector_bytes: 32,
-        };
+        let mut naive = naive::Cache::new(&config);
         let mut token = 0usize;
         for (step, (kind, raw, size)) in ops.into_iter().enumerate() {
             let now = step as u64;
             match kind {
-                0 | 1 => {
-                    let bytes: u32 = [32, 64, 128][size as usize];
+                0..=2 => {
+                    let write = kind == 2;
+                    let bytes: u32 = [4, 32, 64, 128][size as usize];
                     let addr = raw & !(bytes as u64 - 1);
-                    let got = opt.access(now, Access { addr, bytes, write: false }, token);
-                    let want = naive.access(addr, bytes, token);
+                    let got = opt.access(now, Access { addr, bytes, write }, token);
+                    let want = naive.access(now, addr, bytes, write, token);
                     token += 1;
                     match (got, want) {
-                        (CacheResult::Hit { .. }, naive::Result::Hit)
-                        | (CacheResult::MergedMiss, naive::Result::Merged)
+                        (CacheResult::Hit { ready_at }, naive::Result::Hit)
+                        | (CacheResult::WriteForward { ready_at }, naive::Result::Forward) => {
+                            prop_assert_eq!(ready_at, now + 2);
+                        }
+                        (CacheResult::MergedMiss, naive::Result::Merged)
                         | (CacheResult::Stalled, naive::Result::Stalled) => {}
-                        (CacheResult::Miss { fetches, .. }, naive::Result::Miss { fetch_mask }) => {
+                        (
+                            CacheResult::Miss { fetches, writeback },
+                            naive::Result::Miss { fetch_mask, writeback: want_wb },
+                        ) => {
                             let line = addr & !127;
                             let want_addrs: Vec<u64> = (0..4)
                                 .filter(|s| fetch_mask & (1 << s) != 0)
                                 .map(|s| line + s * 32)
                                 .collect();
                             prop_assert_eq!(fetches.to_vec(), want_addrs);
+                            prop_assert_eq!(writeback, want_wb, "writeback at step {}", step);
                         }
                         (got, _) => prop_assert!(false, "result mismatch at step {step}: {got:?}"),
                     }
                 }
-                2 => {
+                3 => {
                     let sector = raw & !31;
                     opt.fill(now, sector);
                     naive.fill(now, sector);
