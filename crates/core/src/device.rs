@@ -17,6 +17,7 @@
 //!   CXL-M²NDP).
 
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use m2ndp_cache::{Access, CacheResult, SectoredCache};
@@ -78,6 +79,27 @@ impl L2Slice {
     /// waiter in the cache's ready queue.
     fn is_idle(&self) -> bool {
         self.inbox.is_empty() && self.to_dram.is_empty() && self.cache.next_ready_cycle().is_none()
+    }
+}
+
+/// The earliest of the cycles folded into it, for
+/// `CxlM2ndpDevice::maybe_fast_forward`. A fold breaks as soon as a cycle
+/// is due by `due`: no jump is possible then, so the remaining sources need
+/// not be read.
+struct Earliest {
+    due: Cycle,
+    min: Option<Cycle>,
+}
+
+impl Earliest {
+    fn fold(&mut self, c: Option<Cycle>) -> ControlFlow<()> {
+        if let Some(c) = c {
+            if c <= self.due {
+                return ControlFlow::Break(());
+            }
+            self.min = Some(self.min.map_or(c, |m| m.min(c)));
+        }
+        ControlFlow::Continue(())
     }
 }
 
@@ -800,11 +822,11 @@ impl CxlM2ndpDevice {
     /// required for the completion stamp). Returns the completion cycle.
     ///
     /// # Panics
-    /// At once if the engine never accepted `instance`, or within 1024
-    /// ticks of no event being left and nothing in the device able to
-    /// progress while `instance` is unfinished (a lost memory response,
-    /// say), naming the instance, its status and the cycle; also after
-    /// 2×10⁹ ticks without a finish.
+    /// At once if the engine never accepted `instance`, or as soon as
+    /// nothing timed is pending and nothing in the device can progress
+    /// while `instance` is unfinished (a lost memory response, say), naming
+    /// the instance, its status and the cycle; also after 2×10⁹ ticks
+    /// without a finish.
     pub fn run_until_finished(&mut self, instance: KernelInstanceId) -> Cycle {
         assert!(
             self.engine.status(instance).is_some(),
@@ -827,11 +849,7 @@ impl CxlM2ndpDevice {
             self.tick();
             guard += 1;
             assert!(guard < 2_000_000_000, "instance never finished");
-            // Eventless iterations are common (an L1D or L2 hit maturing
-            // is not a jump target), so only every 1024th tick checks: a
-            // stuck wait still fails within 1024 ticks.
             let stuck = !self.maybe_fast_forward()
-                && guard.is_multiple_of(1024)
                 && self.engine.finished_at(instance).is_none()
                 && self.is_stuck();
             assert!(
@@ -859,44 +877,83 @@ impl CxlM2ndpDevice {
             && self.remote.as_ref().is_none_or(idle)
     }
 
-    /// Jumps `now` forward to the next scheduled event when the engine has
-    /// nothing ready this cycle. Returns `false` when it found no event to
-    /// jump to, and no ready slot or DRAM-blocked fetch either.
+    /// Jumps `now` forward over ticks that cannot do anything: to the next
+    /// scheduled event when the engine has nothing ready this cycle, or,
+    /// when no event is scheduled anywhere, to the earliest cycle at which
+    /// an L1D or L2 hit or fill matures. Returns `false` only when nothing
+    /// timed is pending: no event, ready slot, DRAM-blocked fetch or
+    /// maturing cache waiter.
     fn maybe_fast_forward(&mut self) -> bool {
         if self.engine.has_ready() {
             return true;
         }
-        let mut next: Option<Cycle> = None;
-        let mut fold = |c: Option<Cycle>| {
-            if let Some(c) = c {
-                next = Some(next.map_or(c, |n: Cycle| n.min(c)));
-            }
+        let mut next = Earliest {
+            due: self.now + 1,
+            min: None,
         };
-        fold(self.engine.next_wake());
-        fold(self.unit_deliveries.next_cycle());
-        fold(self.host_inbound.next_cycle());
-        fold(self.host_completions.next_cycle());
-        fold(self.local.dram.next_event_cycle());
+        if self.fold_events(&mut next).is_break() {
+            return true;
+        }
+        // An event is the target even when a cache waiter matures earlier
+        // (ROADMAP item 1a's fast-forward gap: the fix is to fold the ready
+        // cycles into this minimum too). Without one, the ready cycles are
+        // the target, but only when every tick before the earliest is a
+        // no-op. With no event, no slot wakes, no response arrives and
+        // DRAM is idle, so that holds once the engine is settled: a queued
+        // launch, a deferred iteration update or a pending spawn pass
+        // would act at the next tick.
+        if next.min.is_none() {
+            if self.fold_cache_ready(&mut next).is_break() {
+                return true;
+            }
+            if !self.engine.is_settled() {
+                return next.min.is_some();
+            }
+        }
+        let Some(target) = next.min else {
+            return false;
+        };
+        self.now = target;
+        true
+    }
+
+    /// Folds every scheduled event into `next`: engine wake-ups, unit
+    /// deliveries, host traffic, DRAM and the L2 inboxes. Breaks on a
+    /// DRAM-blocked fetch of a local slice, which retries every cycle.
+    fn fold_events(&self, next: &mut Earliest) -> ControlFlow<()> {
+        next.fold(self.engine.next_wake())?;
+        next.fold(self.unit_deliveries.next_cycle())?;
+        next.fold(self.host_inbound.next_cycle())?;
+        next.fold(self.host_completions.next_cycle())?;
+        next.fold(self.local.dram.next_event_cycle())?;
         for s in self.local.active_slices() {
-            fold(s.inbox.next_cycle());
+            next.fold(s.inbox.next_cycle())?;
             if !s.to_dram.is_empty() {
-                return true; // work pending this cycle
+                return ControlFlow::Break(()); // work pending this cycle
             }
         }
         if let Some(r) = &self.remote {
-            fold(r.dram.next_event_cycle());
+            next.fold(r.dram.next_event_cycle())?;
             for s in r.active_slices() {
-                fold(s.inbox.next_cycle());
+                next.fold(s.inbox.next_cycle())?;
             }
         }
-        fold(self.host_done.next_cycle());
-        let Some(next) = next else {
-            return false;
-        };
-        if next > self.now + 1 {
-            self.now = next;
+        next.fold(self.host_done.next_cycle())
+    }
+
+    /// Folds the cycles at which parked cache waiters mature into `next`:
+    /// the units' L1Ds and every active L2 slice, local and remote. A
+    /// DRAM-blocked fetch needs no check here: it waits only while its
+    /// channel's queue is full, and a channel with queued requests always
+    /// has an event (its earliest arrival), so with no event every
+    /// `to_dram` list is empty.
+    fn fold_cache_ready(&self, next: &mut Earliest) -> ControlFlow<()> {
+        next.fold(self.engine.next_l1d_ready())?;
+        let remote = self.remote.iter().flat_map(MemSystem::active_slices);
+        for s in self.local.active_slices().chain(remote) {
+            next.fold(s.cache.next_ready_cycle())?;
         }
-        true
+        ControlFlow::Continue(())
     }
 
     fn route_engine_requests(&mut self, now: Cycle) {
@@ -1354,8 +1411,8 @@ mod tests {
     }
 
     /// A kernel whose memory request is lost can never finish: the wait
-    /// fails within 1024 ticks of nothing in the device being able to make
-    /// progress instead of spinning to the tick guard.
+    /// fails as soon as nothing in the device can make progress instead of
+    /// spinning to the tick guard.
     #[test]
     #[should_panic(expected = "can never finish")]
     fn a_lost_memory_request_fails_the_wait_fast() {
@@ -1655,6 +1712,90 @@ mod tests {
         }
         assert_eq!(dev.memory().read_u32(base), 10);
         assert!(dev.remote.as_ref().unwrap().dram.total_bytes() > 0);
+    }
+
+    /// One unit of four sub-cores with two slots each, running a
+    /// one-load µthread per 32 B granule over `elems` words at `base`: 32
+    /// µthreads for 256 words, four to an L1D line, so slots free while
+    /// others wait on their line's fill maturing in the L1D.
+    fn eight_slot_loads(dev: &mut CxlM2ndpDevice, base: u64, elems: u64) -> KernelInstanceId {
+        for i in 0..elems {
+            dev.memory_mut().write_u32(base + i * 4, i as u32);
+        }
+        let kid = dev.register_kernel(KernelSpec::body_only(
+            "load_one",
+            assemble("lw x5, 0(x1)\n addi x5, x5, 1\n halt").unwrap(),
+        ));
+        dev.launch(LaunchArgs::new(kid, base, base + elems * 4))
+            .unwrap()
+    }
+
+    fn eight_slot_device() -> CxlM2ndpDevice {
+        let mut cfg = M2ndpConfig::default_device();
+        cfg.engine.units = 1;
+        cfg.engine.subcores_per_unit = 4;
+        cfg.engine.slots_per_subcore = 2;
+        CxlM2ndpDevice::new(cfg)
+    }
+
+    /// A slot frees while every other slot waits only on an L1D fill
+    /// maturing, with µthreads left to spawn: the fast-forward must not
+    /// jump to the fill's ready cycle over the spawn pass the freed slot
+    /// enables. The cycle and statistics were recorded on the code before
+    /// cache ready cycles were jump targets.
+    #[test]
+    fn fast_forward_waits_for_a_spawn_pass_after_a_slot_frees() {
+        let mut dev = eight_slot_device();
+        let inst = eight_slot_loads(&mut dev, 0x40_0000, 256);
+        assert_eq!(dev.run_until_finished(inst), 672);
+        assert_eq!(
+            format!("{:?}", dev.stats()),
+            "DeviceStats { cycles: 673, dram_bytes: 1056, dram_row_hit_rate: 0.8484848484848485, dram_bw_utilization: 0.007661589895988113, link_m2s_bytes: 0, link_s2m_bytes: 0, l2_accesses: 33, l2_hit_rate: 0.0, instrs: 96, mem_reqs: 33, spad_bytes: 0, l1_hits: 0, bi_snoops: 0 }"
+        );
+    }
+
+    /// A launch queued while the only pending work is an L1D fill
+    /// maturing, as one dispatched inside a tick after the engine's pass
+    /// would be: the fast-forward must leave the next tick to admit it.
+    /// (Between ticks a launch can never wait for an argument slot: the
+    /// launch buffer accepts no more live instances than there are slots.)
+    /// The cycles and statistics were recorded on the code before cache
+    /// ready cycles were jump targets.
+    #[test]
+    fn fast_forward_waits_for_a_queued_launch() {
+        let mut dev = eight_slot_device();
+        let first = eight_slot_loads(&mut dev, 0x40_0000, 256);
+        // Step as `run_until_finished` does, up to the first cycle at
+        // which only an L1D waiter is pending and the engine is settled.
+        loop {
+            dev.tick();
+            let mut next = Earliest {
+                due: dev.now + 1,
+                min: None,
+            };
+            let eventless = dev.fold_events(&mut next).is_continue() && next.min.is_none();
+            if eventless
+                && dev.engine.is_settled()
+                && dev.engine.next_l1d_ready().is_some_and(|c| c > dev.now + 1)
+            {
+                break;
+            }
+            dev.maybe_fast_forward();
+            assert!(dev.finished_at(first).is_none(), "no eventless wait");
+        }
+        let queued_at = dev.now;
+        let second = eight_slot_loads(&mut dev, 0x80_0000, 256);
+        dev.maybe_fast_forward();
+        assert_eq!(dev.now, queued_at, "jumped over a queued launch");
+        let done = [
+            dev.run_until_finished(first),
+            dev.run_until_finished(second),
+        ];
+        assert_eq!((queued_at, done), (285, [753, 1401]));
+        assert_eq!(
+            format!("{:?}", dev.stats()),
+            "DeviceStats { cycles: 1402, dram_bytes: 2112, dram_row_hit_rate: 0.8484848484848485, dram_bw_utilization: 0.007355563480741798, link_m2s_bytes: 0, link_s2m_bytes: 0, l2_accesses: 66, l2_hit_rate: 0.0, instrs: 192, mem_reqs: 66, spad_bytes: 0, l1_hits: 0, bi_snoops: 0 }"
+        );
     }
 
     #[test]

@@ -836,8 +836,7 @@ impl Engine {
     /// This is a pure within-tick cost optimization — callers' tick
     /// cadence and every externally visible cycle count are unchanged.
     fn tick_is_trivial(&self, now: Cycle) -> bool {
-        if !self.spawn_exhausted || !self.queued.is_empty() || !self.pending_iter_update.is_empty()
-        {
+        if !self.is_settled() {
             return false;
         }
         self.units.iter().all(|u| {
@@ -848,6 +847,24 @@ impl Engine {
                 && u.active_subcores()
                     .all(|sc| sc.ready.is_empty() && sc.wake.next_cycle().is_none_or(|c| c > now))
         })
+    }
+
+    /// Whether only the slots' timed queues can move the engine: no queued
+    /// launch, no deferred iteration update, and the last spawn pass placed
+    /// nothing with no enabling event since. These are the facts
+    /// [`Self::tick_is_trivial`] checks first.
+    pub(crate) fn is_settled(&self) -> bool {
+        self.spawn_exhausted && self.queued.is_empty() && self.pending_iter_update.is_empty()
+    }
+
+    /// Earliest cycle at which an L1D hit or fill matures into its waiting
+    /// slot (for fast-forwarding); `None` when no unit's L1D has a parked
+    /// waiter.
+    pub(crate) fn next_l1d_ready(&self) -> Option<Cycle> {
+        self.units
+            .iter()
+            .filter_map(|u| u.l1d.as_ref()?.next_ready_cycle())
+            .min()
     }
 
     /// Earliest future wake-up among blocked slots (for fast-forwarding);
