@@ -1376,8 +1376,12 @@ pub fn derive(fig: FigId, outs: &[CellOut]) -> Vec<Metric> {
                     };
                     // Every device runs one equal shard, so the slowest
                     // finishes at `o.cycles`; then the combine, a ring
-                    // all-reduce on a fresh switch (DLRM: disjoint
-                    // outputs, negligible; OPT: hidden-sized per layer).
+                    // all-reduce on a fresh switch (OPT: hidden-sized per
+                    // layer). DLRM is charged a 4 KiB ring all-reduce too,
+                    // 2,408 cycles at 8 devices on a 17,848-cycle shard,
+                    // although its SLS outputs are disjoint: that is the
+                    // gap to the simulated fleet's 8.69 in fig14a
+                    // (ROADMAP item 3(c)).
                     let allreduce = CxlSwitch::new(SwitchConfig::default(), Frequency::ghz(2.0))
                         .ring_allreduce(0, n as usize, allreduce_bytes);
                     m.push((
